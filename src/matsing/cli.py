@@ -185,9 +185,10 @@ def _cmd_batch(args) -> int:
             with open(path, encoding="utf-8") as fh:
                 spec = parse_family(fh.read())
             report = analyze(spec.subject(), name=spec.name or fname)
-        except (ParseError, ValueError, StepLimitExceeded, OSError) as exc:
+        except Exception as exc:  # one bad file must not stop the batch
             counts["errors"] += 1
-            entries.append({"file": fname, "error": str(exc)})
+            entries.append({"file": fname,
+                            "error": f"{type(exc).__name__}: {exc}"})
             continue
         for c in report.checks:
             counts[c.verdict] += 1

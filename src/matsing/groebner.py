@@ -93,32 +93,24 @@ class MonomialOrder:
 
     kinds:
       degrevlex-global    degree first, reverse-lex tie break (well order)
-      lex-global          pure lexicographic (well order)
       negdegrevlex-local  negative degree first; 1 is the largest monomial,
                           so leading terms detect units (local order)
 
-    module_extension:
-      position-over-term  component index decides first (lower index wins),
-                          then the monomial order
-      term-over-position  monomial order decides first, then component
+    On free modules the order is position-over-term: the component index
+    decides first (lower index wins), then the monomial order.
 
     Orders are exposed as key functions: larger key means larger monomial,
     so the leading term of a nonzero object is the max of the keys.
     """
 
-    KINDS = ("degrevlex-global", "lex-global", "negdegrevlex-local")
-    EXTENSIONS = ("position-over-term", "term-over-position")
+    KINDS = ("degrevlex-global", "negdegrevlex-local")
 
-    __slots__ = ("kind", "module_extension")
+    __slots__ = ("kind",)
 
-    def __init__(self, kind: str = "degrevlex-global",
-                 module_extension: str = "position-over-term"):
+    def __init__(self, kind: str = "degrevlex-global"):
         if kind not in self.KINDS:
             raise ValueError(f"unknown order kind {kind!r}")
-        if module_extension not in self.EXTENSIONS:
-            raise ValueError(f"unknown module extension {module_extension!r}")
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "module_extension", module_extension)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("MonomialOrder is immutable")
@@ -130,23 +122,17 @@ class MonomialOrder:
     def key(self, exp: ExpVec):
         if self.kind == "degrevlex-global":
             return (sum(exp),) + tuple(-e for e in reversed(exp))
-        if self.kind == "lex-global":
-            return exp
         # negdegrevlex-local
         return (-sum(exp),) + tuple(-e for e in reversed(exp))
 
     def module_key(self, comp: int, exp: ExpVec):
-        if self.module_extension == "position-over-term":
-            return (-comp,) + self.key(exp)
-        return self.key(exp) + (-comp,)
+        return (-comp,) + self.key(exp)
 
     def __eq__(self, other):
-        return (isinstance(other, MonomialOrder)
-                and self.kind == other.kind
-                and self.module_extension == other.module_extension)
+        return isinstance(other, MonomialOrder) and self.kind == other.kind
 
     def __repr__(self):
-        return f"MonomialOrder({self.kind!r}, {self.module_extension!r})"
+        return f"MonomialOrder({self.kind!r})"
 
 
 GLOBAL = MonomialOrder("degrevlex-global")
@@ -278,9 +264,6 @@ class ModuleBasis:
         self.nvars = nv
         self._stacked = None
 
-    def leading_terms(self) -> list[FlatKey]:
-        return [_leading(flatten_vector(g), self.order)[0] for g in self.generators]
-
 
 # -- division ---------------------------------------------------------------
 
@@ -383,61 +366,80 @@ def _spair(gi: _Gen, gj: _Gen) -> Flat:
     return out
 
 
-def _complete(flats: list, order: MonomialOrder, ambient_rank: int,
-              counter: _Counter) -> list:
-    """Buchberger/Mora completion; returns the list of _Gen (not interreduced)."""
-    gens: list = []
-    pairs: dict = {}   # (i, j) -> sort key
-    treated: set = set()
+class _Completion:
+    """Buchberger/Mora completion that accepts new elements between runs:
+    after run() returns, gens is a standard basis (not interreduced) of
+    everything added so far.  run(max_degree) only treats pairs whose lcm
+    has degree <= max_degree and keeps the rest for a later run."""
 
-    def add_elem(flat: Flat) -> None:
-        flat = _normalize_content(flat, order)
-        g = _Gen(flat, order)
+    def __init__(self, order: MonomialOrder, ambient_rank: int,
+                 counter: _Counter):
+        self.order = order
+        self.ambient_rank = ambient_rank
+        self.counter = counter
+        self.gens: list = []
+        self.pairs: dict = {}   # (i, j) -> sort key
+        self.treated: set = set()
+
+    def add(self, flat: Flat) -> None:
+        gens = self.gens
+        flat = _normalize_content(flat, self.order)
+        g = _Gen(flat, self.order)
         k = len(gens)
         gens.append(g)
         for i in range(k):
             if gens[i].lt[0] != g.lt[0]:
                 continue
             lcm = exp_lcm(gens[i].lt[1], g.lt[1])
-            if ambient_rank == 1 and lcm == exp_mul(gens[i].lt[1], g.lt[1]):
+            if self.ambient_rank == 1 and lcm == exp_mul(gens[i].lt[1], g.lt[1]):
                 # Coprime leading monomials reduce to zero (ideal case only).
-                treated.add((i, k))
+                self.treated.add((i, k))
                 continue
-            pairs[(i, k)] = (sum(lcm), g.lt[0], lcm, i, k)
+            self.pairs[(i, k)] = (sum(lcm), g.lt[0], lcm, i, k)
 
+    def run(self, max_degree: Optional[int] = None) -> None:
+        gens, pairs, treated = self.gens, self.pairs, self.treated
+        while pairs:
+            ij = min(pairs, key=pairs.get)
+            if max_degree is not None and pairs[ij][0] > max_degree:
+                return
+            self.counter.tick()
+            i, j = ij
+            lcm = exp_lcm(gens[i].lt[1], gens[j].lt[1])
+            del pairs[ij]
+            treated.add(ij)
+            # Classical chain criterion: skip if some third leading term
+            # divides the lcm and both side pairs were already handled.
+            skip = False
+            for k in range(len(gens)):
+                if k == i or k == j or gens[k].lt[0] != gens[i].lt[0]:
+                    continue
+                if not exp_divides(gens[k].lt[1], lcm):
+                    continue
+                a = (min(i, k), max(i, k))
+                b = (min(j, k), max(j, k))
+                if a in treated and b in treated:
+                    skip = True
+                    break
+            if skip:
+                continue
+            s = _spair(gens[i], gens[j])
+            if not s:
+                continue
+            h, _, _ = _normal_form(s, gens, self.order, self.counter)
+            if h:
+                self.add(h)
+
+
+def _complete(flats: list, order: MonomialOrder, ambient_rank: int,
+              counter: _Counter) -> list:
+    """Buchberger/Mora completion; returns the list of _Gen (not interreduced)."""
+    completion = _Completion(order, ambient_rank, counter)
     for flat in flats:
         if flat:
-            add_elem(dict(flat))
-
-    while pairs:
-        counter.tick()
-        ij = min(pairs, key=pairs.get)
-        i, j = ij
-        lcm = exp_lcm(gens[i].lt[1], gens[j].lt[1])
-        del pairs[ij]
-        treated.add(ij)
-        # Classical chain criterion: skip if some third leading term divides
-        # the lcm and both side pairs were already handled.
-        skip = False
-        for k in range(len(gens)):
-            if k == i or k == j or gens[k].lt[0] != gens[i].lt[0]:
-                continue
-            if not exp_divides(gens[k].lt[1], lcm):
-                continue
-            a = (min(i, k), max(i, k))
-            b = (min(j, k), max(j, k))
-            if a in treated and b in treated:
-                skip = True
-                break
-        if skip:
-            continue
-        s = _spair(gens[i], gens[j])
-        if not s:
-            continue
-        h, _, _ = _normal_form(s, gens, order, counter)
-        if h:
-            add_elem(h)
-    return gens
+            completion.add(dict(flat))
+    completion.run()
+    return completion.gens
 
 
 def _lead_interreduce(gens: list, order: MonomialOrder) -> list:
@@ -496,6 +498,33 @@ def groebner_basis(basis: ModuleBasis, max_steps: Optional[int] = None) -> Modul
     return out
 
 
+def prune_generators(basis: ModuleBasis,
+                     max_steps: Optional[int] = None) -> ModuleBasis:
+    """A generating set of the same module, chosen from basis.generators.
+
+    Generators are visited by increasing degree.  One is dropped only when
+    its normal form against the generators kept so far, completed through
+    its degree, is exactly zero: that zero certifies it lies in their
+    module, so the module does not change.  For homogeneous generators under
+    a global degree order the degree-bounded completion is a Groebner basis
+    in those degrees, so every redundant generator is dropped.
+    """
+    def degree(vec) -> int:
+        return max(p.total_degree() for p in vec)
+
+    counter = _Counter(max_steps)
+    completion = _Completion(basis.order, basis.ambient_rank, counter)
+    kept = []
+    for vec in sorted(basis.generators, key=degree):
+        completion.run(degree(vec))
+        h, _, _ = _normal_form(flatten_vector(vec), completion.gens,
+                               basis.order, counter)
+        if h:
+            kept.append(vec)
+            completion.add(h)
+    return ModuleBasis(basis.ambient_rank, kept, basis.order)
+
+
 def quotient_dimension(basis: ModuleBasis, max_steps: Optional[int] = None):
     """dim_Q of O^r / <generators>, as a vector space; INFINITE if not finite.
 
@@ -544,19 +573,14 @@ class _StackedBasis:
         self.rank = basis.ambient_rank
         self.count = len(basis.generators)
         self.nvars = basis.nvars
-        order = basis.order
-        if order.module_extension != "position-over-term":
-            order = MonomialOrder(order.kind, "position-over-term")
-        self.order = order
-        counter = _Counter(max_steps)
+        self.order = basis.order
         flats = []
         for j, g in enumerate(basis.generators):
             flat = flatten_vector(g)
             flat[(self.rank + j, (0,) * self.nvars)] = Fraction(1)
             flats.append(flat)
-        gens = _complete(flats, order, self.rank + self.count, counter)
-        self.gens = gens
-        self.counter = counter
+        self.gens = _complete(flats, self.order, self.rank + self.count,
+                              _Counter(max_steps))
 
     def syzygy_vectors(self) -> list:
         """Syzygies of the original generators, as vectors in O^count."""
@@ -571,11 +595,13 @@ class _StackedBasis:
         out = _lead_interreduce(out, self.order)
         return [unflatten_vector(g.flat, self.count, self.nvars) for g in out]
 
-    def express(self, vec: Sequence[Poly]):
+    def express(self, vec: Sequence[Poly], max_steps: Optional[int]):
         """Certificate (unit, coeffs, remainder) with
-        unit * vec = sum coeffs[j] * g_j + remainder."""
+        unit * vec = sum coeffs[j] * g_j + remainder.  Each call has its own
+        step budget; the completion's budget is spent once, when built."""
         flat = flatten_vector(vec)
-        h, c_h, _ = _normal_form(flat, self.gens, self.order, self.counter,
+        h, c_h, _ = _normal_form(flat, self.gens, self.order,
+                                 _Counter(max_steps),
                                  certificate=True,
                                  stop_components=self.rank)
         upper = {k: c for k, c in h.items() if k[0] < self.rank}
@@ -664,7 +690,7 @@ def member(vec, basis: ModuleBasis, max_steps: Optional[int] = None) -> MemberRe
         return MemberResult(True, zero, Poly.constant(nv, 1),
                             vec[0] if scalar else vec)
     st = _stacked(basis, max_steps)
-    unit, coeffs, remainder = st.express(vec)
+    unit, coeffs, remainder = st.express(vec, max_steps)
     ok = all(p.is_zero() for p in remainder)
     return MemberResult(ok, coeffs, unit,
                         remainder[0] if scalar else remainder)

@@ -9,7 +9,9 @@ reachable along independent routes:
     with trace-free matrices for the 'special' flavour and all matrices
     for the 'general' one.
   * t1_kf / t1_kv use logarithmic vector fields of the generic determinant
-    or pfaffian, computed as syzygies, pulled back along the family.
+    or pfaffian, computed as syzygies, pulled back along the family.  A
+    family is the section fam.as_map() of the generic det/Pf, whose fields
+    are computed and pruned once per (kind, n).
 
 The identity checkers at the bottom re-derive the relations between these
 numbers (difference formulas against Milnor numbers, Betti number
@@ -28,7 +30,7 @@ from .complexes import (FreeComplex, cone, homology_dimension,
                         homology_profile, kind_complex, koszul, phi_f,
                         pullback)
 from .groebner import (GLOBAL, INFINITE, LOCAL, ModuleBasis, member,
-                       quotient_dimension, syzygies)
+                       prune_generators, quotient_dimension, syzygies)
 from .matalg import (MatrixFamily, PolyMatrix, flatten, generic_family,
                      gl_basis, minors_ideal, sl_basis, space_dim)
 from .poly import Poly, SubstitutionMap, partial, substitute
@@ -68,63 +70,73 @@ def tjurina_number_function(g: Poly, max_steps: Optional[int] = None):
 
 def der_log_f(f: Poly, max_steps: Optional[int] = None) -> ModuleBasis:
     """Vector fields annihilating f: generators of the syzygies of the row
-    (df/dx_1, ..., df/dx_N).  Computed over the polynomial ring; since
-    localization is flat, the same vectors generate over the local ring."""
+    (df/dx_1, ..., df/dx_N), pruned to a generating set of the same module.
+    Computed over the polynomial ring; since localization is flat, the same
+    vectors generate over the local ring."""
     n = f.nvars
     row = PolyMatrix([[partial(f, i) for i in range(n)]], n)
     z = syzygies(row, GLOBAL, max_steps)
-    return ModuleBasis(n, [z.column(j) for j in range(z.cols)], GLOBAL)
+    return prune_generators(
+        ModuleBasis(n, [z.column(j) for j in range(z.cols)], GLOBAL), max_steps)
 
 
 def der_log_V(f: Poly, max_steps: Optional[int] = None) -> ModuleBasis:
     """Vector fields tangent to the zero set of f, i.e. eta(f) in (f):
-    first N components of the syzygies of (df/dx_1, ..., df/dx_N, f)."""
+    first N components of the syzygies of (df/dx_1, ..., df/dx_N, f),
+    pruned to a generating set of the same module."""
     n = f.nvars
     row = PolyMatrix([[partial(f, i) for i in range(n)] + [f]], n)
     z = syzygies(row, GLOBAL, max_steps)
-    vecs = []
-    for j in range(z.cols):
-        col = z.column(j)[:n]
-        if any(p.terms for p in col):
-            vecs.append(col)
-    return ModuleBasis(n, vecs, GLOBAL)
+    vecs = [z.column(j)[:n] for j in range(z.cols)]
+    return prune_generators(ModuleBasis(n, vecs, GLOBAL), max_steps)
 
 
-def _t1(f: Poly, fmap: SubstitutionMap, fields: ModuleBasis,
-        max_steps: Optional[int] = None):
-    n = f.nvars
-    if fmap.target_nvars != n:
-        raise ValueError("map target does not match the ring of f")
-    m = fmap.source_nvars
-    gens: list = []
-    for j in range(m):
-        gens.append(tuple(partial(fmap.images[r], j) for r in range(n)))
-    for v in fields.generators:
-        gens.append(tuple(substitute(p, fmap) for p in v))
-    return quotient_dimension(ModuleBasis(n, gens, LOCAL), max_steps)
+def pulled_field_module(fmap: SubstitutionMap,
+                        fields: ModuleBasis) -> ModuleBasis:
+    """Jacobian columns of the section fmap plus the fields pulled back
+    along it: the tangent space of the equivalence the fields generate."""
+    n = fmap.target_nvars
+    if fields.ambient_rank != n:
+        raise ValueError("map target does not match the ring of the fields")
+    gens = [fmap.jacobian_column(j) for j in range(fmap.source_nvars)]
+    gens += [tuple(substitute(p, fmap) for p in v) for v in fields.generators]
+    return ModuleBasis(n, gens, LOCAL)
 
 
 def t1_kf(f: Poly, fmap: SubstitutionMap, max_steps: Optional[int] = None):
     """dim of O^N / (jacobian columns of the map + pulled-back fields
     annihilating f): the normal space to the equivalence preserving f."""
-    return _t1(f, fmap, der_log_f(f, max_steps), max_steps)
+    return quotient_dimension(
+        pulled_field_module(fmap, der_log_f(f, max_steps)), max_steps)
 
 
 def t1_kv(f: Poly, fmap: SubstitutionMap, max_steps: Optional[int] = None):
     """Same with fields tangent to {f = 0}: the normal space to the
     equivalence preserving the zero set only."""
-    return _t1(f, fmap, der_log_V(f, max_steps), max_steps)
+    return quotient_dimension(
+        pulled_field_module(fmap, der_log_V(f, max_steps)), max_steps)
 
 
 _DERLOG_CACHE: dict = {}
 
 
 def _derlog_generic(kind: str, n: int, flavour: str) -> ModuleBasis:
+    """Log fields of the generic det/Pf of (kind, n), built once per process.
+
+    The V flavour needs no second syzygy computation: det/Pf is homogeneous
+    of degree d, so if eta(f) = a*f then eta - (a/d)*E annihilates f, where
+    E is the Euler field.  Hence Der(-log V) = Der(-log f) + O*E.
+    """
     key = (kind, n, flavour)
     got = _DERLOG_CACHE.get(key)
     if got is None:
-        f = generic_family(kind, n).function()
-        got = der_log_f(f) if flavour == "f" else der_log_V(f)
+        if flavour == "f":
+            got = der_log_f(generic_family(kind, n).function())
+        else:
+            fields = _derlog_generic(kind, n, "f")
+            nv = fields.ambient_rank
+            euler = tuple(Poly.variable(nv, i) for i in range(nv))
+            got = ModuleBasis(nv, fields.generators + [euler], GLOBAL)
         _DERLOG_CACHE[key] = got
     return got
 
@@ -158,30 +170,14 @@ def tau_matrix(fam: MatrixFamily, flavour: str = "special",
     trace-free left/right factors (general); this preserves det/Pf exactly.
     flavour 'general': full gl action; this preserves only the zero set.
     """
-    gens = [tuple(flatten(fam.kind, fam.partial(i))) for i in range(fam.m)]
-    gens += _lie_images(fam, flavour)
-    rank = space_dim(fam.kind, fam.n)
-    return quotient_dimension(ModuleBasis(rank, gens, LOCAL), max_steps)
+    return quotient_dimension(tangent_module(fam, flavour), max_steps)
 
 
 def tangent_module(fam: MatrixFamily, flavour: str) -> ModuleBasis:
-    """The tangent space itself, as a module basis (for membership tests)."""
+    """The tangent space itself, as a module basis."""
     gens = [tuple(flatten(fam.kind, fam.partial(i))) for i in range(fam.m)]
     gens += _lie_images(fam, flavour)
     return ModuleBasis(space_dim(fam.kind, fam.n), gens, LOCAL)
-
-
-def pulled_field_module(fam: MatrixFamily, flavour: str) -> ModuleBasis:
-    """Jacobian columns plus pulled-back generic log fields, as a module."""
-    fmap = fam.as_map()
-    fields = _derlog_generic(fam.kind, fam.n, "f" if flavour == "special" else "V")
-    n = fmap.target_nvars
-    gens: list = []
-    for j in range(fam.m):
-        gens.append(tuple(partial(fmap.images[r], j) for r in range(n)))
-    for v in fields.generators:
-        gens.append(tuple(substitute(p, fmap) for p in v))
-    return ModuleBasis(n, gens, LOCAL)
 
 
 def betti_numbers(fam: MatrixFamily, max_steps: Optional[int] = None) -> list:
@@ -346,25 +342,31 @@ class _Analysis:
         return self._get("mu_target",
                          lambda: milnor_number(f, self.max_steps))
 
-    @property
-    def tau_kf(self):
+    def pulled_fields(self, flavour: str) -> ModuleBasis:
+        """Jacobian columns plus pulled-back log fields of the target
+        function, flavour 'f' (annihilating) or 'V' (tangent to the zero
+        set).  A family is the section fam.as_map() of the generic det/Pf,
+        whose fields are built once per (kind, n)."""
         def compute():
             if self.fam is not None:
-                return quotient_dimension(
-                    pulled_field_module(self.fam, "special"), self.max_steps)
-            f, fmap = self.section
-            return t1_kf(f, fmap, self.max_steps)
-        return self._get("tau_kf", compute)
+                fmap = self.fam.as_map()
+                fields = _derlog_generic(self.kind, self.n, flavour)
+            else:
+                f, fmap = self.section
+                derlog = der_log_f if flavour == "f" else der_log_V
+                fields = derlog(f, self.max_steps)
+            return pulled_field_module(fmap, fields)
+        return self._get(("pulled", flavour), compute)
+
+    @property
+    def tau_kf(self):
+        return self._get("tau_kf", lambda: quotient_dimension(
+            self.pulled_fields("f"), self.max_steps))
 
     @property
     def tau_kv(self):
-        def compute():
-            if self.fam is not None:
-                return quotient_dimension(
-                    pulled_field_module(self.fam, "general"), self.max_steps)
-            f, fmap = self.section
-            return t1_kv(f, fmap, self.max_steps)
-        return self._get("tau_kv", compute)
+        return self._get("tau_kv", lambda: quotient_dimension(
+            self.pulled_fields("V"), self.max_steps))
 
     @property
     def tau_special(self):
@@ -440,9 +442,9 @@ class _Analysis:
                                "FAILS", note)
         # Dimensions agree; confirm the modules coincide by mutual
         # membership of generators.
-        for flavour in ("special", "general"):
+        for flavour, fields in (("special", "f"), ("general", "V")):
             a = tangent_module(self.fam, flavour)
-            b = pulled_field_module(self.fam, flavour)
+            b = self.pulled_fields(fields)
             for v in a.generators:
                 if not member(v, b, self.max_steps).contains:
                     return CheckRecord("eqeq", _jsonable(lhs), _jsonable(rhs),

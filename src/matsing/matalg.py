@@ -434,12 +434,6 @@ class MatrixFamily:
             return pfaffian(self.entries)
         return determinant(self.entries)
 
-    def cofunction_matrix(self) -> PolyMatrix:
-        """adjugate for symmetric/general, sub-pfaffian matrix for skew."""
-        if self.kind == "skew":
-            return sub_pfaffian_matrix(self.entries)
-        return adjugate(self.entries)
-
     def as_map(self) -> SubstitutionMap:
         """The family as a map from parameter space to matrix space,
         in the flattening coordinates of its kind."""

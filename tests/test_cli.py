@@ -200,6 +200,27 @@ def test_batch_json_deterministic(tmp_path, capsys):
     assert data["files"][0]["file"] == "a.fam"
 
 
+def test_batch_isolates_each_file(tmp_path, capsys, monkeypatch):
+    for fname in ("a.fam", "b.fam", "c.fam"):
+        (tmp_path / fname).write_text("kind=symmetric; vars=x; matrix=[[x]]")
+    real_analyze = cli.analyze
+
+    def analyze(subject, name=""):
+        if name == "b.fam":
+            raise AssertionError("boom")
+        return real_analyze(subject, name=name)
+
+    monkeypatch.setattr(cli, "analyze", analyze)
+    code, out, _ = run(capsys, "batch", str(tmp_path), "--json")
+    assert code == 0
+    data = json.loads(out)
+    files = data["files"]
+    assert [e["file"] for e in files] == ["a.fam", "b.fam", "c.fam"]
+    assert "report" in files[0] and "report" in files[2]
+    assert files[1] == {"file": "b.fam", "error": "AssertionError: boom"}
+    assert data["summary"]["errors"] == 1
+
+
 def test_batch_not_a_directory_exit_1(tmp_path, capsys):
     code, out, err = run(capsys, "batch", str(tmp_path / "missing"))
     assert code == 1

@@ -131,6 +131,14 @@ def test_step_limit_raises():
         quotient_dimension(ideal(gens), max_steps=3)
 
 
+def test_member_step_budget_is_per_call():
+    # Queries against one basis share its cached stacked completion, but
+    # each query spends its own budget, not what is left of a shared one.
+    basis = ideal([P("x^2 + y^3"), P("x*y")])
+    for _ in range(300):
+        assert member(P("x^2*y"), basis, max_steps=100).contains
+
+
 def test_groebner_basis_spans_same_module():
     gens = [P("x^2 + y"), P("x*y - y^2")]
     b = ideal(gens, LOCAL)

@@ -28,6 +28,8 @@ from matsing import (
     tjurina_number_function,
     verify_identity,
 )
+from matsing.groebner import GLOBAL, syzygies
+from matsing.invariants import _derlog_generic
 from matsing.poly import add, mul, partial, substitute
 
 from oracle import jet_milnor, jet_tjurina, random_poly
@@ -101,6 +103,37 @@ def test_der_log_V_preserves_ideal():
     module = ModuleBasis(2, list(fields), LOCAL)
     assert member((P("x"), Poly.zero(2)), module).contains
     assert member((Poly.zero(2), P("y")), module).contains
+
+
+LIE_DIMS = {  # (Der(-log f), Der(-log V)) generator counts
+    "symmetric": lambda n: (n * n - 1, n * n),
+    "general": lambda n: (2 * (n * n - 1), 2 * n * n - 1),
+    "skew": lambda n: (n * n - 1, n * n),
+}
+
+
+def _same_module(a, b):
+    return (all(member(v, b).contains for v in a.generators)
+            and all(member(v, a).contains for v in b.generators))
+
+
+@pytest.mark.parametrize("kind,n", [("symmetric", 2), ("symmetric", 3),
+                                    ("general", 2), ("general", 3),
+                                    ("skew", 4)])
+def test_pruned_generic_log_fields(kind, n):
+    f = generic_family(kind, n).function()
+    nv = f.nvars
+    fields_f = _derlog_generic(kind, n, "f")
+    fields_v = _derlog_generic(kind, n, "V")
+    assert (len(fields_f.generators), len(fields_v.generators)) \
+        == LIE_DIMS[kind](n)
+    # The pruned basis spans the whole syzygy module it was taken from.
+    row = PolyMatrix([[partial(f, i) for i in range(nv)]], nv)
+    z = syzygies(row, GLOBAL)
+    unpruned = ModuleBasis(nv, [z.column(j) for j in range(z.cols)], GLOBAL)
+    assert _same_module(fields_f, unpruned)
+    # Der(-log f) plus the Euler field is all of Der(-log V).
+    assert _same_module(fields_v, der_log_V(f))
 
 
 def test_t1_identity_section_is_stable():
