@@ -8,7 +8,9 @@ Subcommands:
     batch      <directory>                         analyze every file
 
 Common flags: --json (machine output, deterministic), --strict (exit 2 when
-any check is NOT-APPLICABLE), --max-steps N (reduction step guard).
+any check is NOT-APPLICABLE), --max-steps N (reduction step guard: each
+completion, normal form and member() query gets its own budget of N steps,
+so one invocation can take many times N in total).
 
 Exit codes: 0 success, 1 input or parse error, 2 inapplicable hypothesis
 under --strict, 3 step guard exceeded, 4 a verified identity FAILS.
@@ -231,7 +233,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--strict", action="store_true",
                        help="exit 2 when a hypothesis is not met")
         p.add_argument("--max-steps", type=int, default=None,
-                       help="cap on reduction steps")
+                       help="cap on the reduction steps of each "
+                            "standard-basis computation")
 
     p = sub.add_parser("analyze", help="all invariants and identity checks")
     common(p)

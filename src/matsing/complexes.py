@@ -32,7 +32,8 @@ from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
 from .groebner import (INFINITE, LOCAL, ModuleBasis, MonomialOrder,
-                       member, quotient_dimension, syzygies_of_basis)
+                       member, quotient_dimension, syzygies,
+                       syzygies_of_basis)
 from .matalg import (MatrixFamily, PolyMatrix, flatten, sl_coords, space_dim,
                      unflatten)
 from .poly import Poly, SubstitutionMap, partial, substitute
@@ -386,31 +387,13 @@ def homology_dimension(c: FreeComplex, k: int,
         return quotient_dimension(
             ModuleBasis(c.ranks[0], cols, order), max_steps)
     dk = c.diff(k)
-    kernel_basis = ModuleBasis(
-        c.ranks[k - 1], [dk.column(j) for j in range(dk.cols)], order)
-    zero_cols = [j for j in range(dk.cols)
-                 if all(p.is_zero() for p in dk.column(j))]
-    syz = syzygies_of_basis(kernel_basis, max_steps)
-    # Generators of ker d_k inside O^(ranks[k]): syzygy vectors of the
-    # nonzero columns, re-expanded, plus unit vectors for zero columns.
-    live = [j for j in range(dk.cols) if j not in zero_cols]
-    nv = c.nvars
-    gens: list = []
-    for v in syz:
-        col = [Poly.zero(nv)] * dk.cols
-        for slot, j in enumerate(live):
-            col[j] = v[slot]
-        gens.append(tuple(col))
-    for j in zero_cols:
-        col = [Poly.zero(nv)] * dk.cols
-        col[j] = Poly.constant(nv, 1)
-        gens.append(tuple(col))
-    t = len(gens)
+    kernel = syzygies(dk, order, max_steps)
+    t = kernel.cols
     if k == c.length:
         return 0 if t == 0 else INFINITE
     if t == 0:
         return 0
-    zbasis = ModuleBasis(dk.cols, gens, order)
+    zbasis = ModuleBasis(dk.cols, [kernel.column(j) for j in range(t)], order)
     dk1 = c.diff(k + 1)
     relations: list = []
     for j in range(dk1.cols):
@@ -424,7 +407,7 @@ def homology_dimension(c: FreeComplex, k: int,
         relations.append(res.coefficients)
     relations.extend(syzygies_of_basis(zbasis, max_steps))
     if not relations:
-        return INFINITE if t > 0 else 0
+        return INFINITE
     return quotient_dimension(ModuleBasis(t, relations, order), max_steps)
 
 

@@ -8,10 +8,11 @@ reachable along independent routes:
     symmetric/skew families, two-sided multiplication for general ones),
     with trace-free matrices for the 'special' flavour and all matrices
     for the 'general' one.
-  * t1_kf / t1_kv use logarithmic vector fields of the generic determinant
-    or pfaffian, computed as syzygies, pulled back along the family.  A
-    family is the section fam.as_map() of the generic det/Pf, whose fields
-    are computed and pruned once per (kind, n).
+  * t1_kf / t1_kv use logarithmic vector fields of a target function f,
+    computed as syzygies and pulled back along a map.  A family is the
+    section fam.as_map() of the generic det/Pf of its (kind, n), so one
+    analysis path serves families and sections, and the fields of each
+    target function are computed and pruned once per process.
 
 The identity checkers at the bottom re-derive the relations between these
 numbers (difference formulas against Milnor numbers, Betti number
@@ -23,6 +24,7 @@ hypothesis.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -32,7 +34,7 @@ from .complexes import (FreeComplex, cone, homology_dimension,
 from .groebner import (GLOBAL, INFINITE, LOCAL, ModuleBasis, member,
                        prune_generators, quotient_dimension, syzygies)
 from .matalg import (MatrixFamily, PolyMatrix, flatten, generic_family,
-                     gl_basis, minors_ideal, sl_basis, space_dim)
+                     gl_basis, sl_basis, space_dim)
 from .poly import Poly, SubstitutionMap, partial, substitute
 
 Dim = Union[int, type(INFINITE)]
@@ -68,27 +70,53 @@ def tjurina_number_function(g: Poly, max_steps: Optional[int] = None):
 
 # -- logarithmic vector fields -------------------------------------------------
 
+# Log fields of each target function, built once per process and keyed by
+# (flavour, f).  Every family of one (kind, n) has the same target, the
+# generic det/Pf, so its fields are shared by all of them.
+_LOG_FIELDS: dict = {}
+
+
+def _syzygy_fields(row: list, n: int, max_steps: Optional[int]) -> ModuleBasis:
+    """First n components of the syzygies of a row of polynomials in n
+    variables, pruned to a generating set of the same module."""
+    z = syzygies(PolyMatrix([row], n), GLOBAL, max_steps)
+    vecs = [z.column(j)[:n] for j in range(z.cols)]
+    return prune_generators(ModuleBasis(n, vecs, GLOBAL), max_steps)
+
+
 def der_log_f(f: Poly, max_steps: Optional[int] = None) -> ModuleBasis:
     """Vector fields annihilating f: generators of the syzygies of the row
     (df/dx_1, ..., df/dx_N), pruned to a generating set of the same module.
     Computed over the polynomial ring; since localization is flat, the same
     vectors generate over the local ring."""
-    n = f.nvars
-    row = PolyMatrix([[partial(f, i) for i in range(n)]], n)
-    z = syzygies(row, GLOBAL, max_steps)
-    return prune_generators(
-        ModuleBasis(n, [z.column(j) for j in range(z.cols)], GLOBAL), max_steps)
+    key = ("f", f)
+    if key not in _LOG_FIELDS:
+        _LOG_FIELDS[key] = _syzygy_fields(
+            [partial(f, i) for i in range(f.nvars)], f.nvars, max_steps)
+    return _LOG_FIELDS[key]
 
 
 def der_log_V(f: Poly, max_steps: Optional[int] = None) -> ModuleBasis:
-    """Vector fields tangent to the zero set of f, i.e. eta(f) in (f):
-    first N components of the syzygies of (df/dx_1, ..., df/dx_N, f),
-    pruned to a generating set of the same module."""
-    n = f.nvars
-    row = PolyMatrix([[partial(f, i) for i in range(n)] + [f]], n)
-    z = syzygies(row, GLOBAL, max_steps)
-    vecs = [z.column(j)[:n] for j in range(z.cols)]
-    return prune_generators(ModuleBasis(n, vecs, GLOBAL), max_steps)
+    """Vector fields tangent to the zero set of f, i.e. eta(f) in (f),
+    as a pruned generating set.
+
+    For homogeneous f of degree d > 0 no second syzygy computation is
+    needed: if eta(f) = a*f then eta - (a/d)*E annihilates f, where E is
+    the Euler field, so Der(-log V) = Der(-log f) + O*E.  Otherwise the
+    fields are the first N components of the syzygies of
+    (df/dx_1, ..., df/dx_N, f)."""
+    key = ("V", f)
+    if key not in _LOG_FIELDS:
+        n = f.nvars
+        if f.total_degree() > 0 and len({sum(e) for e in f.terms}) == 1:
+            euler = tuple(Poly.variable(n, i) for i in range(n))
+            got = ModuleBasis(n, der_log_f(f, max_steps).generators + [euler],
+                              GLOBAL)
+        else:
+            got = _syzygy_fields([partial(f, i) for i in range(n)] + [f], n,
+                                 max_steps)
+        _LOG_FIELDS[key] = got
+    return _LOG_FIELDS[key]
 
 
 def pulled_field_module(fmap: SubstitutionMap,
@@ -115,30 +143,6 @@ def t1_kv(f: Poly, fmap: SubstitutionMap, max_steps: Optional[int] = None):
     equivalence preserving the zero set only."""
     return quotient_dimension(
         pulled_field_module(fmap, der_log_V(f, max_steps)), max_steps)
-
-
-_DERLOG_CACHE: dict = {}
-
-
-def _derlog_generic(kind: str, n: int, flavour: str) -> ModuleBasis:
-    """Log fields of the generic det/Pf of (kind, n), built once per process.
-
-    The V flavour needs no second syzygy computation: det/Pf is homogeneous
-    of degree d, so if eta(f) = a*f then eta - (a/d)*E annihilates f, where
-    E is the Euler field.  Hence Der(-log V) = Der(-log f) + O*E.
-    """
-    key = (kind, n, flavour)
-    got = _DERLOG_CACHE.get(key)
-    if got is None:
-        if flavour == "f":
-            got = der_log_f(generic_family(kind, n).function())
-        else:
-            fields = _derlog_generic(kind, n, "f")
-            nv = fields.ambient_rank
-            euler = tuple(Poly.variable(nv, i) for i in range(nv))
-            got = ModuleBasis(nv, fields.generators + [euler], GLOBAL)
-        _DERLOG_CACHE[key] = got
-    return got
 
 
 # -- tangent spaces of matrix families -----------------------------------------
@@ -286,14 +290,19 @@ def _jsonable(v):
 # -- analysis context ------------------------------------------------------------
 
 class _Analysis:
-    """Shared lazy computations for one subject (family or section)."""
+    """Shared lazy computations for one subject, reduced to one target: the
+    function f composed with the map fmap.
+
+    A matrix family is the section fam.as_map() of the generic det/Pf of its
+    (kind, n); fam is kept only for the matrix-only extras (tau_matrix, its
+    own kind complex, eqeq and diag).
+    """
 
     def __init__(self, subject, name: str = "", max_steps: Optional[int] = None):
         self.max_steps = max_steps
         self.name = name
         if isinstance(subject, MatrixFamily):
             self.fam = subject
-            self.section = None
             self.kind = subject.kind
             self.n = subject.n
             self.m = subject.m
@@ -304,112 +313,96 @@ class _Analysis:
                 raise TypeError("expected a MatrixFamily or a (Poly, "
                                 "SubstitutionMap) pair")
             self.fam = None
-            self.section = (f, fmap)
             self.kind = "section"
             self.n = None
             self.m = fmap.source_nvars
             self.m0 = f.nvars
-        self._cache: dict = {}
-
-    def _get(self, key, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
+            # These shadow the lazy target of a family below.
+            self.f = f
+            self.fmap = fmap
 
     # shared quantities
 
-    @property
+    @cached_property
+    def f(self) -> Poly:
+        """The target function of a family: the generic det/Pf of its
+        (kind, n).  Built only when needed, since odd-size skew families
+        have none but still answer the checks that do not use it."""
+        return generic_family(self.kind, self.n).function()
+
+    @cached_property
+    def fmap(self) -> SubstitutionMap:
+        """A family as a map to matrix space; a 1x1 skew family has none."""
+        return self.fam.as_map()
+
+    @cached_property
     def g(self) -> Poly:
         """The composed scalar function whose singularity is studied."""
-        if self.fam is not None:
-            return self._get("g", self.fam.function)
-        f, fmap = self.section
-        return self._get("g", lambda: substitute(f, fmap))
+        return substitute(self.f, self.fmap)
 
-    @property
+    @cached_property
     def mu(self):
-        return self._get("mu", lambda: milnor_number(self.g, self.max_steps))
+        return milnor_number(self.g, self.max_steps)
 
-    @property
-    def mu_target(self):
-        """Milnor number of the target function (generic det/Pf is always
-        singular only at 0 in matrix space for n >= 2; for sections this is
-        the Milnor number of f itself, INFINITE when f is not isolated)."""
-        if self.fam is not None:
-            f = generic_family(self.kind, self.n).function()
-        else:
-            f = self.section[0]
-        return self._get("mu_target",
-                         lambda: milnor_number(f, self.max_steps))
+    @cached_property
+    def target_isolated(self) -> bool:
+        """Whether f has an isolated singularity at 0: always for the
+        generic det/Pf of a family, and for a section when mu(f) is finite."""
+        return self.fam is not None or _finite(
+            milnor_number(self.f, self.max_steps))
 
-    def pulled_fields(self, flavour: str) -> ModuleBasis:
-        """Jacobian columns plus pulled-back log fields of the target
-        function, flavour 'f' (annihilating) or 'V' (tangent to the zero
-        set).  A family is the section fam.as_map() of the generic det/Pf,
-        whose fields are built once per (kind, n)."""
-        def compute():
-            if self.fam is not None:
-                fmap = self.fam.as_map()
-                fields = _derlog_generic(self.kind, self.n, flavour)
-            else:
-                f, fmap = self.section
-                derlog = der_log_f if flavour == "f" else der_log_V
-                fields = derlog(f, self.max_steps)
-            return pulled_field_module(fmap, fields)
-        return self._get(("pulled", flavour), compute)
+    @cached_property
+    def pulled_f(self) -> ModuleBasis:
+        """Jacobian columns plus the pulled-back fields annihilating f."""
+        return pulled_field_module(self.fmap,
+                                   der_log_f(self.f, self.max_steps))
 
-    @property
+    @cached_property
+    def pulled_V(self) -> ModuleBasis:
+        """Jacobian columns plus the pulled-back fields tangent to {f = 0}."""
+        return pulled_field_module(self.fmap,
+                                   der_log_V(self.f, self.max_steps))
+
+    @cached_property
     def tau_kf(self):
-        return self._get("tau_kf", lambda: quotient_dimension(
-            self.pulled_fields("f"), self.max_steps))
+        return quotient_dimension(self.pulled_f, self.max_steps)
 
-    @property
+    @cached_property
     def tau_kv(self):
-        return self._get("tau_kv", lambda: quotient_dimension(
-            self.pulled_fields("V"), self.max_steps))
+        return quotient_dimension(self.pulled_V, self.max_steps)
 
-    @property
+    @cached_property
     def tau_special(self):
-        if self.fam is None:
-            return None
-        return self._get("tau_special",
-                         lambda: tau_matrix(self.fam, "special", self.max_steps))
+        return (None if self.fam is None
+                else tau_matrix(self.fam, "special", self.max_steps))
 
-    @property
+    @cached_property
     def tau_general(self):
-        if self.fam is None:
-            return None
-        return self._get("tau_general",
-                         lambda: tau_matrix(self.fam, "general", self.max_steps))
+        return (None if self.fam is None
+                else tau_matrix(self.fam, "general", self.max_steps))
 
-    @property
+    @cached_property
     def codim(self):
-        def compute():
-            if self.fam is not None:
-                size = self.n - 2 if self.kind == "skew" else self.n - 1
-                return quotient_dimension(minors_ideal(self.fam, size),
-                                          self.max_steps)
-            f, fmap = self.section
-            gens = [(substitute(partial(f, i), fmap),)
-                    for i in range(f.nvars)]
-            return quotient_dimension(ModuleBasis(1, gens, LOCAL),
-                                      self.max_steps)
-        return self._get("codim", compute)
+        """Colength of the pulled-back partials of f.  For a family these
+        are the submaximal minors (sub-Pfaffians) up to units."""
+        gens = [(substitute(partial(self.f, i), self.fmap),)
+                for i in range(self.f.nvars)]
+        return quotient_dimension(ModuleBasis(1, gens, LOCAL), self.max_steps)
 
-    @property
+    @cached_property
     def betti(self) -> list:
-        def compute():
-            if self.fam is not None:
-                return betti_numbers(self.fam, self.max_steps)
-            f, fmap = self.section
-            if _finite(self.mu_target):
-                return homology_profile(pullback(koszul(f), fmap), LOCAL,
-                                        self.max_steps)
-            pres = function_presentation(f, self.max_steps)
-            pulled = pullback(pres, fmap)
-            return [homology_dimension(pulled, 0, LOCAL, self.max_steps),
-                    homology_dimension(pulled, 1, LOCAL, self.max_steps)]
-        return self._get("betti", compute)
+        """Homology of a resolution of the target pulled back along fmap.
+        A family builds its kind complex from its own entries: that equals
+        the pulled-back generic one and is cheaper to get."""
+        if self.fam is not None:
+            return betti_numbers(self.fam, self.max_steps)
+        if self.target_isolated:
+            return homology_profile(pullback(koszul(self.f), self.fmap),
+                                    LOCAL, self.max_steps)
+        pulled = pullback(function_presentation(self.f, self.max_steps),
+                          self.fmap)
+        return [homology_dimension(pulled, k, LOCAL, self.max_steps)
+                for k in (0, 1)]
 
     # identity checks
 
@@ -442,9 +435,9 @@ class _Analysis:
                                "FAILS", note)
         # Dimensions agree; confirm the modules coincide by mutual
         # membership of generators.
-        for flavour, fields in (("special", "f"), ("general", "V")):
+        for flavour, b in (("special", self.pulled_f),
+                           ("general", self.pulled_V)):
             a = tangent_module(self.fam, flavour)
-            b = self.pulled_fields(fields)
             for v in a.generators:
                 if not member(v, b, self.max_steps).contains:
                     return CheckRecord("eqeq", _jsonable(lhs), _jsonable(rhs),
@@ -474,7 +467,7 @@ class _Analysis:
         if self.m != self.m0:
             return self._na("imax", f"m = {self.m} differs from m0 = {self.m0}",
                             self.tau_kf, rhs)
-        if self.fam is None and not _finite(self.mu_target):
+        if not self.target_isolated:
             return self._na(
                 "imax",
                 "target function is not isolated, so its jacobian quotient "
@@ -494,7 +487,7 @@ class _Analysis:
             return self._na("submax",
                             f"m = {self.m} differs from m0 - 1 = {self.m0 - 1}",
                             self.tau_kf, self.mu)
-        if self.fam is None and not _finite(self.mu_target):
+        if not self.target_isolated:
             return self._na("submax", "target function is not isolated",
                             self.tau_kf, self.mu)
         if not _finite(self.mu):
@@ -514,7 +507,7 @@ class _Analysis:
             return self._na("gorenstein",
                             f"m = {self.m} differs from m0 - 2 = {self.m0 - 2}",
                             self.tau_kf, rhs)
-        if self.fam is None and not _finite(self.mu_target):
+        if not self.target_isolated:
             return self._na("gorenstein", "target function is not isolated",
                             self.tau_kf, rhs)
         if not _finite(self.mu) or not _finite(self.codim):
@@ -525,7 +518,7 @@ class _Analysis:
     def _check_ck(self) -> CheckRecord:
         if self.fam is not None:
             return self._na("ck", "sections of a hypersurface only")
-        if not _finite(self.mu_target):
+        if not self.target_isolated:
             return self._na("ck", "target function is not isolated")
         gap = self.m0 - self.m
         if gap not in (0, 1, 2):
@@ -544,7 +537,7 @@ class _Analysis:
         if self.kind == "symmetric":
             return self._na("gorp", "symmetric determinantal quotients are "
                             "not Gorenstein")
-        if self.fam is None and not _finite(self.mu_target):
+        if not self.target_isolated:
             return self._na("gorp", "target function is not isolated")
         q = self.m0 - self.m
         if q < 0:

@@ -78,6 +78,24 @@ def test_analyze_params_on_file_exit_1(tmp_path, capsys):
     assert code == 1
 
 
+def test_odd_skew_family_needs_no_pfaffian_to_be_checked(tmp_path, capsys):
+    # A family's target function, the generic Pf, and its map to matrix
+    # space are built only when an invariant needs them: odd-size skew
+    # matrices have no Pf, and 1x1 skew ones no matrix coordinates.
+    for i, text in enumerate(("kind=skew; vars=x,y,z; upper=[[x,y],[z]]",
+                              "kind=skew; vars=x; matrix=[[0]]")):
+        p = tmp_path / f"odd{i}.fam"
+        p.write_text(text)
+        for theorem in ("diag", "ck"):
+            code, out, _ = run(capsys, "verify", str(p), "--theorem",
+                               theorem)
+            assert code == 0
+            assert "NOT-APPLICABLE" in out
+        code, out, err = run(capsys, "analyze", str(p))
+        assert code == 1
+        assert "pfaffian needs an even-size matrix" in err
+
+
 def test_analyze_strict_not_applicable_exit_2(capsys):
     code, out, _ = run(capsys, "analyze", "generic-sym-2", "--strict")
     assert code == 2

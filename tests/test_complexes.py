@@ -121,6 +121,18 @@ def test_pullback_keeps_square_zero():
         pullback(c, SubstitutionMap([P("x"), P("y")]))
 
 
+def test_kind_complex_is_pullback_of_generic(rng):
+    # A family is the section fam.as_map() of the generic det/Pf, and its
+    # own kind complex is the generic one pulled back along that map.
+    for kind, n in (("symmetric", 2), ("symmetric", 3), ("general", 2),
+                    ("general", 3), ("skew", 2), ("skew", 4)):
+        generic = kind_complex(generic_family(kind, n))
+        for _ in range(5):
+            fam = random_family(rng, kind, n, rng.choice((1, 2, 3)))
+            assert pullback(generic, fam.as_map()) == kind_complex(fam), \
+                (kind, n)
+
+
 def test_chain_map_three_kinds(rng):
     for kind in ("symmetric", "general", "skew"):
         n = 4 if kind == "skew" else 2

@@ -13,6 +13,7 @@ from matsing import (
     SubstitutionMap,
     analyze,
     betti_numbers,
+    catalog,
     corank_at_origin,
     der_log_V,
     der_log_f,
@@ -20,7 +21,10 @@ from matsing import (
     generic_family,
     member,
     milnor_number,
+    minors_ideal,
+    parse_family,
     parse_poly,
+    quotient_dimension,
     t1_kf,
     t1_kv,
     tau_homological,
@@ -29,10 +33,10 @@ from matsing import (
     verify_identity,
 )
 from matsing.groebner import GLOBAL, syzygies
-from matsing.invariants import _derlog_generic
 from matsing.poly import add, mul, partial, substitute
 
 from oracle import jet_milnor, jet_tjurina, random_poly
+from test_complexes import random_family
 
 
 def P(text, names=("x", "y")):
@@ -123,8 +127,8 @@ def _same_module(a, b):
 def test_pruned_generic_log_fields(kind, n):
     f = generic_family(kind, n).function()
     nv = f.nvars
-    fields_f = _derlog_generic(kind, n, "f")
-    fields_v = _derlog_generic(kind, n, "V")
+    fields_f = der_log_f(f)
+    fields_v = der_log_V(f)
     assert (len(fields_f.generators), len(fields_v.generators)) \
         == LIE_DIMS[kind](n)
     # The pruned basis spans the whole syzygy module it was taken from.
@@ -134,6 +138,39 @@ def test_pruned_generic_log_fields(kind, n):
     assert _same_module(fields_f, unpruned)
     # Der(-log f) plus the Euler field is all of Der(-log V).
     assert _same_module(fields_v, der_log_V(f))
+
+
+def _syzygy_route_V(f):
+    """Der(-log V) as the first N components of the syzygies of
+    (df/dx_1, ..., df/dx_N, f), unpruned."""
+    n = f.nvars
+    row = PolyMatrix([[partial(f, i) for i in range(n)] + [f]], n)
+    z = syzygies(row, GLOBAL)
+    return ModuleBasis(n, [z.column(j)[:n] for j in range(z.cols)], GLOBAL)
+
+
+@pytest.mark.parametrize("f", [
+    parse_poly("x^5*z + x^3*y^3 + y^5*z", ["x", "y", "z"]),
+    generic_family("symmetric", 3).function(),
+    generic_family("general", 2).function(),
+    generic_family("skew", 4).function(),
+])
+def test_der_log_V_euler_shortcut_matches_syzygy_route(f):
+    # A homogeneous target takes Der(-log f) plus the Euler field.
+    fields = der_log_V(f)
+    euler = tuple(Poly.variable(f.nvars, i) for i in range(f.nvars))
+    assert euler in fields.generators
+    assert _same_module(fields, _syzygy_route_V(f))
+
+
+def test_der_log_V_inhomogeneous_uses_syzygy_route():
+    f = P("x^2 + y^3")
+    fields = der_log_V(f)
+    assert _same_module(fields, _syzygy_route_V(f))
+    # x^2 + y^3 is quasihomogeneous: the weighted Euler field 3x d/dx +
+    # 2y d/dy is tangent, the plain one is not.
+    assert member((P("3*x"), P("2*y")), fields).contains
+    assert not member((P("x"), P("y")), fields).contains
 
 
 def test_t1_identity_section_is_stable():
@@ -254,3 +291,40 @@ def test_section_analyze_matches_catalog_expectations():
     assert rep.codim_minors == 19
     assert rep.tau_matrix_special is None
     assert rep.betti[:2] == [19, 4]
+
+
+def _minors_colength(fam):
+    size = fam.n - 2 if fam.kind == "skew" else fam.n - 1
+    return quotient_dimension(minors_ideal(fam, size))
+
+
+def test_codim_matches_minors_ideal(rng):
+    # analyze takes codim_minors from the pulled-back partials of the
+    # generic det/Pf; the ideal of submaximal minors (sub-Pfaffians) is the
+    # independent route.
+    pencils = [
+        "kind=symmetric; vars=x,y; matrix=[[x,y],[y,x^2]]",
+        "kind=general; vars=x,y,z; matrix=[[x,y],[z,x^2]]",
+        "kind=skew; vars=x1..x4; upper=[[x1,x2,x3],[x4,-x2],[x1]]",
+    ]
+    fams = [parse_family(text).to_family() for text in pencils]
+    fams += [catalog(name, n=3).to_family()
+             for name in ("normal-form-sym", "normal-form-gen")]
+    for kind in ("symmetric", "general"):
+        for _ in range(3):
+            fams.append(random_family(rng, kind, 2, 1, linear_bias=False))
+    for fam in fams:
+        assert analyze(fam).codim_minors == _minors_colength(fam), fam
+
+
+def test_codim_matches_minors_ideal_more_shapes(rng):
+    # On these shapes a full analyze can spend minutes in local standard
+    # bases of other invariants, so the colength is read from the analysis
+    # context that analyze uses.
+    from matsing.invariants import _Analysis
+    for kind, n, m in (("symmetric", 2, 2), ("symmetric", 3, 1),
+                       ("general", 2, 2), ("general", 2, 3),
+                       ("skew", 4, 1), ("skew", 4, 2), ("skew", 4, 3)):
+        for _ in range(4):
+            fam = random_family(rng, kind, n, m, linear_bias=False)
+            assert _Analysis(fam).codim == _minors_colength(fam), (kind, m)
