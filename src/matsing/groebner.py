@@ -9,10 +9,23 @@ Vectors in a free module O^r are stored flat as dicts keyed by
 (component, exponent-tuple): this keeps division and s-vector code
 identical for the ideal case (r = 1) and the module case.
 
+Arithmetic inside the module is on ints.  A flat made from Polys holds
+their Fractions, but division and basis normalisation clear denominators
+on entry (_integral), so basis elements are kept with int coefficients of
+content 1 and division runs fraction-free: instead of h - (lc/lc_g) x^s g
+it forms a*h - b*x^s*g with a/b = lc_g/lc in lowest terms.  That does the
+same reductions in the same order as Fraction division, with each
+intermediate result scaled by a known nonzero integer, which a certificate
+divides out once at the end.  Results cross back to Fraction at the Poly
+boundary (unflatten_vector, Poly).
+
 The local normal form returns a unit certificate: nf(v) = u*v - sum q_i g_i
 with u a unit of the local ring (constant term 1 after scaling).  Over a
 global order u is literally 1.  Membership tests therefore produce exact
 polynomial identities that can be re-multiplied and checked.
+
+Under a global order groebner_basis returns the reduced basis: monic, and
+no term of any element is divisible by the leading term of another.
 
 A step counter guards all completion loops.  Local-order completion always
 terminates in theory, but badly posed inputs can be astronomically slow, so
@@ -23,11 +36,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import gcd
+from heapq import heappop, heappush
+from math import gcd, lcm
 from typing import Optional, Sequence, Tuple
 
-from .poly import (ExpVec, Poly, exp_divides, exp_lcm, exp_mul, exp_sub)
+from .poly import (ExpVec, Poly, Scalar, exp_divides, exp_lcm, exp_mul,
+                   exp_sub)
 
 Vector = Tuple[Poly, ...]
 FlatKey = Tuple[int, ExpVec]  # (component, exponent)
@@ -65,6 +79,12 @@ class StepLimitExceeded(RuntimeError):
 _DEFAULT_STEP_LIMIT = 2_000_000
 
 
+def step_limit(max_steps: Optional[int] = None) -> int:
+    """The budget a computation given max_steps runs under: max_steps
+    itself, else the current default."""
+    return max_steps if max_steps is not None else _DEFAULT_STEP_LIMIT
+
+
 def set_step_limit(n: int) -> int:
     """Set the default step budget for basis completion; returns the old one."""
     global _DEFAULT_STEP_LIMIT
@@ -79,7 +99,7 @@ class _Counter:
     __slots__ = ("limit", "steps")
 
     def __init__(self, limit: Optional[int]):
-        self.limit = limit if limit is not None else _DEFAULT_STEP_LIMIT
+        self.limit = step_limit(limit)
         self.steps = 0
 
     def tick(self, n: int = 1) -> None:
@@ -100,7 +120,9 @@ class MonomialOrder:
     decides first (lower index wins), then the monomial order.
 
     Orders are exposed as key functions: larger key means larger monomial,
-    so the leading term of a nonzero object is the max of the keys.
+    so the leading term of a nonzero object is the max of the keys.  The
+    division code finds leading terms with _leading instead, which gives
+    the same answer without building a key per term.
     """
 
     KINDS = ("degrevlex-global", "negdegrevlex-local")
@@ -156,19 +178,24 @@ def unflatten_vector(flat: Flat, rank: int, nvars: int) -> Vector:
     return tuple(Poly(nvars, t) for t in per_comp)
 
 
-def _leading(flat: Flat, order: MonomialOrder) -> tuple[FlatKey, Fraction]:
-    key = max(flat, key=lambda ce: order.module_key(ce[0], ce[1]))
-    return key, flat[key]
+def _leading(flat: Flat, order: MonomialOrder) -> tuple[FlatKey, Scalar]:
+    """The term with the largest order.module_key: the lowest component,
+    then the highest total degree (lowest under the local order), then the
+    reverse-lex tie break, i.e. the least reversed exponent."""
+    comp = min(c for c, _ in flat)
+    exps = [e for c, e in flat if c == comp]
+    degs = list(map(sum, exps))
+    top = max(degs) if order.is_global else min(degs)
+    exp = min(e[::-1] for e, d in zip(exps, degs) if d == top)[::-1]
+    return (comp, exp), flat[(comp, exp)]
 
 
 def _maxdeg(flat: Flat) -> int:
     return max(sum(exp) for (_, exp) in flat)
 
 
-def _scale_into(dst: Flat, src: Flat, coeff: Fraction, shift: ExpVec) -> None:
+def _scale_into(dst: Flat, src: Flat, coeff: int, shift: ExpVec) -> None:
     """dst += coeff * x^shift * src, in place."""
-    if not coeff:
-        return
     for (comp, exp), c in src.items():
         k = (comp, exp_mul(exp, shift))
         s = dst.get(k)
@@ -182,38 +209,25 @@ def _scale_into(dst: Flat, src: Flat, coeff: Fraction, shift: ExpVec) -> None:
                 del dst[k]
 
 
-def _poly_scale_into(dst: dict, src: dict, coeff: Fraction, shift: ExpVec) -> None:
-    """Same as _scale_into for plain polynomial dicts (exponent keys)."""
-    if not coeff:
-        return
-    for exp, c in src.items():
-        k = exp_mul(exp, shift)
-        s = dst.get(k)
-        if s is None:
-            dst[k] = coeff * c
-        else:
-            s = s + coeff * c
-            if s:
-                dst[k] = s
-            else:
-                del dst[k]
+def _integral(flat: Flat) -> tuple[Flat, int]:
+    """(den * flat, den) with den the least common denominator, so that the
+    new flat has int coefficients."""
+    den = lcm(*(c.denominator for c in flat.values()))
+    return {k: c.numerator * (den // c.denominator)
+            for k, c in flat.items()}, den
 
 
 def _normalize_content(flat: Flat, order: MonomialOrder) -> Flat:
-    """Clear denominators, divide by content, make the leading coeff positive."""
+    """Clear denominators, divide by content, make the leading coeff
+    positive; the result has int coefficients."""
     if not flat:
         return flat
-    den = 1
-    for c in flat.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    num = 0
-    for c in flat.values():
-        num = gcd(num, abs(c.numerator * (den // c.denominator)))
-    scale = Fraction(den, num)
+    flat, _ = _integral(flat)
+    content = gcd(*flat.values())
     _, lead = _leading(flat, order)
-    if lead * scale < 0:
-        scale = -scale
-    return {k: c * scale for k, c in flat.items()}
+    if lead < 0:
+        content = -content
+    return {k: c // content for k, c in flat.items()}
 
 
 class _Gen:
@@ -272,15 +286,19 @@ def _normal_form(f: Flat, gens: list, order: MonomialOrder,
                  stop_components: Optional[int] = None):
     """Division with remainder, Mora-style under a local order.
 
-    Returns (h, unit, quotients) with the exact identity
-        unit * f  =  sum_i quotients[i] * gens[i].flat  +  h
-    where unit = 1 under a global order and a unit of the local ring
-    otherwise.  unit and quotients are plain polynomial dicts; they are
-    None unless certificate=True.
+    gens must have int coefficients (as completed bases do).  Returns
+    (h, scale, unit) with the exact identity
+        unit * f  =  sum_i q_i * gens[i].flat  +  h
+    for some polynomials q_i, which are not returned.  Division is
+    fraction-free, so h and unit have int coefficients: they are the nonzero
+    integer scale times what the same division with Fraction arithmetic
+    gives, and divided by scale they are exactly that.  Before scaling,
+    unit = 1 under a global order and a unit of the local ring otherwise.
+    unit is a flat with component 0, and None unless certificate=True.
 
     Under a local order the reducer set is extended by intermediate results
-    whose ecart is smaller (Mora's trick); those carry their own certificate
-    data so the final identity still refers to the original gens only.
+    whose ecart is smaller (Mora's trick); those carry their own unit, so
+    the final identity still refers to the original gens only.
 
     stop_components: if given, stop as soon as the leading term falls in a
     component >= stop_components (used for division against a stacked basis
@@ -288,23 +306,14 @@ def _normal_form(f: Flat, gens: list, order: MonomialOrder,
     exactly "the working block is exhausted").
     """
     local = not order.is_global
-    nloc = len(gens)
-    # Working list entries: (gen, cert_c or None, cert_q or None); cert data
-    # expresses the element as c*f - sum q_i g_i over the ORIGINAL gens.
-    zero_exp: Optional[ExpVec] = None
-    if gens:
-        zero_exp = (0,) * len(gens[0].lt[1])
-    elif f:
-        zero_exp = (0,) * len(next(iter(f))[1])
-
-    work = [(g, None, None) for g in gens]
-
-    h = dict(f)
+    h, scale = _integral(f)
+    unit = None
     if certificate:
-        c_h: dict = {zero_exp: Fraction(1)} if zero_exp is not None else {}
-        q_h: dict = {}  # index -> poly dict
-    else:
-        c_h = q_h = None
+        nvars = len(next(iter(gens[0].flat if gens else f))[1])
+        unit = {(0, (0,) * nvars): scale}
+    # Working list entries: (gen, its unit); a T-extension element t and its
+    # unit c_t satisfy t = c_t*f - sum q_i g_i over the ORIGINAL gens.
+    work = [(g, None) for g in gens]
 
     while h:
         lt, lc = _leading(h, order)
@@ -313,7 +322,7 @@ def _normal_form(f: Flat, gens: list, order: MonomialOrder,
         comp, exp = lt
         best = None
         best_ecart = None
-        for i, (g, _, _) in enumerate(work):
+        for i, (g, _) in enumerate(work):
             gc, ge = g.lt
             if gc != comp or not exp_divides(ge, exp):
                 continue
@@ -322,33 +331,27 @@ def _normal_form(f: Flat, gens: list, order: MonomialOrder,
         counter.tick()
         if best is None:
             break
-        g, gc_c, gc_q = work[best]
+        g, g_unit = work[best]
         if local and g.ecart > _maxdeg(h) - sum(exp):
             # Reducer has larger ecart: remember the current h as an extra
             # reducer before cancelling, so the loop cannot cycle upward.
-            extra = _Gen(dict(h), order)
+            work.append((_Gen(dict(h), order),
+                         dict(unit) if certificate else None))
+        # h <- a*h - b*x^shift*g, which is a times h - (lc/g.lc)*x^shift*g.
+        d = gcd(lc, g.lc)
+        a, b = g.lc // d, lc // d
+        if a != 1:
+            scale *= a
+            for k in h:
+                h[k] *= a
             if certificate:
-                work.append((extra, dict(c_h), {k: dict(v) for k, v in q_h.items()}))
-            else:
-                work.append((extra, None, None))
+                for k in unit:
+                    unit[k] *= a
         shift = exp_sub(exp, g.lt[1])
-        coeff = lc / g.lc
-        _scale_into(h, g.flat, -coeff, shift)
-        if certificate:
-            if best < nloc:
-                # Original generator: u*f = ... + q_best * g_best.
-                qd = q_h.setdefault(best, {})
-                _poly_scale_into(qd, {zero_exp: Fraction(1)}, coeff, shift)
-            else:
-                # T-extension element t with t = c_t*f - sum q_t,i g_i:
-                # subtracting coeff*x^shift*t rewrites both certificates.
-                _poly_scale_into(c_h, gc_c, -coeff, shift)
-                for i, qd in gc_q.items():
-                    _poly_scale_into(q_h.setdefault(i, {}), qd, -coeff, shift)
-    if certificate:
-        quots = [q_h.get(i, {}) for i in range(nloc)]
-        return h, c_h, quots
-    return h, None, None
+        _scale_into(h, g.flat, -b, shift)
+        if g_unit is not None:
+            _scale_into(unit, g_unit, -b, shift)
+    return h, scale, unit
 
 
 # -- completion --------------------------------------------------------------
@@ -378,7 +381,9 @@ class _Completion:
         self.ambient_rank = ambient_rank
         self.counter = counter
         self.gens: list = []
-        self.pairs: dict = {}   # (i, j) -> sort key
+        # Heap of pending pairs (deg lcm, component, lcm, i, j); the keys
+        # are unique, so the pop order is fully determined.
+        self.pairs: list = []
         self.treated: set = set()
 
     def add(self, flat: Flat) -> None:
@@ -395,19 +400,16 @@ class _Completion:
                 # Coprime leading monomials reduce to zero (ideal case only).
                 self.treated.add((i, k))
                 continue
-            self.pairs[(i, k)] = (sum(lcm), g.lt[0], lcm, i, k)
+            heappush(self.pairs, (sum(lcm), g.lt[0], lcm, i, k))
 
     def run(self, max_degree: Optional[int] = None) -> None:
         gens, pairs, treated = self.gens, self.pairs, self.treated
         while pairs:
-            ij = min(pairs, key=pairs.get)
-            if max_degree is not None and pairs[ij][0] > max_degree:
+            if max_degree is not None and pairs[0][0] > max_degree:
                 return
             self.counter.tick()
-            i, j = ij
-            lcm = exp_lcm(gens[i].lt[1], gens[j].lt[1])
-            del pairs[ij]
-            treated.add(ij)
+            _, _, lcm, i, j = heappop(pairs)
+            treated.add((i, j))
             # Classical chain criterion: skip if some third leading term
             # divides the lcm and both side pairs were already handled.
             skip = False
@@ -428,7 +430,7 @@ class _Completion:
                 continue
             h, _, _ = _normal_form(s, gens, self.order, self.counter)
             if h:
-                self.add(h)
+                self.add(h)  # normalised there, so the scale of h is moot
 
 
 def _complete(flats: list, order: MonomialOrder, ambient_rank: int,
@@ -460,19 +462,38 @@ def _lead_interreduce(gens: list, order: MonomialOrder) -> list:
     return keep
 
 
+def _reduce_fully(flat: Flat, gens: list, order: MonomialOrder,
+                  counter: _Counter) -> Flat:
+    """A remainder of flat modulo gens, up to a nonzero factor, no term of
+    which is divisible by a leading term of gens (global orders only):
+    top-reduce, move the irreducible leading term out, repeat."""
+    done: Flat = {}
+    h = flat
+    while True:
+        h, scale, _ = _normal_form(h, gens, order, counter)
+        if not h:
+            return done
+        if scale != 1:
+            # h was scaled by the division: keep the part moved out in step.
+            done = {k: c * scale for k, c in done.items()}
+        lt, lc = _leading(h, order)
+        done[lt] = lc
+        del h[lt]
+
+
 def _tail_reduce(gens: list, order: MonomialOrder, counter: _Counter) -> list:
     """Fully reduce each element against the others and make it monic
-    (global orders only, where this is the unique reduced basis)."""
+    (global orders only, where this is the unique reduced basis).  An
+    element whose leading term is a proper multiple of another's reduces
+    to zero and is dropped; the others keep their leading terms."""
     out = []
     for i, g in enumerate(gens):
-        others = [h for j, h in enumerate(gens) if j != i]
-        h, _, _ = _normal_form(g.flat, others, order, counter)
+        h = _reduce_fully(g.flat, gens[:i] + gens[i + 1:], order, counter)
         if not h:
             continue
-        lt, lc = _leading(h, order)
-        h = {k: c / lc for k, c in h.items()}
-        out.append(_Gen(h, order))
-    return _lead_interreduce(out, order)
+        lc = h[g.lt]
+        out.append(_Gen({k: Fraction(c, lc) for k, c in h.items()}, order))
+    return out
 
 
 def groebner_basis(basis: ModuleBasis, max_steps: Optional[int] = None) -> ModuleBasis:
@@ -545,16 +566,31 @@ def quotient_dimension(basis: ModuleBasis, max_steps: Optional[int] = None):
     total = 0
     for comp in range(r):
         exps = lts[comp]
-        bounds = []
         for i in range(nv):
-            pure = [e[i] for e in exps if all(e[j] == 0 for j in range(nv) if j != i)]
-            if not pure:
+            # Finite only if some leading term is a power of x_i (or 1).
+            if not any(sum(e) == e[i] for e in exps):
                 return INFINITE
-            bounds.append(min(pure))
-        for mono in product(*(range(b) for b in bounds)):
-            if not any(exp_divides(e, mono) for e in exps):
-                total += 1
+        total += _staircase_size(exps, nv)
     return total
+
+
+def _staircase_size(exps: list, nv: int) -> int:
+    """Number of monomials divisible by no element of exps, for a finite
+    staircase.  Standard monomials are closed under division, so each one
+    is reached from a smaller one by raising a single exponent: from m,
+    raise exponent i for every i at or after the last nonzero exponent of
+    m, which reaches every monomial exactly once."""
+    count = 0
+    stack = [(0,) * nv]
+    while stack:
+        m = stack.pop()
+        if any(exp_divides(e, m) for e in exps):
+            continue
+        count += 1
+        last = max((i for i in range(nv) if m[i]), default=0)
+        for i in range(last, nv):
+            stack.append(m[:i] + (m[i] + 1,) + m[i + 1:])
+    return count
 
 
 # -- stacked bases: syzygies, membership certificates ------------------------
@@ -577,7 +613,7 @@ class _StackedBasis:
         flats = []
         for j, g in enumerate(basis.generators):
             flat = flatten_vector(g)
-            flat[(self.rank + j, (0,) * self.nvars)] = Fraction(1)
+            flat[(self.rank + j, (0,) * self.nvars)] = 1
             flats.append(flat)
         self.gens = _complete(flats, self.order, self.rank + self.count,
                               _Counter(max_steps))
@@ -600,18 +636,19 @@ class _StackedBasis:
         unit * vec = sum coeffs[j] * g_j + remainder.  Each call has its own
         step budget; the completion's budget is spent once, when built."""
         flat = flatten_vector(vec)
-        h, c_h, _ = _normal_form(flat, self.gens, self.order,
-                                 _Counter(max_steps),
-                                 certificate=True,
-                                 stop_components=self.rank)
-        upper = {k: c for k, c in h.items() if k[0] < self.rank}
-        lower = {(k[0] - self.rank, k[1]): c for k, c in h.items()
-                 if k[0] >= self.rank}
-        unit = Poly(self.nvars, c_h)
+        h, scale, c_h = _normal_form(flat, self.gens, self.order,
+                                     _Counter(max_steps),
+                                     certificate=True,
+                                     stop_components=self.rank)
+        upper = {k: Fraction(c, scale) for k, c in h.items()
+                 if k[0] < self.rank}
+        lower = {(k[0] - self.rank, k[1]): Fraction(-c, scale)
+                 for k, c in h.items() if k[0] >= self.rank}
+        unit = Poly(self.nvars, {exp: Fraction(c, scale)
+                                 for (_, exp), c in c_h.items()})
         if not self.order.is_global and unit.constant_term() == 0:
             raise AssertionError("division produced a non-unit multiplier")
-        coeffs = unflatten_vector({k: -c for k, c in lower.items()},
-                                  self.count, self.nvars)
+        coeffs = unflatten_vector(lower, self.count, self.nvars)
         remainder = unflatten_vector(upper, self.rank, self.nvars)
         return unit, coeffs, remainder
 

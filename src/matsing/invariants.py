@@ -32,7 +32,8 @@ from .complexes import (FreeComplex, cone, homology_dimension,
                         homology_profile, kind_complex, koszul, phi_f,
                         pullback)
 from .groebner import (GLOBAL, INFINITE, LOCAL, ModuleBasis, member,
-                       prune_generators, quotient_dimension, syzygies)
+                       prune_generators, quotient_dimension, step_limit,
+                       syzygies)
 from .matalg import (MatrixFamily, PolyMatrix, flatten, generic_family,
                      gl_basis, sl_basis, space_dim)
 from .poly import Poly, SubstitutionMap, partial, substitute
@@ -71,8 +72,10 @@ def tjurina_number_function(g: Poly, max_steps: Optional[int] = None):
 # -- logarithmic vector fields -------------------------------------------------
 
 # Log fields of each target function, built once per process and keyed by
-# (flavour, f).  Every family of one (kind, n) has the same target, the
-# generic det/Pf, so its fields are shared by all of them.
+# (flavour, f, step budget).  Every family of one (kind, n) has the same
+# target, the generic det/Pf, so its fields are shared by all of them.  The
+# budget is part of the key so that a result does not depend on what ran
+# earlier: a hit never skips a StepLimitExceeded the budget would raise.
 _LOG_FIELDS: dict = {}
 
 
@@ -89,7 +92,7 @@ def der_log_f(f: Poly, max_steps: Optional[int] = None) -> ModuleBasis:
     (df/dx_1, ..., df/dx_N), pruned to a generating set of the same module.
     Computed over the polynomial ring; since localization is flat, the same
     vectors generate over the local ring."""
-    key = ("f", f)
+    key = ("f", f, step_limit(max_steps))
     if key not in _LOG_FIELDS:
         _LOG_FIELDS[key] = _syzygy_fields(
             [partial(f, i) for i in range(f.nvars)], f.nvars, max_steps)
@@ -105,7 +108,7 @@ def der_log_V(f: Poly, max_steps: Optional[int] = None) -> ModuleBasis:
     the Euler field, so Der(-log V) = Der(-log f) + O*E.  Otherwise the
     fields are the first N components of the syzygies of
     (df/dx_1, ..., df/dx_N, f)."""
-    key = ("V", f)
+    key = ("V", f, step_limit(max_steps))
     if key not in _LOG_FIELDS:
         n = f.nvars
         if f.total_degree() > 0 and len({sum(e) for e in f.terms}) == 1:

@@ -16,6 +16,7 @@ right base ring.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence, Tuple, Union
 
@@ -27,22 +28,22 @@ _ZERO = Fraction(0)
 
 def exp_mul(a: ExpVec, b: ExpVec) -> ExpVec:
     """Product of two monomials (componentwise exponent sum)."""
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(operator.add, a, b))
 
 
 def exp_divides(a: ExpVec, b: ExpVec) -> bool:
     """True iff the monomial with exponents a divides the one with b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(operator.le, a, b))
 
 
 def exp_sub(a: ExpVec, b: ExpVec) -> ExpVec:
     """Quotient exponent a - b (caller guarantees divisibility)."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(operator.sub, a, b))
 
 
 def exp_lcm(a: ExpVec, b: ExpVec) -> ExpVec:
     """Least common multiple of two monomials."""
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 class Poly:

@@ -242,3 +242,12 @@ def test_batch_isolates_each_file(tmp_path, capsys, monkeypatch):
 def test_batch_not_a_directory_exit_1(tmp_path, capsys):
     code, out, err = run(capsys, "batch", str(tmp_path / "missing"))
     assert code == 1
+
+
+@pytest.mark.parametrize("budget, code", [("118", 0), ("117", 3)])
+def test_max_steps_boundary_normal_form_sym_3(capsys, budget, code):
+    # 118 steps is the largest single computation of this analysis; the
+    # boundary pins the step counts of completion and division.
+    got, _, _ = run(capsys, "analyze", "normal-form-sym", "n=3",
+                    "--max-steps", budget)
+    assert got == code

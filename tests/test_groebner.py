@@ -16,7 +16,7 @@ from matsing import (
     quotient_dimension,
     syzygies_of_basis,
 )
-from matsing.poly import add, mul
+from matsing.poly import add, exp_divides, mul
 
 from oracle import jet_quotient_dimension, random_finite_colength_ideal
 
@@ -160,3 +160,110 @@ def test_quotient_dimension_matches_jet_oracle(seed):
     assert expected is not None
     got = quotient_dimension(ideal(gens, LOCAL))
     assert got == expected
+
+
+def test_global_basis_is_fully_reduced():
+    names = ("x", "y", "z")
+    gens = [P(t, names) for t in ("3*y^2*z", "3*x^2*y*z - x^2 + z^2",
+                                  "-3/2*x^2*y*z^2 - 3*x*y^2*z")]
+    g = groebner_basis(ideal(gens, GLOBAL))
+    polys = [v[0] for v in g.generators]
+    # Without tail reduction the first element was x^4 - 2*x^2*z^2 + z^4,
+    # whose middle term is divisible by the leading term x^2*z.
+    assert P("x^4 - z^4", names) in polys
+    leads = [max(p.terms, key=GLOBAL.key) for p in polys]
+    for p, lead in zip(polys, leads):
+        assert p.terms[lead] == 1
+        for other in leads:
+            if other != lead:
+                assert not any(exp_divides(other, e) for e in p.terms)
+
+
+def _random_rational_ideal(rng):
+    gens = []
+    for _ in range(rng.randint(2, 3)):
+        terms = {}
+        for _ in range(rng.randint(2, 3)):
+            exp = tuple(rng.randint(0, 2) for _ in range(3))
+            terms[exp] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5),
+                                  rng.randint(1, 3))
+        gens.append(Poly(3, terms))
+    return gens
+
+
+def test_reduced_basis_matches_sympy():
+    import random
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols("x y z")
+
+    def to_sympy(p):
+        return sum(sympy.Rational(c.numerator, c.denominator)
+                   * sympy.prod([v ** e for v, e in zip(xs, exp)])
+                   for exp, c in p.terms.items())
+
+    def monic_terms(expr):
+        q = sympy.Poly(expr, *xs)
+        lc = q.LC(order="grevlex")
+        return frozenset((exp, Fraction(int((c / lc).p), int((c / lc).q)))
+                         for exp, c in q.terms())
+
+    rng = random.Random(0)
+    for _ in range(60):
+        gens = _random_rational_ideal(rng)
+        ours = {frozenset(v[0].terms.items())
+                for v in groebner_basis(ideal(gens, GLOBAL)).generators}
+        theirs = sympy.groebner([to_sympy(g) for g in gens], *xs,
+                                order="grevlex")
+        assert ours == {monic_terms(e) for e in theirs.exprs}, gens
+
+
+@pytest.mark.parametrize("order", [GLOBAL, LOCAL])
+def test_member_certificate_with_rational_generators(order):
+    gens = [P("1/2*x^2 + 2/3*y"), P("2/3*x*y - 1/2*y^2")]
+    basis = ideal(gens, order)
+    for v in (P("x^2*y + 2/3*y^2"), P("1/2*x^3*y + x*y^2 + 1/3*y^3"),
+              P("x + 1/2*y^2")):
+        res = member(v, basis)
+        rhs = res.remainder
+        for c, g in zip(res.coefficients, gens):
+            rhs = add(rhs, mul(c, g))
+        assert mul(res.unit, v) == rhs
+        for p in res.coefficients + (res.unit, res.remainder):
+            assert all(type(c) is Fraction for c in p.terms.values())
+        if order == GLOBAL:
+            assert res.unit == Poly.constant(2, 1)
+        else:
+            assert res.unit.constant_term() != 0
+
+
+def test_quotient_dimension_walks_the_staircase():
+    # Colength m + 1; a walk over the box of pure-power bounds took seconds
+    # from m = 16 on.
+    import time
+    m = 24
+    squares = []
+    for i in range(m):
+        for j in range(i, m):
+            exp = [0] * m
+            exp[i] += 1
+            exp[j] += 1
+            squares.append((Poly.monomial(m, exp),))
+    basis = ModuleBasis(1, squares, LOCAL, completed=True)
+    t0 = time.perf_counter()
+    assert quotient_dimension(basis) == m + 1
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_leading_term_agrees_with_order_key():
+    # _leading avoids building key tuples; MonomialOrder.module_key is the
+    # reference it must agree with.
+    import random
+    from matsing.groebner import _leading
+    rng = random.Random(3)
+    for _ in range(300):
+        nv = rng.randint(1, 4)
+        flat = {(rng.randint(0, 2), tuple(rng.randint(0, 3) for _ in range(nv))):
+                rng.randint(1, 9) for _ in range(rng.randint(1, 12))}
+        for order in (GLOBAL, LOCAL):
+            want = max(flat, key=lambda ce: order.module_key(*ce))
+            assert _leading(flat, order) == (want, flat[want])

@@ -328,3 +328,15 @@ def test_codim_matches_minors_ideal_more_shapes(rng):
         for _ in range(4):
             fam = random_family(rng, kind, n, m, linear_bias=False)
             assert _Analysis(fam).codim == _minors_colength(fam), (kind, m)
+
+
+def test_log_field_cache_respects_step_budget():
+    # A cached result must not hide a budget error: the same call gives the
+    # same outcome whatever ran earlier in the process.
+    from matsing import StepLimitExceeded
+    f = generic_family("symmetric", 3).function()
+    assert len(der_log_f(f).generators) == 8
+    with pytest.raises(StepLimitExceeded):
+        der_log_f(f, max_steps=5)
+    with pytest.raises(StepLimitExceeded):
+        der_log_V(f, max_steps=5)
