@@ -373,13 +373,19 @@ class _Completion:
     """Buchberger/Mora completion that accepts new elements between runs:
     after run() returns, gens is a standard basis (not interreduced) of
     everything added so far.  run(max_degree) only treats pairs whose lcm
-    has degree <= max_degree and keeps the rest for a later run."""
+    has degree <= max_degree and keeps the rest for a later run.
+
+    paired_rank: if given, only elements whose leading component is below
+    it are paired.  The others are still kept and used as reducers, so gens
+    is then a standard basis only in those components (see _StackedBasis).
+    """
 
     def __init__(self, order: MonomialOrder, ambient_rank: int,
-                 counter: _Counter):
+                 counter: _Counter, paired_rank: Optional[int] = None):
         self.order = order
         self.ambient_rank = ambient_rank
         self.counter = counter
+        self.paired_rank = ambient_rank if paired_rank is None else paired_rank
         self.gens: list = []
         # Heap of pending pairs (deg lcm, component, lcm, i, j); the keys
         # are unique, so the pop order is fully determined.
@@ -392,6 +398,8 @@ class _Completion:
         g = _Gen(flat, self.order)
         k = len(gens)
         gens.append(g)
+        if g.lt[0] >= self.paired_rank:
+            return
         for i in range(k):
             if gens[i].lt[0] != g.lt[0]:
                 continue
@@ -434,9 +442,9 @@ class _Completion:
 
 
 def _complete(flats: list, order: MonomialOrder, ambient_rank: int,
-              counter: _Counter) -> list:
+              counter: _Counter, paired_rank: Optional[int] = None) -> list:
     """Buchberger/Mora completion; returns the list of _Gen (not interreduced)."""
-    completion = _Completion(order, ambient_rank, counter)
+    completion = _Completion(order, ambient_rank, counter, paired_rank)
     for flat in flats:
         if flat:
             completion.add(dict(flat))
@@ -444,14 +452,14 @@ def _complete(flats: list, order: MonomialOrder, ambient_rank: int,
     return completion.gens
 
 
-def _lead_interreduce(gens: list, order: MonomialOrder) -> list:
-    """Drop elements whose leading term is divisible by another one's."""
+def _lead_interreduce(gens: list) -> list:
+    """Drop elements whose leading term is divisible by another one's.
+
+    Elements are visited by increasing degree of the leading term, so under
+    either order a divisor comes before its proper multiples; among equal
+    leading terms the first element is kept (the sort is stable)."""
     keep: list = []
-    indexed = sorted(range(len(gens)),
-                     key=lambda i: order.module_key(*gens[i].lt),
-                     reverse=True)
-    for i in indexed:
-        g = gens[i]
+    for g in sorted(gens, key=lambda g: sum(g.lt[1])):
         redundant = False
         for h in keep:
             if h.lt[0] == g.lt[0] and exp_divides(h.lt[1], g.lt[1]):
@@ -508,7 +516,7 @@ def groebner_basis(basis: ModuleBasis, max_steps: Optional[int] = None) -> Modul
     counter = _Counter(max_steps)
     flats = [flatten_vector(g) for g in basis.generators]
     gens = _complete(flats, basis.order, basis.ambient_rank, counter)
-    gens = _lead_interreduce(gens, basis.order)
+    gens = _lead_interreduce(gens)
     if basis.order.is_global:
         gens = _tail_reduce(gens, basis.order, counter)
     gens.sort(key=lambda g: basis.order.module_key(*g.lt), reverse=True)
@@ -596,13 +604,22 @@ def _staircase_size(exps: list, nv: int) -> int:
 # -- stacked bases: syzygies, membership certificates ------------------------
 
 class _StackedBasis:
-    """Completion of the module generated by g_j + e_j in O^(r+s).
+    """The module generated by g_j + e_j in O^(r+s), completed in its upper
+    block only.
 
     The order is position-over-term with the original components dominant,
-    so an element reduces its upper block first.  Completed elements with
-    vanishing upper block are exactly the syzygies of the g_j; dividing
-    (v, 0) against the basis until the upper block dies yields a membership
-    certificate for v in terms of the original generators.
+    so an element reduces its upper block first.  Only elements whose
+    leading term lies in the upper block are paired, so the upper-block
+    elements form a standard basis of the module of the g_j, each carrying
+    in its lower block its expression in the g_j.  Dividing (v, 0) against
+    them until the upper block dies yields a membership certificate for v.
+    The elements with vanishing upper block are the reduced s-vectors of
+    upper-block pairs: by Schreyer's theorem, which holds for local orders
+    too (Greuel-Pfister, A Singular Introduction to Commutative Algebra,
+    2.5), their lower blocks generate the syzygies of the g_j.  They are a
+    generating set, not a standard basis, and are never paired; express()
+    stops at the upper block and so never divides by them, and pairing them
+    would change no certificate.
     """
 
     def __init__(self, basis: ModuleBasis, max_steps: Optional[int]):
@@ -615,21 +632,22 @@ class _StackedBasis:
             flat = flatten_vector(g)
             flat[(self.rank + j, (0,) * self.nvars)] = 1
             flats.append(flat)
+        counter = _Counter(max_steps)
         self.gens = _complete(flats, self.order, self.rank + self.count,
-                              _Counter(max_steps))
+                              counter, paired_rank=self.rank)
+        # The completion is deterministic, so this is the least budget
+        # under which it can be built.
+        self.steps = counter.steps
 
     def syzygy_vectors(self) -> list:
-        """Syzygies of the original generators, as vectors in O^count."""
-        out = []
-        seen = []
-        for g in self.gens:
-            if any(comp < self.rank for (comp, _) in g.flat):
-                continue
-            lower = {(comp - self.rank, exp): c for (comp, exp), c in g.flat.items()}
-            lg = _Gen(lower, self.order)
-            out.append(lg)
-        out = _lead_interreduce(out, self.order)
-        return [unflatten_vector(g.flat, self.count, self.nvars) for g in out]
+        """Generators of the syzygies of the original generators, as vectors
+        in O^count.  They are not lead-interreduced: dropping an element
+        whose leading term is a multiple of another's is sound only for a
+        standard basis, and these are just a generating set."""
+        return [unflatten_vector({(comp - self.rank, exp): c
+                                  for (comp, exp), c in g.flat.items()},
+                                 self.count, self.nvars)
+                for g in self.gens if g.lt[0] >= self.rank]
 
     def express(self, vec: Sequence[Poly], max_steps: Optional[int]):
         """Certificate (unit, coeffs, remainder) with
@@ -654,13 +672,24 @@ class _StackedBasis:
 
 
 def _stacked(basis: ModuleBasis, max_steps: Optional[int]) -> _StackedBasis:
-    if getattr(basis, "_stacked", None) is None:
-        basis._stacked = _StackedBasis(basis, max_steps)
-    return basis._stacked
+    """The stacked basis of basis, built once and cached on it.  A cache hit
+    under a budget smaller than the steps the build took raises, as a fresh
+    build under that budget would."""
+    st = getattr(basis, "_stacked", None)
+    if st is None:
+        st = basis._stacked = _StackedBasis(basis, max_steps)
+    elif st.steps > step_limit(max_steps):
+        raise StepLimitExceeded(step_limit(max_steps))
+    return st
 
 
 def syzygies_of_basis(basis: ModuleBasis, max_steps: Optional[int] = None) -> list:
-    """Generators of the syzygy module {w : sum w_j g_j = 0} in O^len(gens)."""
+    """Generators of the syzygy module {w : sum w_j g_j = 0} in O^len(gens).
+
+    A generating set (Schreyer's theorem), not a standard basis: the
+    stacked completion that finds them pairs only elements with a nonzero
+    upper block (see _StackedBasis).  member() certificates, which divide
+    by that upper block only, are the same as after a full completion."""
     return _stacked(basis, max_steps).syzygy_vectors()
 
 
@@ -668,7 +697,9 @@ def syzygies(m, order: MonomialOrder = LOCAL, max_steps: Optional[int] = None):
     """Syzygy matrix of a polynomial matrix: columns generate ker(m: O^c -> O^r).
 
     Returns a PolyMatrix z with m * z = 0 whose columns generate all
-    relations among the columns of m over the (local or global) ring.
+    relations among the columns of m over the (local or global) ring.  The
+    columns are a generating set (Schreyer's theorem), not a standard basis
+    of the kernel, and need not be minimal.
     """
     from .matalg import PolyMatrix
     cols = [m.column(j) for j in range(m.cols)]

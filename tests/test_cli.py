@@ -244,10 +244,32 @@ def test_batch_not_a_directory_exit_1(tmp_path, capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("budget, code", [("118", 0), ("117", 3)])
+@pytest.mark.parametrize("budget, code", [("38", 0), ("37", 3)])
 def test_max_steps_boundary_normal_form_sym_3(capsys, budget, code):
-    # 118 steps is the largest single computation of this analysis; the
+    # 38 steps is the largest single computation of this analysis; the
     # boundary pins the step counts of completion and division.
     got, _, _ = run(capsys, "analyze", "normal-form-sym", "n=3",
                     "--max-steps", budget)
     assert got == code
+
+
+@pytest.mark.parametrize("text, budget, dims", [
+    # pencil-skew-gor and slow-skew6 of perfbench/gen.py KNOWN_SLOW.
+    ("kind=skew; vars=x1..x4; upper=[[x1,x2,x3],[x4,-x2],[x1+x2^2]]",
+     "400", [2, 2]),
+    ("kind=skew; vars=x,y,z; "
+     "upper=[[x,y,z,0,0],[z,0,y^2,0],[x,0,0],[1,0],[x^2+y^3]]",
+     "2000", ["infinite", "infinite"]),
+])
+def test_eqeq_on_known_slow_skew_inputs(tmp_path, capsys, text, budget,
+                                        dims):
+    # A full completion of the stacked syzygy modules runs for minutes on
+    # both; the budget makes it fail fast instead of hanging.
+    p = tmp_path / "fam.txt"
+    p.write_text(text + "\n")
+    code, out, err = run(capsys, "verify", "--theorem", "eqeq", "--json",
+                         "--max-steps", budget, str(p))
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["verdict"] == "HOLDS"
+    assert data["lhs"] == data["rhs"] == dims
