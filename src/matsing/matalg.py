@@ -25,10 +25,9 @@ Coordinate conventions (all row-major):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, List, Optional, Sequence
 
-from .groebner import LOCAL, ModuleBasis, MonomialOrder
+from .groebner import LOCAL, ModuleBasis
 from .poly import Poly, SubstitutionMap, substitute
 
 KINDS = ("symmetric", "skew", "general")
@@ -213,54 +212,55 @@ def matrix_of_partials(p: Poly) -> tuple:
 
 # -- determinant, adjugate, pfaffian ------------------------------------------
 
-def determinant(m: PolyMatrix) -> Poly:
-    """Exact determinant by minor expansion with subset memoization."""
-    if not m.is_square():
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
+def _minors(m: PolyMatrix) -> Callable[[tuple, tuple], Poly]:
+    """Determinants of the square submatrices of m, by expansion along the
+    first row, all sharing one memo keyed by (rows, cols)."""
     nv = m.nvars
-    if n == 0:
-        return Poly.constant(nv, 1)
     memo: dict = {}
 
-    def minor(row: int, cols: tuple) -> Poly:
-        if len(cols) == 1:
-            return m.entries[row][cols[0]]
-        key = (row, cols)
+    def minor(rows: tuple, cols: tuple) -> Poly:
+        if not rows:
+            return Poly.constant(nv, 1)
+        if len(rows) == 1:
+            return m.entries[rows[0]][cols[0]]
+        key = (rows, cols)
         got = memo.get(key)
         if got is not None:
             return got
         acc = Poly.zero(nv)
+        row = m.entries[rows[0]]
         for pos, c in enumerate(cols):
-            e = m.entries[row][c]
+            e = row[c]
             if not e.terms:
                 continue
-            sub = minor(row + 1, cols[:pos] + cols[pos + 1:])
-            term = e * sub
+            term = e * minor(rows[1:], cols[:pos] + cols[pos + 1:])
             acc = acc + term if pos % 2 == 0 else acc - term
         memo[key] = acc
         return acc
 
-    return minor(0, tuple(range(n)))
+    return minor
 
 
-def _minor_det(m: PolyMatrix, drop_row: int, drop_col: int) -> Poly:
-    rows = [[m.entries[i][j] for j in range(m.cols) if j != drop_col]
-            for i in range(m.rows) if i != drop_row]
-    if not rows:
-        return Poly.constant(m.nvars, 1)
-    return determinant(PolyMatrix(rows, m.nvars))
+def determinant(m: PolyMatrix) -> Poly:
+    """Exact determinant by minor expansion with subset memoization."""
+    if not m.is_square():
+        raise ValueError("determinant of a non-square matrix")
+    full = tuple(range(m.rows))
+    return _minors(m)(full, full)
 
 
 def adjugate(m: PolyMatrix) -> PolyMatrix:
-    """The transposed cofactor matrix; adjugate(m) @ m = det(m) * I."""
+    """The transposed cofactor matrix; adjugate(m) @ m = det(m) * I.
+    All n^2 cofactors share one minor memo."""
     if not m.is_square():
         raise ValueError("adjugate of a non-square matrix")
     n = m.rows
+    minor = _minors(m)
     out = [[Poly.zero(m.nvars)] * n for _ in range(n)]
     for i in range(n):
+        rows = tuple(k for k in range(n) if k != i)
         for j in range(n):
-            c = _minor_det(m, i, j)
+            c = minor(rows, tuple(k for k in range(n) if k != j))
             out[j][i] = c if (i + j) % 2 == 0 else -c
     return PolyMatrix(out, m.nvars)
 
@@ -276,16 +276,11 @@ def _check_skew(m: PolyMatrix) -> None:
                 raise ValueError(f"skew symmetry violated at ({i},{j})")
 
 
-def pfaffian(m: PolyMatrix) -> Poly:
-    """Pfaffian of a skew matrix of even size, Pf(m)^2 = det(m).
-
-    Expansion along the first remaining row:
+def _pfaffians(m: PolyMatrix) -> Callable[[tuple], Poly]:
+    """Pfaffians of the principal submatrices of a skew m on increasing
+    index tuples, all sharing one memo.  Expansion along the first index:
       Pf = sum_j (-1)^j m[i0, i_j] Pf(m with rows/cols i0, i_j removed).
     """
-    _check_skew(m)
-    n = m.rows
-    if n % 2 != 0:
-        raise ValueError("pfaffian needs an even-size matrix")
     nv = m.nvars
     memo: dict = {}
 
@@ -302,17 +297,24 @@ def pfaffian(m: PolyMatrix) -> Poly:
             e = m.entries[i0][j]
             if not e.terms:
                 continue
-            sub = pf(tuple(k for k in rest if k != j))
-            term = e * sub
+            term = e * pf(rest[:pos] + rest[pos + 1:])
             acc = acc + term if pos % 2 == 0 else acc - term
         memo[indices] = acc
         return acc
 
-    return pf(tuple(range(n)))
+    return pf
 
 
-# The generic sub-pfaffian matrices are expensive to derive, so they are
-# computed once per size in a ring of n(n-1)/2 upper-entry variables and
+def pfaffian(m: PolyMatrix) -> Poly:
+    """Pfaffian of a skew matrix of even size, Pf(m)^2 = det(m)."""
+    _check_skew(m)
+    if m.rows % 2 != 0:
+        raise ValueError("pfaffian needs an even-size matrix")
+    return _pfaffians(m)(tuple(range(m.rows)))
+
+
+# The generic sub-pfaffian matrices are derived once per size in a ring of
+# n(n-1)/2 upper-entry variables, straight from one pfaffian memo, and
 # instantiated by substitution afterwards.
 _GENERIC_SUBPF: dict = {}
 
@@ -334,42 +336,23 @@ def _generic_skew(n: int) -> PolyMatrix:
     return PolyMatrix(ent, nv)
 
 
-def _divide_exact(p: Poly, d: Poly) -> Poly:
-    """Quotient p/d when d divides p exactly; raises otherwise."""
-    order = MonomialOrder("degrevlex-global")
-    nv = p.nvars
-    rem = dict(p.terms)
-    out: dict = {}
-    from .poly import exp_divides as _dv, exp_sub as _sb, exp_mul as _ml
-    dlt = max(d.terms, key=order.key)
-    dlc = d.terms[dlt]
-    while rem:
-        lt = max(rem, key=order.key)
-        if not _dv(dlt, lt):
-            raise ArithmeticError("inexact polynomial division")
-        shift = _sb(lt, dlt)
-        coeff = rem[lt] / dlc
-        out[shift] = out.get(shift, Fraction(0)) + coeff
-        for de, dc in d.terms.items():
-            k = _ml(de, shift)
-            s = rem.get(k, Fraction(0)) - coeff * dc
-            if s:
-                rem[k] = s
-            elif k in rem:
-                del rem[k]
-    return Poly(nv, out)
-
-
 def _generic_subpf(n: int) -> PolyMatrix:
+    """P*[i][j] = (-1)^(i+j) Pf(S without rows/cols i, j) for i < j, and
+    P*[j][i] = -P*[i][j], for the generic skew S of size n."""
     got = _GENERIC_SUBPF.get(n)
     if got is not None:
         return got
     s = _generic_skew(n)
-    pf = pfaffian(s)
-    adj = adjugate(s)
-    out = adj.map_entries(lambda p: _divide_exact(p, pf) if p.terms else p)
+    pf = _pfaffians(s)
+    ent = [[Poly.zero(s.nvars)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            sub = pf(tuple(k for k in range(n) if k != i and k != j))
+            ent[i][j] = sub if (i + j) % 2 == 0 else -sub
+            ent[j][i] = -ent[i][j]
+    out = PolyMatrix(ent, s.nvars)
     # Defining property, checked once per size.
-    pfid = PolyMatrix.identity(n, s.nvars).scale(pf)
+    pfid = PolyMatrix.identity(n, s.nvars).scale(pf(tuple(range(n))))
     if (out @ s) != pfid or (s @ out) != pfid:
         raise AssertionError("sub-pfaffian identity failed in the generic case")
     _GENERIC_SUBPF[n] = out
@@ -379,9 +362,8 @@ def _generic_subpf(n: int) -> PolyMatrix:
 def sub_pfaffian_matrix(m: PolyMatrix) -> PolyMatrix:
     """The skew analogue P* of the adjugate: P* m = m P* = Pf(m) I.
 
-    Entries are signed sub-pfaffians of m; they are obtained by
-    instantiating the generic-size formula, which is derived once by exact
-    division of the generic adjugate by the generic pfaffian.
+    Entries are signed sub-pfaffians of m: the generic-size matrix is built
+    once per size from one pfaffian memo, then instantiated by substitution.
     """
     _check_skew(m)
     n = m.rows

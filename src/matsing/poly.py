@@ -250,9 +250,15 @@ class SubstitutionMap:
     blocks, constant components), and pulling back a complex through such
     a map is still well defined.  ``preserves_origin`` reports the property
     for callers that require it.
+
+    The map memoises the expanded image of every target monomial that
+    ``substitute`` has pulled back through it, so every pullback along one
+    map shares that work.  The memo is a pure cache that lives and dies
+    with the map: it never changes what the map computes, and equality
+    ignores it, so the map is still immutable as a value.
     """
 
-    __slots__ = ("images", "source_nvars")
+    __slots__ = ("images", "source_nvars", "_monomial_images")
 
     def __init__(self, images: Sequence[Poly]):
         images = tuple(images)
@@ -264,6 +270,9 @@ class SubstitutionMap:
                 raise ValueError("images live in different source rings")
         object.__setattr__(self, "images", images)
         object.__setattr__(self, "source_nvars", src)
+        # Target exponent vector -> its image; 1 maps to 1.
+        object.__setattr__(self, "_monomial_images",
+                           {(0,) * len(images): Poly.constant(src, 1)})
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("SubstitutionMap is immutable")
@@ -307,30 +316,45 @@ def mul(p: Poly, q: Poly) -> Poly:
     return p * q
 
 
+def _monomial_image(f: SubstitutionMap, exp: ExpVec) -> Poly:
+    """The image of the monomial x^exp under f, memoised on f.
+
+    A missing monomial is its predecessor (the last nonzero exponent
+    lowered by one) times one image; predecessors are filled in first.
+    """
+    memo = f._monomial_images
+    chain = []
+    while exp not in memo:
+        i = max(k for k, e in enumerate(exp) if e)
+        chain.append((exp, i))
+        exp = exp[:i] + (exp[i] - 1,) + exp[i + 1:]
+    got = memo[exp]
+    for exp, i in reversed(chain):
+        memo[exp] = got = got * f.images[i]
+    return got
+
+
 def substitute(p: Poly, f: SubstitutionMap) -> Poly:
     """Replace variable i of p by f.images[i] and expand.
 
     p must have exactly as many variables as f has images; the result lives
-    in the source ring of f.
+    in the source ring of f.  Monomial images come from the memo on f.
     """
     if p.nvars != f.target_nvars:
         raise ValueError(
             f"arity mismatch: polynomial in {p.nvars} variables, map has "
             f"{f.target_nvars} images")
-    src = f.source_nvars
-    # Per-variable power cache; powers[i][k] = images[i]**k.
-    powers: list[list[Poly]] = [[Poly.constant(src, 1)] for _ in range(p.nvars)]
-    result = Poly.zero(src)
+    out: dict[ExpVec, Fraction] = {}
     for exp, coeff in sorted(p.terms.items()):
-        term = Poly.constant(src, coeff)
-        for i, e in enumerate(exp):
-            if e == 0:
-                continue
-            cache = powers[i]
-            while len(cache) <= e:
-                cache.append(cache[-1] * f.images[i])
-            term = term * cache[e]
-        result = result + term
+        for e, c in _monomial_image(f, exp).terms.items():
+            s = out.get(e, _ZERO) + coeff * c
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    result = Poly.__new__(Poly)
+    object.__setattr__(result, "nvars", f.source_nvars)
+    object.__setattr__(result, "terms", out)
     return result
 
 

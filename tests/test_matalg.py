@@ -63,6 +63,14 @@ def test_adjugate_identity(rng):
         expect = PolyMatrix.identity(n, 2).scale(det)
         assert left == expect
         assert right == expect
+        # The shared minor memo gives each cofactor's own determinant.
+        adj = adjugate(m)
+        for i in range(n):
+            for j in range(n):
+                sub = PolyMatrix([[m.entry(r, c) for c in range(n) if c != j]
+                                  for r in range(n) if r != i], 2, cols=n - 1)
+                sign = 1 if (i + j) % 2 == 0 else -1
+                assert adj.entry(j, i) == determinant(sub) * sign
 
 
 def test_pfaffian_generic_four():
@@ -95,6 +103,20 @@ def test_sub_pfaffian_identity(rng):
         expect = PolyMatrix.identity(n, 2).scale(pf)
         assert comp @ s == expect
         assert s @ comp == expect
+
+
+def test_generic_sub_pfaffians_match_the_adjugate():
+    for n in (2, 4, 6):
+        s = generic_family("skew", n).entries
+        assert adjugate(s) == sub_pfaffian_matrix(s).scale(pfaffian(s))
+
+
+def test_generic_sub_pfaffian_identity_at_size_eight():
+    s = generic_family("skew", 8).entries
+    comp = sub_pfaffian_matrix(s)
+    expect = PolyMatrix.identity(8, s.nvars).scale(pfaffian(s))
+    assert comp @ s == expect
+    assert s @ comp == expect
 
 
 def test_sub_pfaffian_two_by_two():

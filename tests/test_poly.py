@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from matsing import Poly, SubstitutionMap, format_poly, parse_poly
 from matsing.poly import partial, substitute, translate
+
+from oracle import random_poly
 
 
 def P(text, names=("x", "y")):
@@ -85,6 +88,97 @@ def test_substitution_map_compose_and_origin():
     assert substitute(g, both) == substitute(substitute(g, fmap), inner)
     assert fmap.preserves_origin
     assert not SubstitutionMap([P("x + 1"), P("y")]).preserves_origin
+
+
+def _reference_substitute(p, f):
+    """Substitution by a per-call power cache of each image, the expansion
+    that the memo on the map replaced; kept as the reference."""
+    src = f.source_nvars
+    powers = [[Poly.constant(src, 1)] for _ in range(p.nvars)]
+    result = Poly.zero(src)
+    for exp, coeff in sorted(p.terms.items()):
+        term = Poly.constant(src, coeff)
+        for i, e in enumerate(exp):
+            if e == 0:
+                continue
+            cache = powers[i]
+            while len(cache) <= e:
+                cache.append(cache[-1] * f.images[i])
+            term = term * cache[e]
+        result = result + term
+    return result
+
+
+def _random_map(rng, target, source):
+    """Images with and without constant terms, sometimes zero."""
+    return SubstitutionMap([
+        Poly.zero(source) if rng.random() < 0.1 else
+        random_poly(rng, source, max_degree=2, terms=3,
+                    zero_constant=rng.random() < 0.5)
+        for _ in range(target)])
+
+
+def _random_polys(rng, nvars, count):
+    out = [Poly.zero(nvars), Poly.constant(nvars, Fraction(-3, 2))]
+    out += [random_poly(rng, nvars, max_degree=4, terms=6,
+                        zero_constant=rng.random() < 0.5)
+            for _ in range(count)]
+    return out
+
+
+def test_substitute_matches_power_cache_reference():
+    rng = random.Random(61)
+    for _ in range(25):
+        target, source = rng.randint(1, 4), rng.randint(1, 3)
+        for p in _random_polys(rng, target, 8):
+            fmap = _random_map(rng, target, source)
+            assert substitute(p, fmap) == _reference_substitute(p, fmap)
+
+
+def test_substitute_memo_does_not_leak_between_calls():
+    rng = random.Random(62)
+    for _ in range(10):
+        target, source = rng.randint(2, 4), rng.randint(1, 3)
+        fmap = _random_map(rng, target, source)
+        polys = _random_polys(rng, target, 12)
+        expect = {i: _reference_substitute(p, fmap)
+                  for i, p in enumerate(polys)}
+        # One map serves every call, twice over, in shuffled order.
+        order = list(range(len(polys))) * 2
+        rng.shuffle(order)
+        for i in order:
+            assert substitute(polys[i], fmap) == expect[i]
+
+
+def test_substitute_through_composed_and_translated_maps():
+    rng = random.Random(63)
+    for _ in range(15):
+        target, mid, source = (rng.randint(1, 3), rng.randint(1, 3),
+                               rng.randint(1, 3))
+        outer = _random_map(rng, target, mid)
+        inner = _random_map(rng, mid, source)
+        both = outer.compose(inner)
+        assert both.images == tuple(_reference_substitute(p, inner)
+                                    for p in outer.images)
+        for p in _random_polys(rng, target, 4):
+            assert substitute(p, both) == _reference_substitute(p, both)
+            assert substitute(p, both) == _reference_substitute(
+                _reference_substitute(p, outer), inner)
+        point = [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                 for _ in range(target)]
+        shifted = SubstitutionMap([Poly.variable(target, i) + point[i]
+                                   for i in range(target)])
+        for p in _random_polys(rng, target, 4):
+            assert translate(p, point) == _reference_substitute(p, shifted)
+
+
+def test_equal_maps_stay_equal_when_one_has_a_memo():
+    images = [P("x + 1"), P("x*y - y^2"), P("2")]
+    used, fresh = SubstitutionMap(images), SubstitutionMap(images)
+    g = parse_poly("u^3*v + w^2*v - u", ["u", "v", "w"])
+    assert substitute(g, used) == _reference_substitute(g, fresh)
+    assert len(used._monomial_images) > len(fresh._monomial_images)
+    assert used == fresh and fresh == used
 
 
 def test_format_poly_round_trips():
