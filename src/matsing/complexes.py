@@ -18,10 +18,11 @@ Built here:
     family into the pulled-back resolution, through degree 2.
   * Mapping cones, and homology dimensions over the local ring at 0.
 
-Homology in degree k is computed as a presentation: kernel generators come
-from syzygies of d_k, boundaries are expressed through those generators by
-membership certificates, and the quotient's vector-space dimension is read
-off a standard basis.
+Homology in degree k is computed as a presentation H_k = O^t / R, from two
+GLOBAL syzygy computations: t kernel generators of d_k, then the relations
+R among them modulo the image of d_(k+1).  Localisation at 0 is exact, so
+global generators generate the local modules too, and only the colength of
+O^t / R is taken under the local order.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
-from .groebner import (INFINITE, LOCAL, ModuleBasis, MonomialOrder,
-                       member, quotient_dimension, syzygies,
-                       syzygies_of_basis)
+from .groebner import (GLOBAL, INFINITE, LOCAL, ModuleBasis,
+                       quotient_dimension, syzygies)
 from .matalg import (MatrixFamily, PolyMatrix, flatten, sl_coords, space_dim,
                      unflatten)
 from .poly import Poly, SubstitutionMap, partial, substitute
@@ -365,16 +365,15 @@ def cone(phi: ComplexMorphism, through_degree: int) -> FreeComplex:
 # -- homology -------------------------------------------------------------------
 
 def homology_dimension(c: FreeComplex, k: int,
-                       order: MonomialOrder = LOCAL,
                        max_steps: Optional[int] = None):
     """dim_Q H_k(c) over the local ring at the origin; INFINITE if not finite.
 
-    H_0 is the cokernel of d_1.  For 0 < k < length the kernel of d_k is
-    presented by its syzygy generators z_1..z_t, each column of d_(k+1) is
-    expressed in the z_i (always possible since the composite vanishes;
-    unit factors do not change the submodule), and the answer is the
-    dimension of O^t modulo those coefficient vectors plus the syzygies
-    among the z_i.  For k = length the kernel itself is the homology, which
+    H_0 is the cokernel of d_1.  For 0 < k < length the GLOBAL syzygies
+    z_1..z_t of d_k generate the kernel, locally too, since localisation is
+    flat.  With Z = [z_1 .. z_t], H_k = O^t / R, where R holds the first t
+    components of the GLOBAL syzygies of [Z | d_(k+1)]: the coefficient
+    vectors a with Z a a boundary.  Only that colength is taken under the
+    local order.  For k = length the kernel itself is the homology, which
     is either 0 or infinite dimensional.
     """
     if not 0 <= k <= c.length:
@@ -384,35 +383,24 @@ def homology_dimension(c: FreeComplex, k: int,
             return 0 if c.ranks[0] == 0 else INFINITE
         d1 = c.diff(1)
         cols = [d1.column(j) for j in range(d1.cols)]
-        return quotient_dimension(
-            ModuleBasis(c.ranks[0], cols, order), max_steps)
-    dk = c.diff(k)
-    kernel = syzygies(dk, order, max_steps)
+        return quotient_dimension(ModuleBasis(c.ranks[0], cols, LOCAL),
+                                  max_steps)
+    kernel = syzygies(c.diff(k), GLOBAL, max_steps)
     t = kernel.cols
     if k == c.length:
         return 0 if t == 0 else INFINITE
     if t == 0:
         return 0
-    zbasis = ModuleBasis(dk.cols, [kernel.column(j) for j in range(t)], order)
     dk1 = c.diff(k + 1)
-    relations: list = []
-    for j in range(dk1.cols):
-        col = dk1.column(j)
-        if all(p.is_zero() for p in col):
-            continue
-        res = member(col, zbasis, max_steps)
-        if not res.contains:
-            raise AssertionError(
-                "boundary column escaped the kernel; composite not zero?")
-        relations.append(res.coefficients)
-    relations.extend(syzygies_of_basis(zbasis, max_steps))
-    if not relations:
-        return INFINITE
-    return quotient_dimension(ModuleBasis(t, relations, order), max_steps)
+    both = PolyMatrix.block([[kernel, dk1]], [kernel.rows], [t, dk1.cols],
+                            c.nvars)
+    rel = syzygies(both, GLOBAL, max_steps)
+    relations = [rel.column(j)[:t] for j in range(rel.cols)]
+    return quotient_dimension(ModuleBasis(t, relations, LOCAL), max_steps)
 
 
-def homology_profile(c: FreeComplex, order: MonomialOrder = LOCAL,
+def homology_profile(c: FreeComplex,
                      max_steps: Optional[int] = None) -> list:
     """Homology dimensions in all degrees 0..length."""
-    return [homology_dimension(c, k, order, max_steps)
+    return [homology_dimension(c, k, max_steps)
             for k in range(c.length + 1)]

@@ -568,10 +568,10 @@ def _build_normal_form_skew(params: dict) -> FamilySpec:
 
 def _build_diag_sym(params: dict) -> FamilySpec:
     a = params.get("a")
-    if a is None:
-        raise ValueError("diag-sym needs a = (a1, a2, ...)")
     if isinstance(a, int):
         a = (a,)
+    if not a:
+        raise ValueError("diag-sym needs a nonempty a = (a1, a2, ...)")
     a = tuple(int(x) for x in a)
     if any(x < 0 for x in a):
         raise ValueError("exponents must be nonnegative")
@@ -614,16 +614,17 @@ def _build_cross_ratio(params: dict) -> FamilySpec:
                       map_images=images, expected={"mu": 9})
 
 
+# name -> (builder, the parameter keys it accepts)
 _CATALOG = {
-    "generic-sym-2": _build_generic_sym_2,
-    "generic-gen-2": _build_generic_gen_2,
-    "generic-skew-4": _build_generic_skew_4,
-    "normal-form-sym": _build_normal_form_sym,
-    "normal-form-gen": _build_normal_form_gen,
-    "normal-form-skew": _build_normal_form_skew,
-    "diag-sym": _build_diag_sym,
-    "remark-4-8-iii": _build_remark_4_8_iii,
-    "cross-ratio-example": _build_cross_ratio,
+    "generic-sym-2": (_build_generic_sym_2, ()),
+    "generic-gen-2": (_build_generic_gen_2, ()),
+    "generic-skew-4": (_build_generic_skew_4, ()),
+    "normal-form-sym": (_build_normal_form_sym, ("n",)),
+    "normal-form-gen": (_build_normal_form_gen, ("n",)),
+    "normal-form-skew": (_build_normal_form_skew, ("n",)),
+    "diag-sym": (_build_diag_sym, ("a",)),
+    "remark-4-8-iii": (_build_remark_4_8_iii, ()),
+    "cross-ratio-example": (_build_cross_ratio, ()),
 }
 
 
@@ -632,9 +633,14 @@ def catalog_names() -> List[str]:
 
 
 def catalog(name: str, **params) -> FamilySpec:
-    """A named built-in family; parameters depend on the entry."""
-    builder = _CATALOG.get(name)
-    if builder is None:
+    """A named built-in family; parameters depend on the entry.  An unknown
+    name raises KeyError, an unknown parameter ValueError."""
+    if name not in _CATALOG:
         raise KeyError(f"unknown catalog family {name!r}; available: "
                        + ", ".join(catalog_names()))
+    builder, keys = _CATALOG[name]
+    unknown = sorted(set(params) - set(keys))
+    if unknown:
+        raise ValueError(f"{name} does not take {', '.join(unknown)}; "
+                         f"accepted: {', '.join(keys) or 'none'}")
     return builder(params)

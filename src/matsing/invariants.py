@@ -190,7 +190,7 @@ def tangent_module(fam: MatrixFamily, flavour: str) -> ModuleBasis:
 def betti_numbers(fam: MatrixFamily, max_steps: Optional[int] = None) -> list:
     """Homology dimensions of the kind-appropriate complex of the family,
     in degrees 0..length."""
-    return homology_profile(kind_complex(fam), LOCAL, max_steps)
+    return homology_profile(kind_complex(fam), max_steps)
 
 
 def corank_at_origin(fam: MatrixFamily) -> int:
@@ -401,10 +401,10 @@ class _Analysis:
             return betti_numbers(self.fam, self.max_steps)
         if self.target_isolated:
             return homology_profile(pullback(koszul(self.f), self.fmap),
-                                    LOCAL, self.max_steps)
+                                    self.max_steps)
         pulled = pullback(function_presentation(self.f, self.max_steps),
                           self.fmap)
-        return [homology_dimension(pulled, k, LOCAL, self.max_steps)
+        return [homology_dimension(pulled, k, self.max_steps)
                 for k in (0, 1)]
 
     # identity checks
@@ -653,4 +653,4 @@ def tau_homological(fam: MatrixFamily, max_steps: Optional[int] = None):
     l = kind_complex(fam)
     phi = phi_f(g, fam.as_map(), l, fam.kind)
     c = cone(phi, min(2, l.length))
-    return homology_dimension(c, 1, LOCAL, max_steps)
+    return homology_dimension(c, 1, max_steps)

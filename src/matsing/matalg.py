@@ -528,44 +528,28 @@ def sl_coords(m: PolyMatrix) -> List[Poly]:
     return out
 
 
-def sym_basis(n: int, nvars: int) -> List[PolyMatrix]:
-    """Constant basis matrices matching the symmetric flattening order."""
-    out = []
+def _unit_basis(kind: str, n: int, nvars: int) -> List[PolyMatrix]:
+    """The matrices whose coordinates are the unit vectors, in the
+    flattening order of kind."""
     one = Poly.constant(nvars, 1)
     z = Poly.zero(nvars)
-    for i in range(n):
-        for j in range(i, n):
-            ent = [[z] * n for _ in range(n)]
-            ent[i][j] = one
-            if i != j:
-                ent[j][i] = one
-            out.append(PolyMatrix(ent, nvars))
-    return out
+    d = space_dim(kind, n)
+    return [unflatten(kind, [one if i == k else z for i in range(d)], n,
+                      nvars)
+            for k in range(d)]
+
+
+def sym_basis(n: int, nvars: int) -> List[PolyMatrix]:
+    """Constant basis matrices matching the symmetric flattening order."""
+    return _unit_basis("symmetric", n, nvars)
 
 
 def skew_basis(n: int, nvars: int) -> List[PolyMatrix]:
-    out = []
-    one = Poly.constant(nvars, 1)
-    z = Poly.zero(nvars)
-    for i in range(n):
-        for j in range(i + 1, n):
-            ent = [[z] * n for _ in range(n)]
-            ent[i][j] = one
-            ent[j][i] = -one
-            out.append(PolyMatrix(ent, nvars))
-    return out
+    return _unit_basis("skew", n, nvars)
 
 
 def gl_basis(n: int, nvars: int) -> List[PolyMatrix]:
-    out = []
-    one = Poly.constant(nvars, 1)
-    z = Poly.zero(nvars)
-    for i in range(n):
-        for j in range(n):
-            ent = [[z] * n for _ in range(n)]
-            ent[i][j] = one
-            out.append(PolyMatrix(ent, nvars))
-    return out
+    return _unit_basis("general", n, nvars)
 
 
 def sl_basis(n: int, nvars: int) -> List[PolyMatrix]:

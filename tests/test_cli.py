@@ -71,6 +71,21 @@ def test_analyze_unknown_target_exit_1(capsys):
     assert "catalog" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["normal-form-sym", "m=3"], "normal-form-sym does not take m; "
+                                 "accepted: n"),
+    (["generic-sym-2", "n=3"], "generic-sym-2 does not take n; "
+                               "accepted: none"),
+    (["diag-sym", "a=()"], "diag-sym needs a nonempty a"),
+])
+def test_analyze_bad_catalog_params_exit_1(capsys, argv, message):
+    code, out, err = run(capsys, "analyze", *argv)
+    assert code == 1
+    assert out == ""
+    assert message in err
+    assert "neither a readable file" not in err
+
+
 def test_analyze_params_on_file_exit_1(tmp_path, capsys):
     p = tmp_path / "fam.txt"
     p.write_text("kind=symmetric; vars=x,y,z; matrix=[[x,y],[y,z]]")
@@ -244,9 +259,9 @@ def test_batch_not_a_directory_exit_1(tmp_path, capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("budget, code", [("38", 0), ("37", 3)])
+@pytest.mark.parametrize("budget, code", [("41", 0), ("40", 3)])
 def test_max_steps_boundary_normal_form_sym_3(capsys, budget, code):
-    # 38 steps is the largest single computation of this analysis; the
+    # 41 steps is the largest single computation of this analysis; the
     # boundary pins the step counts of completion and division.
     got, _, _ = run(capsys, "analyze", "normal-form-sym", "n=3",
                     "--max-steps", budget)

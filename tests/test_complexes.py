@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,10 @@ from matsing import (
     verify_chain_map,
     verify_complex,
 )
+from matsing.families import catalog, parse_family
+from matsing.groebner import (LOCAL, ModuleBasis, member, quotient_dimension,
+                              syzygies, syzygies_of_basis)
+from matsing.invariants import function_presentation
 from matsing.poly import SubstitutionMap
 
 from oracle import random_poly
@@ -198,3 +203,102 @@ def test_homology_infinite_when_module_infinite():
 def test_complex_validation():
     with pytest.raises(ValueError):
         FreeComplex((1, 2), (PolyMatrix([[P("x")]], 2),), 2)
+
+
+# -- homology against the route by membership certificates ---------------------
+
+def _homology_by_membership(c, k):
+    """dim H_k, k >= 1, by the earlier route: a LOCAL kernel z_1..z_t of
+    d_k, one membership certificate in the z_i per column of d_(k+1), plus
+    the syzygies of the z_i, then the colength of O^t modulo all of these."""
+    kernel = syzygies(c.diff(k), LOCAL)
+    t = kernel.cols
+    if k == c.length:
+        return 0 if t == 0 else INFINITE
+    if t == 0:
+        return 0
+    zbasis = ModuleBasis(c.diff(k).cols,
+                         [kernel.column(j) for j in range(t)], LOCAL)
+    dk1 = c.diff(k + 1)
+    relations = []
+    for j in range(dk1.cols):
+        col = dk1.column(j)
+        if all(p.is_zero() for p in col):
+            continue
+        res = member(col, zbasis)
+        assert res.contains, "boundary column outside the kernel"
+        relations.append(res.coefficients)
+    relations.extend(syzygies_of_basis(zbasis))
+    return quotient_dimension(ModuleBasis(t, relations, LOCAL))
+
+
+def _assert_same_homology(c, label):
+    # H_0, the cokernel of d_1, is computed the same way on both routes.
+    for k in range(1, c.length + 1):
+        assert homology_dimension(c, k) == _homology_by_membership(c, k), \
+            (label, k)
+
+
+# The pencils of perfbench/gen.py, then its pencil-skew-gor.
+_PENCILS = [
+    "kind=symmetric; vars=x,y; matrix=[[x,y],[y,-x]]",
+    "kind=symmetric; vars=x,y; matrix=[[x,y],[y,x^2]]",
+    "kind=general; vars=x,y,z; matrix=[[x,y],[z,-x]]",
+    "kind=general; vars=x,y,z; matrix=[[x,y],[z,x^2]]",
+    "kind=general; vars=x,y; matrix=[[x,y],[-y,x]]",
+    "kind=general; vars=x,y; matrix=[[x,y],[-y,x+y^2]]",
+    "kind=skew; vars=x1..x4; upper=[[x1,x2,x3],[x4,-x2],[x1]]",
+    "kind=skew; vars=x1..x4; upper=[[x1,x2,x3],[x4,-x2],[x1+x2^2]]",
+]
+
+# slow-sym and slow-gen of perfbench/gen.py.  H_1 of their tau_homological
+# cones is left out: the membership route passes 8 s on both.
+_SLOW = [
+    "kind=symmetric; vars=x,y; upper=[[x,y,0],[x,y^2],[x^2+y]]",
+    "kind=general; vars=x,y,z; matrix=[[x,y^2+z^3],[z^2+x*y,y+x^3]]",
+]
+
+
+@pytest.mark.parametrize("text", _PENCILS + _SLOW)
+def test_homology_matches_membership_route_on_pencils(text):
+    fam = parse_family(text).to_family()
+    l = kind_complex(fam)
+    _assert_same_homology(l, text)
+    if text in _PENCILS:
+        # The cone behind tau_homological, whose H_1 is tau.
+        phi = phi_f(fam.function(), fam.as_map(), l, fam.kind)
+        _assert_same_homology(cone(phi, 2), (text, "cone"))
+
+
+@pytest.mark.parametrize("name, n", [
+    ("normal-form-sym", 2), ("normal-form-sym", 3), ("normal-form-sym", 4),
+    ("normal-form-gen", 2), ("normal-form-gen", 3), ("normal-form-gen", 4),
+    ("normal-form-skew", 4)])
+def test_homology_matches_membership_route_on_normal_forms(name, n):
+    _assert_same_homology(kind_complex(catalog(name, n=n).to_family()),
+                          (name, n))
+
+
+def test_homology_matches_membership_route_on_random_families():
+    for seed in range(20):
+        fam = random_family(random.Random(seed), "symmetric", 2, 1,
+                            linear_bias=False)
+        _assert_same_homology(kind_complex(fam), seed)
+
+
+def test_homology_matches_membership_route_on_koszul():
+    for text, names in (("x^2 + y^3", "xy"), ("x^3 + y^4", "xy"),
+                        ("x^2*y + y^4", "xy"), ("x^5 + x*y^3", "xy"),
+                        ("x^2 + y^2 + z^3", "xyz"),
+                        ("x*y*z + x^3 + y^3 + z^3", "xyz")):
+        g = parse_poly(text, list(names))
+        _assert_same_homology(koszul(g), text)
+
+
+@pytest.mark.parametrize("name", ["remark-4-8-iii", "cross-ratio-example"])
+def test_homology_matches_membership_route_on_sections(name):
+    spec = catalog(name)
+    pres = function_presentation(spec.f)
+    _assert_same_homology(pres, name)
+    _assert_same_homology(pullback(pres, SubstitutionMap(spec.map_images)),
+                          (name, "pulled back"))

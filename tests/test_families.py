@@ -145,6 +145,10 @@ def test_catalog_names_and_errors():
         catalog("no-such-family")
     with pytest.raises(ValueError):
         catalog("diag-sym")
+    with pytest.raises(ValueError, match="nonempty"):
+        catalog("diag-sym", a=())
+    with pytest.raises(ValueError, match="does not take m; accepted: n"):
+        catalog("normal-form-sym", m=3)
     with pytest.raises(ValueError):
         catalog("normal-form-skew", n=5)
     with pytest.raises(ValueError):

@@ -182,6 +182,39 @@ def test_constant_bases_shapes():
         assert (b + b.transpose()).is_zero()
 
 
+def _elementary(n, nv, units):
+    """The constant n x n matrix with entry c at (i, j) for (i, j, c) in
+    units and 0 elsewhere."""
+    ent = [[Poly.zero(nv)] * n for _ in range(n)]
+    for i, j, c in units:
+        ent[i][j] = Poly.constant(nv, c)
+    return PolyMatrix(ent, nv)
+
+
+def test_constant_bases_are_unflattened_unit_vectors():
+    # Each basis is unflatten of the unit coordinate vectors, and equals
+    # the elementary matrices written out entry by entry.
+    nv = 2
+    for n in range(6):
+        expected = {
+            "symmetric": [_elementary(n, nv, {(i, j, 1), (j, i, 1)})
+                          for i in range(n) for j in range(i, n)],
+            "skew": [_elementary(n, nv, [(i, j, 1), (j, i, -1)])
+                     for i in range(n) for j in range(i + 1, n)],
+            "general": [_elementary(n, nv, [(i, j, 1)])
+                        for i in range(n) for j in range(n)],
+        }
+        for kind, build in (("symmetric", sym_basis), ("skew", skew_basis),
+                            ("general", gl_basis)):
+            d = space_dim(kind, n)
+            units = [[Poly.constant(nv, int(i == k)) for i in range(d)]
+                     for k in range(d)]
+            assert build(n, nv) == expected[kind], (kind, n)
+            assert build(n, nv) == [unflatten(kind, e, n, nv)
+                                    for e in units], (kind, n)
+            assert [flatten(kind, b) for b in build(n, nv)] == units
+
+
 def test_family_validation():
     with pytest.raises(ValueError):
         MatrixFamily("symmetric", 2, 2,
