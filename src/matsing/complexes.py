@@ -30,13 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence
 
 from .groebner import (GLOBAL, INFINITE, LOCAL, ModuleBasis,
                        quotient_dimension, syzygies)
 from .matalg import (MatrixFamily, PolyMatrix, flatten, sl_coords, space_dim,
                      unflatten)
-from .poly import Poly, SubstitutionMap, partial, substitute
+from .poly import Poly, SubstitutionMap, partial
 
 
 @dataclass(frozen=True)
@@ -364,28 +364,27 @@ def cone(phi: ComplexMorphism, through_degree: int) -> FreeComplex:
 
 # -- homology -------------------------------------------------------------------
 
-def homology_dimension(c: FreeComplex, k: int,
-                       max_steps: Optional[int] = None):
+def homology_dimension(c: FreeComplex, k: int):
     """dim_Q H_k(c) over the local ring at the origin; INFINITE if not finite.
 
-    H_0 is the cokernel of d_1.  For 0 < k < length the GLOBAL syzygies
-    z_1..z_t of d_k generate the kernel, locally too, since localisation is
-    flat.  With Z = [z_1 .. z_t], H_k = O^t / R, where R holds the first t
-    components of the GLOBAL syzygies of [Z | d_(k+1)]: the coefficient
-    vectors a with Z a a boundary.  Only that colength is taken under the
-    local order.  For k = length the kernel itself is the homology, which
-    is either 0 or infinite dimensional.
+    H_0 is the cokernel of d_1, or F_0 itself when the length is 0.  For
+    0 < k < length the GLOBAL syzygies z_1..z_t of d_k generate the kernel,
+    locally too, since localisation is flat.  With Z = [z_1 .. z_t],
+    H_k = O^t / R, where R holds the first t components of the GLOBAL
+    syzygies of [Z | d_(k+1)]: the coefficient vectors a with Z a a
+    boundary.  Only that colength is taken under the local order.  For
+    k = length the kernel itself is the homology, which is either 0 or
+    infinite dimensional.
     """
     if not 0 <= k <= c.length:
         raise ValueError(f"degree {k} outside the complex")
     if k == 0:
-        if c.length == 0:
-            return 0 if c.ranks[0] == 0 else INFINITE
-        d1 = c.diff(1)
-        cols = [d1.column(j) for j in range(d1.cols)]
-        return quotient_dimension(ModuleBasis(c.ranks[0], cols, LOCAL),
-                                  max_steps)
-    kernel = syzygies(c.diff(k), GLOBAL, max_steps)
+        cols = []
+        if c.length:
+            d1 = c.diff(1)
+            cols = [d1.column(j) for j in range(d1.cols)]
+        return quotient_dimension(ModuleBasis(c.ranks[0], cols, LOCAL))
+    kernel = syzygies(c.diff(k), GLOBAL)
     t = kernel.cols
     if k == c.length:
         return 0 if t == 0 else INFINITE
@@ -394,13 +393,11 @@ def homology_dimension(c: FreeComplex, k: int,
     dk1 = c.diff(k + 1)
     both = PolyMatrix.block([[kernel, dk1]], [kernel.rows], [t, dk1.cols],
                             c.nvars)
-    rel = syzygies(both, GLOBAL, max_steps)
+    rel = syzygies(both, GLOBAL)
     relations = [rel.column(j)[:t] for j in range(rel.cols)]
-    return quotient_dimension(ModuleBasis(t, relations, LOCAL), max_steps)
+    return quotient_dimension(ModuleBasis(t, relations, LOCAL))
 
 
-def homology_profile(c: FreeComplex,
-                     max_steps: Optional[int] = None) -> list:
+def homology_profile(c: FreeComplex) -> list:
     """Homology dimensions in all degrees 0..length."""
-    return [homology_dimension(c, k, max_steps)
-            for k in range(c.length + 1)]
+    return [homology_dimension(c, k) for k in range(c.length + 1)]

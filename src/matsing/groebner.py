@@ -27,9 +27,13 @@ polynomial identities that can be re-multiplied and checked.
 Under a global order groebner_basis returns the reduced basis: monic, and
 no term of any element is divisible by the leading term of another.
 
-A step counter guards all completion loops.  Local-order completion always
-terminates in theory, but badly posed inputs can be astronomically slow, so
-the guard raises StepLimitExceeded instead of hanging.
+A step counter guards all completion and division loops.  Local-order
+completion always terminates in theory, but badly posed inputs can be
+astronomically slow, so the guard raises StepLimitExceeded instead of
+hanging.  set_step_limit is the one way to set the budget, and it bounds
+each computation separately: every completion (with the divisions inside
+it) and every member() division counts its own steps against the limit, so
+one analysis can take many times the limit in total.
 """
 
 from __future__ import annotations
@@ -76,30 +80,29 @@ class StepLimitExceeded(RuntimeError):
         self.steps = steps
 
 
-_DEFAULT_STEP_LIMIT = 2_000_000
+_STEP_LIMIT = 2_000_000
 
 
-def step_limit(max_steps: Optional[int] = None) -> int:
-    """The budget a computation given max_steps runs under: max_steps
-    itself, else the current default."""
-    return max_steps if max_steps is not None else _DEFAULT_STEP_LIMIT
+def step_limit() -> int:
+    """The step budget each computation currently runs under."""
+    return _STEP_LIMIT
 
 
 def set_step_limit(n: int) -> int:
-    """Set the default step budget for basis completion; returns the old one."""
-    global _DEFAULT_STEP_LIMIT
+    """Set the step budget of each computation; returns the old one."""
+    global _STEP_LIMIT
     if n <= 0:
         raise ValueError("step limit must be positive")
-    old = _DEFAULT_STEP_LIMIT
-    _DEFAULT_STEP_LIMIT = n
+    old = _STEP_LIMIT
+    _STEP_LIMIT = n
     return old
 
 
 class _Counter:
     __slots__ = ("limit", "steps")
 
-    def __init__(self, limit: Optional[int]):
-        self.limit = step_limit(limit)
+    def __init__(self):
+        self.limit = _STEP_LIMIT
         self.steps = 0
 
     def tick(self, n: int = 1) -> None:
@@ -282,8 +285,7 @@ class ModuleBasis:
 # -- division ---------------------------------------------------------------
 
 def _normal_form(f: Flat, gens: list, order: MonomialOrder,
-                 counter: _Counter, certificate: bool = False,
-                 stop_components: Optional[int] = None):
+                 counter: _Counter, upper_rank: Optional[int] = None):
     """Division with remainder, Mora-style under a local order.
 
     gens must have int coefficients (as completed bases do).  Returns
@@ -294,21 +296,21 @@ def _normal_form(f: Flat, gens: list, order: MonomialOrder,
     integer scale times what the same division with Fraction arithmetic
     gives, and divided by scale they are exactly that.  Before scaling,
     unit = 1 under a global order and a unit of the local ring otherwise.
-    unit is a flat with component 0, and None unless certificate=True.
+    unit is a flat with component 0, and None unless upper_rank is given.
 
     Under a local order the reducer set is extended by intermediate results
     whose ecart is smaller (Mora's trick); those carry their own unit, so
     the final identity still refers to the original gens only.
 
-    stop_components: if given, stop as soon as the leading term falls in a
-    component >= stop_components (used for division against a stacked basis
-    where the lower block is bookkeeping, under position-over-term this is
-    exactly "the working block is exhausted").
+    upper_rank: for division against a stacked basis, whose components from
+    upper_rank on are bookkeeping.  If given, unit is tracked, and division
+    stops as soon as the leading term falls in a component >= upper_rank:
+    under position-over-term that is exactly "the upper block is exhausted".
     """
     local = not order.is_global
     h, scale = _integral(f)
     unit = None
-    if certificate:
+    if upper_rank is not None:
         nvars = len(next(iter(gens[0].flat if gens else f))[1])
         unit = {(0, (0,) * nvars): scale}
     # Working list entries: (gen, its unit); a T-extension element t and its
@@ -317,7 +319,7 @@ def _normal_form(f: Flat, gens: list, order: MonomialOrder,
 
     while h:
         lt, lc = _leading(h, order)
-        if stop_components is not None and lt[0] >= stop_components:
+        if upper_rank is not None and lt[0] >= upper_rank:
             break
         comp, exp = lt
         best = None
@@ -336,7 +338,7 @@ def _normal_form(f: Flat, gens: list, order: MonomialOrder,
             # Reducer has larger ecart: remember the current h as an extra
             # reducer before cancelling, so the loop cannot cycle upward.
             work.append((_Gen(dict(h), order),
-                         dict(unit) if certificate else None))
+                         None if unit is None else dict(unit)))
         # h <- a*h - b*x^shift*g, which is a times h - (lc/g.lc)*x^shift*g.
         d = gcd(lc, g.lc)
         a, b = g.lc // d, lc // d
@@ -344,7 +346,7 @@ def _normal_form(f: Flat, gens: list, order: MonomialOrder,
             scale *= a
             for k in h:
                 h[k] *= a
-            if certificate:
+            if unit is not None:
                 for k in unit:
                     unit[k] *= a
         shift = exp_sub(exp, g.lt[1])
@@ -504,7 +506,7 @@ def _tail_reduce(gens: list, order: MonomialOrder, counter: _Counter) -> list:
     return out
 
 
-def groebner_basis(basis: ModuleBasis, max_steps: Optional[int] = None) -> ModuleBasis:
+def groebner_basis(basis: ModuleBasis) -> ModuleBasis:
     """Complete a generating set to a standard basis.
 
     Global order: the unique reduced (monic, tail-reduced) Groebner basis.
@@ -513,7 +515,7 @@ def groebner_basis(basis: ModuleBasis, max_steps: Optional[int] = None) -> Modul
     """
     if basis.completed:
         return basis
-    counter = _Counter(max_steps)
+    counter = _Counter()
     flats = [flatten_vector(g) for g in basis.generators]
     gens = _complete(flats, basis.order, basis.ambient_rank, counter)
     gens = _lead_interreduce(gens)
@@ -527,8 +529,7 @@ def groebner_basis(basis: ModuleBasis, max_steps: Optional[int] = None) -> Modul
     return out
 
 
-def prune_generators(basis: ModuleBasis,
-                     max_steps: Optional[int] = None) -> ModuleBasis:
+def prune_generators(basis: ModuleBasis) -> ModuleBasis:
     """A generating set of the same module, chosen from basis.generators.
 
     Generators are visited by increasing degree.  One is dropped only when
@@ -541,7 +542,7 @@ def prune_generators(basis: ModuleBasis,
     def degree(vec) -> int:
         return max(p.total_degree() for p in vec)
 
-    counter = _Counter(max_steps)
+    counter = _Counter()
     completion = _Completion(basis.order, basis.ambient_rank, counter)
     kept = []
     for vec in sorted(basis.generators, key=degree):
@@ -554,17 +555,17 @@ def prune_generators(basis: ModuleBasis,
     return ModuleBasis(basis.ambient_rank, kept, basis.order)
 
 
-def quotient_dimension(basis: ModuleBasis, max_steps: Optional[int] = None):
+def quotient_dimension(basis: ModuleBasis):
     """dim_Q of O^r / <generators>, as a vector space; INFINITE if not finite.
 
     O is the local ring at the origin for a local order and the polynomial
     ring for a global one.  The dimension is the number of standard
     monomials: pairs (component, monomial) outside the leading-term module.
     """
-    completed = groebner_basis(basis, max_steps)
-    if not completed.generators:
-        return INFINITE
+    completed = groebner_basis(basis)
     r = completed.ambient_rank
+    if r and not completed.generators:
+        return INFINITE  # all of O^r; for r = 0 the sum below is 0
     nv = completed.nvars
     lts: list = [[] for _ in range(r)]
     for g in completed.generators:
@@ -622,7 +623,7 @@ class _StackedBasis:
     would change no certificate.
     """
 
-    def __init__(self, basis: ModuleBasis, max_steps: Optional[int]):
+    def __init__(self, basis: ModuleBasis):
         self.rank = basis.ambient_rank
         self.count = len(basis.generators)
         self.nvars = basis.nvars
@@ -632,7 +633,7 @@ class _StackedBasis:
             flat = flatten_vector(g)
             flat[(self.rank + j, (0,) * self.nvars)] = 1
             flats.append(flat)
-        counter = _Counter(max_steps)
+        counter = _Counter()
         self.gens = _complete(flats, self.order, self.rank + self.count,
                               counter, paired_rank=self.rank)
         # The completion is deterministic, so this is the least budget
@@ -649,15 +650,14 @@ class _StackedBasis:
                                  self.count, self.nvars)
                 for g in self.gens if g.lt[0] >= self.rank]
 
-    def express(self, vec: Sequence[Poly], max_steps: Optional[int]):
+    def express(self, vec: Sequence[Poly]):
         """Certificate (unit, coeffs, remainder) with
-        unit * vec = sum coeffs[j] * g_j + remainder.  Each call has its own
-        step budget; the completion's budget is spent once, when built."""
+        unit * vec = sum coeffs[j] * g_j + remainder.  Each call counts its
+        own steps against the step limit; the completion's steps are spent
+        once, when built."""
         flat = flatten_vector(vec)
-        h, scale, c_h = _normal_form(flat, self.gens, self.order,
-                                     _Counter(max_steps),
-                                     certificate=True,
-                                     stop_components=self.rank)
+        h, scale, c_h = _normal_form(flat, self.gens, self.order, _Counter(),
+                                     upper_rank=self.rank)
         upper = {k: Fraction(c, scale) for k, c in h.items()
                  if k[0] < self.rank}
         lower = {(k[0] - self.rank, k[1]): Fraction(-c, scale)
@@ -671,29 +671,29 @@ class _StackedBasis:
         return unit, coeffs, remainder
 
 
-def _stacked(basis: ModuleBasis, max_steps: Optional[int]) -> _StackedBasis:
+def _stacked(basis: ModuleBasis) -> _StackedBasis:
     """The stacked basis of basis, built once and cached on it.  A cache hit
-    under a budget smaller than the steps the build took raises, as a fresh
-    build under that budget would."""
+    under a step limit smaller than the steps the build took raises, as a
+    fresh build under that limit would."""
     st = getattr(basis, "_stacked", None)
     if st is None:
-        st = basis._stacked = _StackedBasis(basis, max_steps)
-    elif st.steps > step_limit(max_steps):
-        raise StepLimitExceeded(step_limit(max_steps))
+        st = basis._stacked = _StackedBasis(basis)
+    elif st.steps > step_limit():
+        raise StepLimitExceeded(step_limit())
     return st
 
 
-def syzygies_of_basis(basis: ModuleBasis, max_steps: Optional[int] = None) -> list:
+def syzygies_of_basis(basis: ModuleBasis) -> list:
     """Generators of the syzygy module {w : sum w_j g_j = 0} in O^len(gens).
 
     A generating set (Schreyer's theorem), not a standard basis: the
     stacked completion that finds them pairs only elements with a nonzero
     upper block (see _StackedBasis).  member() certificates, which divide
     by that upper block only, are the same as after a full completion."""
-    return _stacked(basis, max_steps).syzygy_vectors()
+    return _stacked(basis).syzygy_vectors()
 
 
-def syzygies(m, order: MonomialOrder = LOCAL, max_steps: Optional[int] = None):
+def syzygies(m, order: MonomialOrder = LOCAL):
     """Syzygy matrix of a polynomial matrix: columns generate ker(m: O^c -> O^r).
 
     Returns a PolyMatrix z with m * z = 0 whose columns generate all
@@ -706,7 +706,7 @@ def syzygies(m, order: MonomialOrder = LOCAL, max_steps: Optional[int] = None):
     basis = ModuleBasis(m.rows, cols, order)
     # Zero columns were dropped by ModuleBasis; recover their trivial syzygies.
     keep = [j for j in range(m.cols) if any(p.terms for p in m.column(j))]
-    vecs = syzygies_of_basis(basis, max_steps)
+    vecs = syzygies_of_basis(basis)
     out_cols: list = []
     nv = m.nvars
     for v in vecs:
@@ -738,7 +738,7 @@ class MemberResult:
     remainder: tuple
 
 
-def member(vec, basis: ModuleBasis, max_steps: Optional[int] = None) -> MemberResult:
+def member(vec, basis: ModuleBasis) -> MemberResult:
     """Decide membership of a vector (or Poly, for rank 1) with certificate.
 
     The certificate satisfies unit * vec == sum coefficients[i] *
@@ -752,13 +752,15 @@ def member(vec, basis: ModuleBasis, max_steps: Optional[int] = None) -> MemberRe
     vec = tuple(vec)
     if len(vec) != basis.ambient_rank:
         raise ValueError("vector rank does not match ambient rank")
-    if all(p.is_zero() for p in vec):
-        nv = basis.nvars if basis.nvars is not None else vec[0].nvars
+    is_zero = all(p.is_zero() for p in vec)
+    if is_zero or not basis.generators:
+        # Nothing to divide, or nothing to divide by: vec is its own
+        # remainder.
+        nv = vec[0].nvars
         zero = tuple(Poly.zero(nv) for _ in basis.generators)
-        return MemberResult(True, zero, Poly.constant(nv, 1),
+        return MemberResult(is_zero, zero, Poly.constant(nv, 1),
                             vec[0] if scalar else vec)
-    st = _stacked(basis, max_steps)
-    unit, coeffs, remainder = st.express(vec, max_steps)
+    unit, coeffs, remainder = _stacked(basis).express(vec)
     ok = all(p.is_zero() for p in remainder)
     return MemberResult(ok, coeffs, unit,
                         remainder[0] if scalar else remainder)

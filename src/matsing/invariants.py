@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Union
 
 from .complexes import (FreeComplex, cone, homology_dimension,
                         homology_profile, kind_complex, koszul, phi_f,
@@ -52,54 +52,54 @@ def _finite(x) -> bool:
     return isinstance(x, int)
 
 
-def milnor_number(g: Poly, max_steps: Optional[int] = None):
+def milnor_number(g: Poly):
     """dim O/(dg/dx_1, ..., dg/dx_m) at the origin; INFINITE if the
     singular locus has positive dimension.  g must vanish at 0."""
     if g.constant_term() != 0:
         raise ValueError("function does not vanish at the origin")
     gens = [(partial(g, i),) for i in range(g.nvars)]
-    return quotient_dimension(ModuleBasis(1, gens, LOCAL), max_steps)
+    return quotient_dimension(ModuleBasis(1, gens, LOCAL))
 
 
-def tjurina_number_function(g: Poly, max_steps: Optional[int] = None):
+def tjurina_number_function(g: Poly):
     """dim O/(g, dg/dx_1, ..., dg/dx_m) at the origin."""
     if g.constant_term() != 0:
         raise ValueError("function does not vanish at the origin")
     gens = [(g,)] + [(partial(g, i),) for i in range(g.nvars)]
-    return quotient_dimension(ModuleBasis(1, gens, LOCAL), max_steps)
+    return quotient_dimension(ModuleBasis(1, gens, LOCAL))
 
 
 # -- logarithmic vector fields -------------------------------------------------
 
 # Log fields of each target function, built once per process and keyed by
-# (flavour, f, step budget).  Every family of one (kind, n) has the same
+# (flavour, f, step_limit()).  Every family of one (kind, n) has the same
 # target, the generic det/Pf, so its fields are shared by all of them.  The
 # budget is part of the key so that a result does not depend on what ran
 # earlier: a hit never skips a StepLimitExceeded the budget would raise.
 _LOG_FIELDS: dict = {}
 
 
-def _syzygy_fields(row: list, n: int, max_steps: Optional[int]) -> ModuleBasis:
+def _syzygy_fields(row: list, n: int) -> ModuleBasis:
     """First n components of the syzygies of a row of polynomials in n
     variables, pruned to a generating set of the same module."""
-    z = syzygies(PolyMatrix([row], n), GLOBAL, max_steps)
+    z = syzygies(PolyMatrix([row], n), GLOBAL)
     vecs = [z.column(j)[:n] for j in range(z.cols)]
-    return prune_generators(ModuleBasis(n, vecs, GLOBAL), max_steps)
+    return prune_generators(ModuleBasis(n, vecs, GLOBAL))
 
 
-def der_log_f(f: Poly, max_steps: Optional[int] = None) -> ModuleBasis:
+def der_log_f(f: Poly) -> ModuleBasis:
     """Vector fields annihilating f: generators of the syzygies of the row
     (df/dx_1, ..., df/dx_N), pruned to a generating set of the same module.
     Computed over the polynomial ring; since localization is flat, the same
     vectors generate over the local ring."""
-    key = ("f", f, step_limit(max_steps))
+    key = ("f", f, step_limit())
     if key not in _LOG_FIELDS:
         _LOG_FIELDS[key] = _syzygy_fields(
-            [partial(f, i) for i in range(f.nvars)], f.nvars, max_steps)
+            [partial(f, i) for i in range(f.nvars)], f.nvars)
     return _LOG_FIELDS[key]
 
 
-def der_log_V(f: Poly, max_steps: Optional[int] = None) -> ModuleBasis:
+def der_log_V(f: Poly) -> ModuleBasis:
     """Vector fields tangent to the zero set of f, i.e. eta(f) in (f),
     as a pruned generating set.
 
@@ -108,16 +108,14 @@ def der_log_V(f: Poly, max_steps: Optional[int] = None) -> ModuleBasis:
     the Euler field, so Der(-log V) = Der(-log f) + O*E.  Otherwise the
     fields are the first N components of the syzygies of
     (df/dx_1, ..., df/dx_N, f)."""
-    key = ("V", f, step_limit(max_steps))
+    key = ("V", f, step_limit())
     if key not in _LOG_FIELDS:
         n = f.nvars
         if f.total_degree() > 0 and len({sum(e) for e in f.terms}) == 1:
             euler = tuple(Poly.variable(n, i) for i in range(n))
-            got = ModuleBasis(n, der_log_f(f, max_steps).generators + [euler],
-                              GLOBAL)
+            got = ModuleBasis(n, der_log_f(f).generators + [euler], GLOBAL)
         else:
-            got = _syzygy_fields([partial(f, i) for i in range(n)] + [f], n,
-                                 max_steps)
+            got = _syzygy_fields([partial(f, i) for i in range(n)] + [f], n)
         _LOG_FIELDS[key] = got
     return _LOG_FIELDS[key]
 
@@ -134,18 +132,16 @@ def pulled_field_module(fmap: SubstitutionMap,
     return ModuleBasis(n, gens, LOCAL)
 
 
-def t1_kf(f: Poly, fmap: SubstitutionMap, max_steps: Optional[int] = None):
+def t1_kf(f: Poly, fmap: SubstitutionMap):
     """dim of O^N / (jacobian columns of the map + pulled-back fields
     annihilating f): the normal space to the equivalence preserving f."""
-    return quotient_dimension(
-        pulled_field_module(fmap, der_log_f(f, max_steps)), max_steps)
+    return quotient_dimension(pulled_field_module(fmap, der_log_f(f)))
 
 
-def t1_kv(f: Poly, fmap: SubstitutionMap, max_steps: Optional[int] = None):
+def t1_kv(f: Poly, fmap: SubstitutionMap):
     """Same with fields tangent to {f = 0}: the normal space to the
     equivalence preserving the zero set only."""
-    return quotient_dimension(
-        pulled_field_module(fmap, der_log_V(f, max_steps)), max_steps)
+    return quotient_dimension(pulled_field_module(fmap, der_log_V(f)))
 
 
 # -- tangent spaces of matrix families -----------------------------------------
@@ -169,15 +165,14 @@ def _lie_images(fam: MatrixFamily, flavour: str) -> list:
     return out
 
 
-def tau_matrix(fam: MatrixFamily, flavour: str = "special",
-               max_steps: Optional[int] = None):
+def tau_matrix(fam: MatrixFamily, flavour: str = "special"):
     """Codimension of the tangent space to the group orbit of the family.
 
     flavour 'special': trace-free congruence (symmetric/skew) or pairs of
     trace-free left/right factors (general); this preserves det/Pf exactly.
     flavour 'general': full gl action; this preserves only the zero set.
     """
-    return quotient_dimension(tangent_module(fam, flavour), max_steps)
+    return quotient_dimension(tangent_module(fam, flavour))
 
 
 def tangent_module(fam: MatrixFamily, flavour: str) -> ModuleBasis:
@@ -187,10 +182,10 @@ def tangent_module(fam: MatrixFamily, flavour: str) -> ModuleBasis:
     return ModuleBasis(space_dim(fam.kind, fam.n), gens, LOCAL)
 
 
-def betti_numbers(fam: MatrixFamily, max_steps: Optional[int] = None) -> list:
+def betti_numbers(fam: MatrixFamily) -> list:
     """Homology dimensions of the kind-appropriate complex of the family,
     in degrees 0..length."""
-    return homology_profile(kind_complex(fam), max_steps)
+    return homology_profile(kind_complex(fam))
 
 
 def corank_at_origin(fam: MatrixFamily) -> int:
@@ -301,8 +296,7 @@ class _Analysis:
     own kind complex, eqeq and diag).
     """
 
-    def __init__(self, subject, name: str = "", max_steps: Optional[int] = None):
-        self.max_steps = max_steps
+    def __init__(self, subject, name: str = ""):
         self.name = name
         if isinstance(subject, MatrixFamily):
             self.fam = subject
@@ -345,44 +339,41 @@ class _Analysis:
 
     @cached_property
     def mu(self):
-        return milnor_number(self.g, self.max_steps)
+        return milnor_number(self.g)
 
     @cached_property
     def target_isolated(self) -> bool:
         """Whether f has an isolated singularity at 0: always for the
         generic det/Pf of a family, and for a section when mu(f) is finite."""
-        return self.fam is not None or _finite(
-            milnor_number(self.f, self.max_steps))
+        return self.fam is not None or _finite(milnor_number(self.f))
 
     @cached_property
     def pulled_f(self) -> ModuleBasis:
         """Jacobian columns plus the pulled-back fields annihilating f."""
-        return pulled_field_module(self.fmap,
-                                   der_log_f(self.f, self.max_steps))
+        return pulled_field_module(self.fmap, der_log_f(self.f))
 
     @cached_property
     def pulled_V(self) -> ModuleBasis:
         """Jacobian columns plus the pulled-back fields tangent to {f = 0}."""
-        return pulled_field_module(self.fmap,
-                                   der_log_V(self.f, self.max_steps))
+        return pulled_field_module(self.fmap, der_log_V(self.f))
 
     @cached_property
     def tau_kf(self):
-        return quotient_dimension(self.pulled_f, self.max_steps)
+        return quotient_dimension(self.pulled_f)
 
     @cached_property
     def tau_kv(self):
-        return quotient_dimension(self.pulled_V, self.max_steps)
+        return quotient_dimension(self.pulled_V)
 
     @cached_property
     def tau_special(self):
         return (None if self.fam is None
-                else tau_matrix(self.fam, "special", self.max_steps))
+                else tau_matrix(self.fam, "special"))
 
     @cached_property
     def tau_general(self):
         return (None if self.fam is None
-                else tau_matrix(self.fam, "general", self.max_steps))
+                else tau_matrix(self.fam, "general"))
 
     @cached_property
     def codim(self):
@@ -390,7 +381,7 @@ class _Analysis:
         are the submaximal minors (sub-Pfaffians) up to units."""
         gens = [(substitute(partial(self.f, i), self.fmap),)
                 for i in range(self.f.nvars)]
-        return quotient_dimension(ModuleBasis(1, gens, LOCAL), self.max_steps)
+        return quotient_dimension(ModuleBasis(1, gens, LOCAL))
 
     @cached_property
     def betti(self) -> list:
@@ -398,14 +389,11 @@ class _Analysis:
         A family builds its kind complex from its own entries: that equals
         the pulled-back generic one and is cheaper to get."""
         if self.fam is not None:
-            return betti_numbers(self.fam, self.max_steps)
+            return betti_numbers(self.fam)
         if self.target_isolated:
-            return homology_profile(pullback(koszul(self.f), self.fmap),
-                                    self.max_steps)
-        pulled = pullback(function_presentation(self.f, self.max_steps),
-                          self.fmap)
-        return [homology_dimension(pulled, k, self.max_steps)
-                for k in (0, 1)]
+            return homology_profile(pullback(koszul(self.f), self.fmap))
+        pulled = pullback(function_presentation(self.f), self.fmap)
+        return [homology_dimension(pulled, k) for k in (0, 1)]
 
     # identity checks
 
@@ -442,11 +430,11 @@ class _Analysis:
                            ("general", self.pulled_V)):
             a = tangent_module(self.fam, flavour)
             for v in a.generators:
-                if not member(v, b, self.max_steps).contains:
+                if not member(v, b).contains:
                     return CheckRecord("eqeq", _jsonable(lhs), _jsonable(rhs),
                                        "FAILS", note + "; containment failed")
             for v in b.generators:
-                if not member(v, a, self.max_steps).contains:
+                if not member(v, a).contains:
                     return CheckRecord("eqeq", _jsonable(lhs), _jsonable(rhs),
                                        "FAILS", note + "; containment failed")
         return CheckRecord("eqeq", _jsonable(lhs), _jsonable(rhs), "HOLDS",
@@ -605,27 +593,24 @@ def _diagonal_exponents(fam: MatrixFamily) -> Optional[list]:
     return exps
 
 
-def function_presentation(f: Poly, max_steps: Optional[int] = None) -> FreeComplex:
+def function_presentation(f: Poly) -> FreeComplex:
     """The two-step complex O^s -> O^N -> O with d1 the row of partials of
     f and d2 their syzygy matrix; H_0 is the jacobian algebra, H_1 = 0.
     Used in place of the Koszul complex when f is not isolated."""
     n = f.nvars
     d1 = PolyMatrix([[partial(f, i) for i in range(n)]], n)
-    d2 = syzygies(d1, GLOBAL, max_steps)
+    d2 = syzygies(d1, GLOBAL)
     return FreeComplex((1, n, d2.cols), (d1, d2), n)
 
 
-def verify_identity(subject, identity: str,
-                    max_steps: Optional[int] = None) -> CheckRecord:
+def verify_identity(subject, identity: str) -> CheckRecord:
     """Check one named identity for a family or a (f, map) section pair."""
-    ctx = _Analysis(subject, max_steps=max_steps)
-    return ctx.check(identity)
+    return _Analysis(subject).check(identity)
 
 
-def analyze(subject, name: str = "",
-            max_steps: Optional[int] = None) -> InvariantReport:
+def analyze(subject, name: str = "") -> InvariantReport:
     """Compute every invariant and run every identity check."""
-    ctx = _Analysis(subject, name=name, max_steps=max_steps)
+    ctx = _Analysis(subject, name=name)
     if ctx.g.constant_term() != 0:
         raise ValueError("det/Pf (or the composed function) does not vanish "
                          "at the origin; not a singularity germ")
@@ -646,11 +631,11 @@ def analyze(subject, name: str = "",
     )
 
 
-def tau_homological(fam: MatrixFamily, max_steps: Optional[int] = None):
+def tau_homological(fam: MatrixFamily):
     """Third route to tau: H_1 of the cone over the comparison map from the
     Koszul complex of det/Pf into the family's resolution."""
     g = fam.function()
     l = kind_complex(fam)
     phi = phi_f(g, fam.as_map(), l, fam.kind)
     c = cone(phi, min(2, l.length))
-    return homology_dimension(c, 1, max_steps)
+    return homology_dimension(c, 1)

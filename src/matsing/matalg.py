@@ -205,11 +205,6 @@ class PolyMatrix:
                           f.source_nvars, cols=self.cols)
 
 
-def matrix_of_partials(p: Poly) -> tuple:
-    from .poly import partial
-    return tuple(partial(p, i) for i in range(p.nvars))
-
-
 # -- determinant, adjugate, pfaffian ------------------------------------------
 
 def _minors(m: PolyMatrix) -> Callable[[tuple, tuple], Poly]:

@@ -126,10 +126,10 @@ def test_max_steps_guard_exit_3(capsys):
 
 
 def test_max_steps_does_not_leak(capsys):
-    from matsing.groebner import _Counter
+    from matsing.groebner import step_limit
     run(capsys, "analyze", "remark-4-8-iii", "--max-steps", "25")
     # The guard is restored once the command finishes.
-    assert _Counter(None).limit > 25
+    assert step_limit() > 25
 
 
 def test_verify_holds_exit_0(capsys):
@@ -159,7 +159,7 @@ def test_verify_unknown_theorem_exit_1(capsys):
 def test_verify_fails_maps_to_exit_4(monkeypatch, capsys):
     # No theorem genuinely fails on valid hypotheses, so the FAILS path is
     # exercised by stubbing the verification result.
-    def fake_verify(subject, identity, max_steps=None):
+    def fake_verify(subject, identity):
         return CheckRecord(identity, 1, 2, "FAILS", "synthetic")
     monkeypatch.setattr(cli, "verify_identity", fake_verify)
     code, out, _ = run(capsys, "verify", "generic-sym-2", "--theorem",

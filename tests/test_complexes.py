@@ -200,6 +200,14 @@ def test_homology_infinite_when_module_infinite():
     assert homology_dimension(c, 0) is INFINITE
 
 
+def test_homology_of_zero_modules_is_zero():
+    # F_0 = 0: H_0 is 0 whether or not a differential maps into it.
+    zero_to_o2 = PolyMatrix([], 2, cols=2)
+    assert homology_dimension(FreeComplex((0, 2), (zero_to_o2,), 2), 0) == 0
+    assert homology_dimension(FreeComplex((0,), (), 2), 0) == 0
+    assert homology_dimension(FreeComplex((1,), (), 2), 0) is INFINITE
+
+
 def test_complex_validation():
     with pytest.raises(ValueError):
         FreeComplex((1, 2), (PolyMatrix([[P("x")]], 2),), 2)

@@ -18,8 +18,10 @@ from matsing import (
     quotient_dimension,
     syzygies_of_basis,
 )
+from matsing.groebner import step_limit
 from matsing.poly import add, exp_divides, mul
 
+from conftest import budget
 from oracle import (jet_quotient_dimension, random_finite_colength_ideal,
                     random_poly)
 
@@ -69,6 +71,12 @@ def test_quotient_dimensions_known():
     assert quotient_dimension(ModuleBasis(1, [], LOCAL)) is INFINITE
 
 
+@pytest.mark.parametrize("order", [GLOBAL, LOCAL])
+def test_rank_zero_module_has_dimension_zero(order):
+    assert quotient_dimension(ModuleBasis(0, [], order)) == 0
+    assert quotient_dimension(ModuleBasis(0, [(), ()], order)) == 0
+
+
 def test_member_certificate_reconstructs():
     gens = [P("x^2"), P("y + x^3")]
     b = ideal(gens, LOCAL)
@@ -90,6 +98,23 @@ def test_member_failure_gives_remainder():
     res = member(P("x*y + x^2"), b)
     assert not res.contains
     assert not res.remainder.is_zero()
+
+
+@pytest.mark.parametrize("order", [GLOBAL, LOCAL])
+def test_member_against_the_zero_module(order):
+    x = P("x")
+    res = member(x, ModuleBasis(1, [], order))
+    assert not res.contains
+    assert res.coefficients == ()
+    assert res.unit == Poly.constant(2, 1)
+    assert res.remainder == x
+    vec = (x, Poly.zero(2))
+    res = member(vec, ModuleBasis(2, [], order))
+    assert not res.contains and res.remainder == vec
+    zero = Poly.zero(2)
+    res = member(zero, ModuleBasis(1, [], order))
+    assert res.contains and res.remainder == zero
+    assert res.unit == Poly.constant(2, 1)
 
 
 def test_member_vector_module():
@@ -130,29 +155,31 @@ def test_module_quotient_dimension():
 
 def test_step_limit_raises():
     gens = [P("x^4 + y^3"), P("x*y^2 + x^3*y")]
-    with pytest.raises(StepLimitExceeded):
-        quotient_dimension(ideal(gens), max_steps=3)
+    with budget(3), pytest.raises(StepLimitExceeded):
+        quotient_dimension(ideal(gens))
 
 
 def test_member_step_budget_is_per_call():
     # Queries against one basis share its cached stacked completion, but
     # each query spends its own budget, not what is left of a shared one.
     basis = ideal([P("x^2 + y^3"), P("x*y")])
-    for _ in range(300):
-        assert member(P("x^2*y"), basis, max_steps=100).contains
+    with budget(100):
+        for _ in range(300):
+            assert member(P("x^2*y"), basis).contains
 
 
 def test_member_budget_holds_on_a_cached_stacked_basis():
     # The stacked completion is cached on the basis; a later query with a
     # budget too small to build it must fail as it does on a fresh basis.
     gens = [P("x^4 + y^3"), P("x*y^2 + x^3*y")]
-    with pytest.raises(StepLimitExceeded):
-        member(gens[0], ideal(gens), max_steps=5)
+    with budget(5), pytest.raises(StepLimitExceeded):
+        member(gens[0], ideal(gens))
     basis = ideal(gens)
     assert member(gens[0], basis).contains
-    with pytest.raises(StepLimitExceeded):
-        member(gens[0], basis, max_steps=5)
-    assert member(gens[0], basis, max_steps=100).contains
+    with budget(5), pytest.raises(StepLimitExceeded):
+        member(gens[0], basis)
+    with budget(100):
+        assert member(gens[0], basis).contains
 
 
 def test_lead_interreduce_drops_proper_multiples_under_global():
@@ -296,7 +323,7 @@ def test_leading_term_agrees_with_order_key():
             assert _leading(flat, order) == (want, flat[want])
 
 
-def _full_completion_syzygies(basis, max_steps):
+def _full_completion_syzygies(basis):
     """Reference: the lower blocks of the elements with zero upper block of
     a full standard basis of the module generated by g_j + e_j."""
     r, s, nv = basis.ambient_rank, len(basis.generators), basis.nvars
@@ -305,20 +332,24 @@ def _full_completion_syzygies(basis, max_steps):
         e = [Poly.zero(nv)] * s
         e[j] = Poly.constant(nv, 1)
         stacked.append(tuple(g) + tuple(e))
-    full = groebner_basis(ModuleBasis(r + s, stacked, basis.order), max_steps)
+    full = groebner_basis(ModuleBasis(r + s, stacked, basis.order))
     return [v[r:] for v in full.generators
             if all(p.is_zero() for p in v[:r])]
 
 
-def _assert_generates_syzygies(basis, max_steps=None):
-    syz = syzygies_of_basis(basis, max_steps)
+def _assert_generates_syzygies(basis, steps=None):
+    # The budget bounds the two syzygy computations, not the checks.
+    steps = steps or step_limit()
+    with budget(steps):
+        syz = syzygies_of_basis(basis)
     for w in syz:
         for i in range(basis.ambient_rank):
             acc = Poly.zero(basis.nvars)
             for c, g in zip(w, basis.generators):
                 acc = add(acc, mul(c, g[i]))
             assert acc.is_zero()
-    ref = _full_completion_syzygies(basis, max_steps)
+    with budget(steps):
+        ref = _full_completion_syzygies(basis)
     assert bool(syz) == bool(ref)
     for vecs, gens in ((syz, ref), (ref, syz)):
         span = ModuleBasis(len(basis.generators), gens, basis.order)
@@ -344,7 +375,7 @@ def test_syzygies_generate_the_syzygy_module(order, rank):
                 for _ in range(rng.randint(2, 4))]
         try:
             _assert_generates_syzygies(ModuleBasis(rank, gens, order),
-                                       max_steps=600)
+                                       steps=600)
         except StepLimitExceeded:
             continue
         checked += 1

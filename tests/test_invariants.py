@@ -35,6 +35,7 @@ from matsing import (
 from matsing.groebner import GLOBAL, syzygies
 from matsing.poly import add, mul, partial, substitute
 
+from conftest import budget
 from oracle import jet_milnor, jet_tjurina, random_poly
 from test_complexes import random_family
 
@@ -336,7 +337,18 @@ def test_log_field_cache_respects_step_budget():
     from matsing import StepLimitExceeded
     f = generic_family("symmetric", 3).function()
     assert len(der_log_f(f).generators) == 8
-    with pytest.raises(StepLimitExceeded):
-        der_log_f(f, max_steps=5)
-    with pytest.raises(StepLimitExceeded):
-        der_log_V(f, max_steps=5)
+    with budget(5), pytest.raises(StepLimitExceeded):
+        der_log_f(f)
+    with budget(5), pytest.raises(StepLimitExceeded):
+        der_log_V(f)
+
+
+def test_step_limit_bounds_each_computation_of_an_analysis():
+    # The library counterpart of the CLI pin on normal-form-sym n=3: the
+    # largest single computation of the analysis takes 41 steps.
+    from matsing import StepLimitExceeded
+    subject = catalog("normal-form-sym", n=3).subject()
+    with budget(41):
+        analyze(subject)
+    with budget(40), pytest.raises(StepLimitExceeded):
+        analyze(subject)

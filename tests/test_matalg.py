@@ -254,9 +254,3 @@ def test_minors_ideal_full_size_is_function():
     b = minors_ideal(fam, 2)
     assert len(b.generators) == 1
     assert b.generators[0][0] == fam.function()
-
-
-def test_matrix_of_partials():
-    from matsing.matalg import matrix_of_partials
-    g = P("x^2*y + y^3")
-    assert list(matrix_of_partials(g)) == [P("2*x*y"), P("x^2 + 3*y^2")]
