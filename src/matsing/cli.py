@@ -19,6 +19,7 @@ under --strict, 3 step guard exceeded, 4 a verified identity FAILS.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -215,7 +216,10 @@ def _cmd_batch(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args returns a
+    fresh namespace on every call, so reusing it is safe."""
     parser = argparse.ArgumentParser(
         prog="matsing",
         description="Invariants of matrix singularities: Milnor and Tjurina "

@@ -334,7 +334,9 @@ def _normal_form(f: Flat, gens: list, order: MonomialOrder,
         if best is None:
             break
         g, g_unit = work[best]
-        if local and g.ecart > _maxdeg(h) - sum(exp):
+        # The lead term has the least degree of h, so the right side is
+        # >= 0 and needs computing only for a reducer of positive ecart.
+        if local and g.ecart and g.ecart > _maxdeg(h) - sum(exp):
             # Reducer has larger ecart: remember the current h as an extra
             # reducer before cancelling, so the loop cannot cycle upward.
             work.append((_Gen(dict(h), order),
@@ -750,6 +752,9 @@ def member(vec, basis: ModuleBasis) -> MemberResult:
     if scalar:
         vec = (vec,)
     vec = tuple(vec)
+    if basis.ambient_rank == 0:
+        raise ValueError("member() needs a module of positive rank: in "
+                         "rank 0 there is no polynomial to take the ring from")
     if len(vec) != basis.ambient_rank:
         raise ValueError("vector rank does not match ambient rank")
     is_zero = all(p.is_zero() for p in vec)

@@ -366,14 +366,24 @@ class _Analysis:
         return quotient_dimension(self.pulled_V)
 
     @cached_property
+    def tangent_special(self) -> ModuleBasis:
+        """Tangent space of the trace-free action (families only)."""
+        return tangent_module(self.fam, "special")
+
+    @cached_property
+    def tangent_general(self) -> ModuleBasis:
+        """Tangent space of the full gl action (families only)."""
+        return tangent_module(self.fam, "general")
+
+    @cached_property
     def tau_special(self):
         return (None if self.fam is None
-                else tau_matrix(self.fam, "special"))
+                else quotient_dimension(self.tangent_special))
 
     @cached_property
     def tau_general(self):
         return (None if self.fam is None
-                else tau_matrix(self.fam, "general"))
+                else quotient_dimension(self.tangent_general))
 
     @cached_property
     def codim(self):
@@ -424,19 +434,22 @@ class _Analysis:
         if lhs != rhs:
             return CheckRecord("eqeq", _jsonable(lhs), _jsonable(rhs),
                                "FAILS", note)
-        # Dimensions agree; confirm the modules coincide by mutual
-        # membership of generators.
-        for flavour, b in (("special", self.pulled_f),
-                           ("general", self.pulled_V)):
-            a = tangent_module(self.fam, flavour)
-            for v in a.generators:
-                if not member(v, b).contains:
-                    return CheckRecord("eqeq", _jsonable(lhs), _jsonable(rhs),
-                                       "FAILS", note + "; containment failed")
-            for v in b.generators:
-                if not member(v, a).contains:
-                    return CheckRecord("eqeq", _jsonable(lhs), _jsonable(rhs),
-                                       "FAILS", note + "; containment failed")
+        # Dimensions agree; confirm the modules coincide.  For a finite
+        # dimension d, A is contained in A + B, so dim O^r/(A + B) = d
+        # forces A + B = A, and likewise A + B = B: one colength proves
+        # A = B.  An INFINITE side needs mutual membership of generators.
+        for a, b, dim in ((self.tangent_special, self.pulled_f, lhs[0]),
+                          (self.tangent_general, self.pulled_V, lhs[1])):
+            if _finite(dim):
+                both = ModuleBasis(a.ambient_rank,
+                                   a.generators + b.generators, LOCAL)
+                same = quotient_dimension(both) == dim
+            else:
+                same = (all(member(v, b).contains for v in a.generators)
+                        and all(member(v, a).contains for v in b.generators))
+            if not same:
+                return CheckRecord("eqeq", _jsonable(lhs), _jsonable(rhs),
+                                   "FAILS", note + "; containment failed")
         return CheckRecord("eqeq", _jsonable(lhs), _jsonable(rhs), "HOLDS",
                            note + "; generators mutually contained")
 

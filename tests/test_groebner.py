@@ -117,6 +117,11 @@ def test_member_against_the_zero_module(order):
     assert res.unit == Poly.constant(2, 1)
 
 
+def test_member_rejects_rank_zero():
+    with pytest.raises(ValueError, match="rank 0"):
+        member((), ModuleBasis(0, [], LOCAL))
+
+
 def test_member_vector_module():
     e1 = (P("x"), Poly.zero(2))
     e2 = (Poly.zero(2), P("y"))

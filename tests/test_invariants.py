@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -28,16 +29,18 @@ from matsing import (
     t1_kf,
     t1_kv,
     tau_homological,
+    tangent_module,
     tau_matrix,
     tjurina_number_function,
     verify_identity,
 )
 from matsing.groebner import GLOBAL, syzygies
+from matsing.invariants import CheckRecord, _Analysis, _jsonable
 from matsing.poly import add, mul, partial, substitute
 
 from conftest import budget
 from oracle import jet_milnor, jet_tjurina, random_poly
-from test_complexes import random_family
+from test_complexes import _PENCILS, random_family
 
 
 def P(text, names=("x", "y")):
@@ -345,10 +348,102 @@ def test_log_field_cache_respects_step_budget():
 
 def test_step_limit_bounds_each_computation_of_an_analysis():
     # The library counterpart of the CLI pin on normal-form-sym n=3: the
-    # largest single computation of the analysis takes 41 steps.
+    # largest single computation of the analysis takes 68 steps.
     from matsing import StepLimitExceeded
     subject = catalog("normal-form-sym", n=3).subject()
-    with budget(41):
+    with budget(68):
         analyze(subject)
-    with budget(40), pytest.raises(StepLimitExceeded):
+    with budget(67), pytest.raises(StepLimitExceeded):
         analyze(subject)
+
+
+# -- eqeq ----------------------------------------------------------------------
+
+def _eqeq_by_membership(ctx):
+    """The eqeq record by mutual membership of generators on every side,
+    as the check was made before it compared colengths of A + B."""
+    note = ("tangent space of the group action vs jacobian plus "
+            "pulled-back log fields, both flavours")
+    lhs = _jsonable([ctx.tau_special, ctx.tau_general])
+    rhs = _jsonable([ctx.tau_kf, ctx.tau_kv])
+    if lhs != rhs:
+        return CheckRecord("eqeq", lhs, rhs, "FAILS", note)
+    for flavour, b in (("special", ctx.pulled_f), ("general", ctx.pulled_V)):
+        a = tangent_module(ctx.fam, flavour)
+        if not (all(member(v, b).contains for v in a.generators)
+                and all(member(v, a).contains for v in b.generators)):
+            return CheckRecord("eqeq", lhs, rhs, "FAILS",
+                               note + "; containment failed")
+    return CheckRecord("eqeq", lhs, rhs, "HOLDS",
+                       note + "; generators mutually contained")
+
+
+def _assert_same_eqeq(fam, label):
+    assert _Analysis(fam).check("eqeq") == \
+        _eqeq_by_membership(_Analysis(fam)), label
+
+
+@pytest.mark.parametrize("text", _PENCILS)
+def test_eqeq_matches_membership_route_on_pencils(text):
+    _assert_same_eqeq(parse_family(text).to_family(), text)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("generic-sym-2", {}), ("generic-gen-2", {}), ("generic-skew-4", {}),
+    ("diag-sym", {"a": (1, 2)}), ("diag-sym", {"a": (2, 3)}),
+    ("diag-sym", {"a": (1, 1, 2)}), ("diag-sym", {"a": (1, 2, 3)}),
+    ("normal-form-sym", {"n": 2}), ("normal-form-sym", {"n": 3}),
+    ("normal-form-sym", {"n": 4}), ("normal-form-gen", {"n": 2}),
+    ("normal-form-gen", {"n": 3}), ("normal-form-gen", {"n": 4}),
+    ("normal-form-skew", {"n": 4})])
+def test_eqeq_matches_membership_route_on_catalog(name, params):
+    _assert_same_eqeq(catalog(name, **params).to_family(), (name, params))
+
+
+def test_eqeq_matches_membership_route_on_random_families():
+    for seed in range(20):
+        fam = random_family(random.Random(seed), "symmetric", 2, 1,
+                            linear_bias=False)
+        _assert_same_eqeq(fam, seed)
+
+
+def test_eqeq_matches_membership_route_with_an_infinite_side():
+    # det = x^2 in two variables: every side has infinite colength.
+    fam = sym_family([["x", "0"], ["0", "x"]], ["x", "y"])
+    assert _Analysis(fam).check("eqeq").lhs == ["infinite", "infinite"]
+    _assert_same_eqeq(fam, "x^2")
+
+
+def _unit_vectors_plus(rank, first):
+    """first * e_1 + O e_2 + ... + O e_rank, as a local module basis."""
+    nv = first[0].nvars
+    zero, one = Poly.zero(nv), Poly.constant(nv, 1)
+    gens = [(p,) + (zero,) * (rank - 1) for p in first]
+    gens += [tuple(one if j == i else zero for j in range(rank))
+             for i in range(1, rank)]
+    return ModuleBasis(rank, gens, LOCAL)
+
+
+@pytest.mark.parametrize("prop, side", [("pulled_f", "tangent_special"),
+                                        ("pulled_V", "tangent_general")])
+@pytest.mark.parametrize("text, first, dims", [
+    # Colength 2 on both sides: the sum of the modules decides.
+    ("kind=symmetric; vars=x,y; matrix=[[x,y],[y,x^2]]", ("x", "y^2"),
+     [2, 2]),
+    # Infinite colength on both sides: mutual membership decides.
+    ("kind=symmetric; vars=x,y; matrix=[[x,0],[0,x]]", ("x",),
+     ["infinite", "infinite"]),
+])
+def test_eqeq_detects_a_different_module_of_the_same_colength(
+        monkeypatch, prop, side, text, first, dims):
+    fam = parse_family(text).to_family()
+    fake = _unit_vectors_plus(3, [P(t) for t in first])
+    tangent = getattr(_Analysis(fam), side)
+    assert quotient_dimension(fake) == quotient_dimension(tangent)
+    assert not all(member(v, fake).contains for v in tangent.generators)
+    monkeypatch.setattr(_Analysis, prop, property(lambda self: fake))
+    rec = _Analysis(fam).check("eqeq")
+    assert rec.lhs == rec.rhs == dims
+    assert rec.verdict == "FAILS"
+    assert rec.note.endswith("; containment failed")
+    assert rec == _eqeq_by_membership(_Analysis(fam))
