@@ -18,22 +18,24 @@ Built here:
     family into the pulled-back resolution, through degree 2.
   * Mapping cones, and homology dimensions over the local ring at 0.
 
-Homology in degree k is computed as a presentation H_k = O^t / R, from two
-GLOBAL syzygy computations: t kernel generators of d_k, then the relations
-R among them modulo the image of d_(k+1).  Localisation at 0 is exact, so
-global generators generate the local modules too, and only the colength of
-O^t / R is taken under the local order.
+Homology in degree k is computed as a presentation H_k = O^t / R.  Each
+differential d_k gets one GLOBAL stacked completion of its columns, cached
+on the complex, which serves twice: its syzygies are t generators z_i of
+ker d_k, and its upper block is a standard basis of im d_k.  R is then
+modulo(z, im d_(k+1)), the a with sum a_i z_i a boundary.  Localisation at
+0 is exact, so global generators generate the local modules too, and only
+the colength of O^t / R is taken under the local order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .groebner import (GLOBAL, INFINITE, LOCAL, ModuleBasis,
-                       quotient_dimension, syzygies)
+from .groebner import (GLOBAL, INFINITE, LOCAL, ModuleBasis, column_syzygies,
+                       modulo, quotient_dimension)
 from .matalg import (MatrixFamily, PolyMatrix, flatten, sl_coords, space_dim,
                      unflatten)
 from .poly import Poly, SubstitutionMap, partial
@@ -46,6 +48,10 @@ class FreeComplex:
     ranks: tuple
     differentials: tuple
     nvars: int
+    # k -> the GLOBAL ModuleBasis of the columns of d_k, built on first use
+    # (see _columns).
+    _column_bases: dict = field(default_factory=dict, init=False,
+                                compare=False, repr=False)
 
     def __post_init__(self):
         if len(self.differentials) != len(self.ranks) - 1:
@@ -364,17 +370,30 @@ def cone(phi: ComplexMorphism, through_degree: int) -> FreeComplex:
 
 # -- homology -------------------------------------------------------------------
 
+def _columns(c: FreeComplex, k: int) -> ModuleBasis:
+    """The GLOBAL module of the columns of d_k, built once per complex, so
+    that its cached stacked completion gives ker d_k for H_k and the
+    boundaries im d_k for H_(k-1)."""
+    basis = c._column_bases.get(k)
+    if basis is None:
+        d = c.diff(k)
+        basis = c._column_bases[k] = ModuleBasis(
+            d.rows, [d.column(j) for j in range(d.cols)], GLOBAL)
+    return basis
+
+
 def homology_dimension(c: FreeComplex, k: int):
     """dim_Q H_k(c) over the local ring at the origin; INFINITE if not finite.
 
     H_0 is the cokernel of d_1, or F_0 itself when the length is 0.  For
-    0 < k < length the GLOBAL syzygies z_1..z_t of d_k generate the kernel,
-    locally too, since localisation is flat.  With Z = [z_1 .. z_t],
-    H_k = O^t / R, where R holds the first t components of the GLOBAL
-    syzygies of [Z | d_(k+1)]: the coefficient vectors a with Z a a
-    boundary.  Only that colength is taken under the local order.  For
-    k = length the kernel itself is the homology, which is either 0 or
-    infinite dimensional.
+    0 < k < length the GLOBAL syzygies z_1..z_t of the columns of d_k
+    generate the kernel, locally too, since localisation is flat, and
+    H_k = O^t / R with R = modulo(z, im d_(k+1)): the coefficient vectors a
+    with sum a_i z_i a boundary.  Both come from the stacked completions of
+    the columns of d_k and d_(k+1), each built once per complex.  Only the
+    colength of O^t / R is taken under the local order.  For k = length the
+    kernel itself is the homology, which is either 0 or infinite
+    dimensional.
     """
     if not 0 <= k <= c.length:
         raise ValueError(f"degree {k} outside the complex")
@@ -384,17 +403,13 @@ def homology_dimension(c: FreeComplex, k: int):
             d1 = c.diff(1)
             cols = [d1.column(j) for j in range(d1.cols)]
         return quotient_dimension(ModuleBasis(c.ranks[0], cols, LOCAL))
-    kernel = syzygies(c.diff(k), GLOBAL)
-    t = kernel.cols
+    cycles = column_syzygies(c.diff(k), _columns(c, k))
+    t = len(cycles)
     if k == c.length:
         return 0 if t == 0 else INFINITE
     if t == 0:
         return 0
-    dk1 = c.diff(k + 1)
-    both = PolyMatrix.block([[kernel, dk1]], [kernel.rows], [t, dk1.cols],
-                            c.nvars)
-    rel = syzygies(both, GLOBAL)
-    relations = [rel.column(j)[:t] for j in range(rel.cols)]
+    relations = modulo(cycles, _columns(c, k + 1))
     return quotient_dimension(ModuleBasis(t, relations, LOCAL))
 
 

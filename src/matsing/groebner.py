@@ -414,6 +414,19 @@ class _Completion:
                 continue
             heappush(self.pairs, (sum(lcm), g.lt[0], lcm, i, k))
 
+    def add_standard(self, flats: list) -> None:
+        """Add elements that form a standard basis of their own module, before
+        any other.  The s-vector of two of them has a standard representation
+        over them alone, so their mutual pairs count as treated and are never
+        formed; the chain criterion may still use them."""
+        start = len(self.gens)
+        for flat in flats:
+            self.gens.append(_Gen(_normalize_content(flat, self.order),
+                                  self.order))
+        for k in range(start, len(self.gens)):
+            for i in range(start, k):
+                self.treated.add((i, k))
+
     def run(self, max_degree: Optional[int] = None) -> None:
         gens, pairs, treated = self.gens, self.pairs, self.treated
         while pairs:
@@ -695,6 +708,27 @@ def syzygies_of_basis(basis: ModuleBasis) -> list:
     return _stacked(basis).syzygy_vectors()
 
 
+def column_syzygies(m, basis: ModuleBasis) -> list:
+    """Generators of ker(m: O^c -> O^r), as vectors in O^c, where basis is
+    the ModuleBasis of the columns of m (which drops the zero columns): the
+    syzygies of basis spread back over the columns, then a unit vector for
+    each zero column."""
+    keep = [j for j in range(m.cols) if any(p.terms for p in m.column(j))]
+    nv = m.nvars
+    out: list = []
+    for v in syzygies_of_basis(basis):
+        col = [Poly.zero(nv)] * m.cols
+        for slot, j in enumerate(keep):
+            col[j] = v[slot]
+        out.append(tuple(col))
+    for j in range(m.cols):
+        if j not in keep:
+            col = [Poly.zero(nv)] * m.cols
+            col[j] = Poly.constant(nv, 1)
+            out.append(tuple(col))
+    return out
+
+
 def syzygies(m, order: MonomialOrder = LOCAL):
     """Syzygy matrix of a polynomial matrix: columns generate ker(m: O^c -> O^r).
 
@@ -704,24 +738,46 @@ def syzygies(m, order: MonomialOrder = LOCAL):
     of the kernel, and need not be minimal.
     """
     from .matalg import PolyMatrix
-    cols = [m.column(j) for j in range(m.cols)]
-    basis = ModuleBasis(m.rows, cols, order)
-    # Zero columns were dropped by ModuleBasis; recover their trivial syzygies.
-    keep = [j for j in range(m.cols) if any(p.terms for p in m.column(j))]
-    vecs = syzygies_of_basis(basis)
-    out_cols: list = []
-    nv = m.nvars
-    for v in vecs:
-        col = [Poly.zero(nv)] * m.cols
-        for slot, j in enumerate(keep):
-            col[j] = v[slot]
-        out_cols.append(col)
-    for j in range(m.cols):
-        if j not in keep:
-            col = [Poly.zero(nv)] * m.cols
-            col[j] = Poly.constant(nv, 1)
-            out_cols.append(col)
-    return PolyMatrix.from_columns(m.cols, out_cols, nv)
+    basis = ModuleBasis(m.rows, [m.column(j) for j in range(m.cols)], order)
+    return PolyMatrix.from_columns(m.cols, column_syzygies(m, basis), m.nvars)
+
+
+def modulo(vectors: Sequence[Vector], basis: ModuleBasis) -> list:
+    """Generators of {a in O^t : sum a_i z_i in M}, with z_1..z_t the given
+    vectors of O^r and M the module of basis (Singular's modulo;
+    Greuel-Pfister, A Singular Introduction to Commutative Algebra, 2.8).
+
+    The upper-block elements of the stacked completion of basis, cached on
+    it, are a standard basis G of M.  The module of the (g, 0), g in G, and
+    the (z_i, e_i) in O^(r+t) is completed in its upper block only, as in
+    _StackedBasis, and its elements with a vanishing upper block give the
+    answer: by Schreyer's theorem their lower blocks generate all a with
+    (0, a) in that module.  Pairs of two (g, 0) are never formed, since G is
+    a standard basis: their s-vectors reduce over G alone, to (0, 0).  Each
+    (z_i, e_i) enters divided by the elements before it, which leaves the
+    module unchanged and often its upper block zero.  The completion counts
+    its own steps against the step limit.
+    """
+    r, t = basis.ambient_rank, len(vectors)
+    if not t:
+        return []
+    nvars = vectors[0][0].nvars
+    completion = _Completion(basis.order, r + t, _Counter(), paired_rank=r)
+    upper = [g for g in _stacked(basis).gens if g.lt[0] < r]
+    completion.add_standard([{k: c for k, c in g.flat.items() if k[0] < r}
+                             for g in _lead_interreduce(upper)])
+    for i, z in enumerate(vectors):
+        flat = flatten_vector(z)
+        flat[(r + i, (0,) * nvars)] = 1
+        h, _, _ = _normal_form(flat, completion.gens, basis.order,
+                               completion.counter)
+        if h:
+            completion.add(h)
+    completion.run()
+    return [unflatten_vector({(comp - r, exp): c
+                              for (comp, exp), c in g.flat.items()},
+                             t, nvars)
+            for g in completion.gens if g.lt[0] >= r]
 
 
 @dataclass

@@ -291,6 +291,21 @@ def test_eqeq_on_known_slow_skew_inputs(tmp_path, capsys, text, budget,
     assert data["lhs"] == data["rhs"] == dims
 
 
+def test_resolution_check_on_slow_skew6_under_a_budget(tmp_path, capsys):
+    # slow-skew6 of perfbench/gen.py KNOWN_SLOW.  Its largest computation,
+    # the modulo relations of H_2, takes 2683 steps; the budget makes a
+    # regression fail fast instead of hanging.
+    p = tmp_path / "fam.txt"
+    p.write_text("kind=skew; vars=x,y,z; "
+                 "upper=[[x,y,z,0,0],[z,0,y^2,0],[x,0,0],[1,0],[x^2+y^3]]\n")
+    code, out, err = run(capsys, "resolution", "--check", "--json",
+                         "--max-steps", "3000", str(p))
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["square_zero"]
+    assert data["homology"] == [1, 3, 3, 1, 0, 0, 0]
+
+
 def test_eqeq_on_slow_sym_under_a_small_budget(tmp_path, capsys):
     # slow-sym of perfbench/gen.py KNOWN_SLOW.  Both sides have colength 4,
     # so one standard basis of their sum decides eqeq; mutual membership of

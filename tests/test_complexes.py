@@ -26,8 +26,8 @@ from matsing import (
     verify_complex,
 )
 from matsing.families import catalog, parse_family
-from matsing.groebner import (LOCAL, ModuleBasis, member, quotient_dimension,
-                              syzygies, syzygies_of_basis)
+from matsing.groebner import (GLOBAL, LOCAL, ModuleBasis, member,
+                              quotient_dimension, syzygies, syzygies_of_basis)
 from matsing.invariants import function_presentation
 from matsing.poly import SubstitutionMap
 
@@ -240,6 +240,24 @@ def _homology_by_membership(c, k):
     return quotient_dimension(ModuleBasis(t, relations, LOCAL))
 
 
+def _homology_by_combined_syzygies(c, k):
+    """dim H_k, k >= 1, by the route before modulo: a GLOBAL kernel
+    z_1..z_t of d_k, then the first t components of the GLOBAL syzygies of
+    [Z | d_(k+1)], whose completion pairs the columns of d_(k+1) again."""
+    kernel = syzygies(c.diff(k), GLOBAL)
+    t = kernel.cols
+    if k == c.length:
+        return 0 if t == 0 else INFINITE
+    if t == 0:
+        return 0
+    dk1 = c.diff(k + 1)
+    both = PolyMatrix.block([[kernel, dk1]], [kernel.rows], [t, dk1.cols],
+                            c.nvars)
+    rel = syzygies(both, GLOBAL)
+    return quotient_dimension(ModuleBasis(
+        t, [rel.column(j)[:t] for j in range(rel.cols)], LOCAL))
+
+
 def _assert_same_homology(c, label):
     # H_0, the cokernel of d_1, is computed the same way on both routes.
     for k in range(1, c.length + 1):
@@ -310,3 +328,53 @@ def test_homology_matches_membership_route_on_sections(name):
     _assert_same_homology(pres, name)
     _assert_same_homology(pullback(pres, SubstitutionMap(spec.map_images)),
                           (name, "pulled back"))
+
+
+# slow-skew6 of perfbench/gen.py KNOWN_SLOW, and the 4x4 skew family left
+# after splitting off its unit entry s_34.
+_SLOW_SKEW6 = ("kind=skew; vars=x,y,z; "
+               "upper=[[x,y,z,0,0],[z,0,y^2,0],[x,0,0],[1,0],[x^2+y^3]]")
+_SLOW_SKEW6_COMPLEMENT = (
+    "kind=skew; vars=x,y,z; "
+    "upper=[[x-y^2*z, y, z*x^2+z*y^3], [z+x*y^2, 0], [x^3+x*y^3]]")
+
+
+def test_slow_skew6_homology_matches_its_schur_complement():
+    # The two families are congruent up to a unit 2x2 block, so their
+    # pulled-back resolutions have the same homology.  The complement goes
+    # through the route before modulo: the membership route does not
+    # finish on it, since the LOCAL completion of its kernel of d_2 runs
+    # for minutes.
+    small = kind_complex(parse_family(_SLOW_SKEW6_COMPLEMENT).to_family())
+    reference = [homology_dimension(small, 0)] + [
+        _homology_by_combined_syzygies(small, k)
+        for k in range(1, small.length + 1)]
+    assert reference == [1, 3, 3, 1, 0, 0, 0]
+    big = kind_complex(parse_family(_SLOW_SKEW6).to_family())
+    assert homology_profile(big) == reference
+
+
+def _below_codim_families():
+    """Families in m < codim Sigma variables (3 symmetric, 4 general,
+    6 skew): the pencils, diag-sym tuples, the known-slow inputs and the
+    seeded symmetric 2x2 families in one variable."""
+    for text in _PENCILS + _SLOW + [_SLOW_SKEW6]:
+        yield text, parse_family(text).to_family()
+    for a in ((1, 2), (2, 3), (1, 1, 2), (1, 2, 2), (2, 3, 1, 1)):
+        yield a, catalog("diag-sym", a=a).to_family()
+    for seed in range(20):
+        yield seed, random_family(random.Random(seed), "symmetric", 2, 1,
+                                  linear_bias=False)
+
+
+def test_euler_characteristic_vanishes_below_the_codimension():
+    # H_k is Tor_k, over the local ring of C^m x Mat (dimension m + N), of
+    # O_(C^m) (x) O_Sigma (dimension m + N - c) and of the graph of the
+    # family (dimension m).  Every H_k is finite on these families, so
+    # Serre's vanishing theorem gives sum (-1)^k H_k = 0, since
+    # 2m + N - c < m + N exactly when m < c.
+    for label, fam in _below_codim_families():
+        profile = homology_profile(kind_complex(fam))
+        assert INFINITE not in profile, (label, profile)
+        assert sum((-1) ** k * h for k, h in enumerate(profile)) == 0, \
+            (label, profile)

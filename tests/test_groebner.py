@@ -18,7 +18,7 @@ from matsing import (
     quotient_dimension,
     syzygies_of_basis,
 )
-from matsing.groebner import step_limit
+from matsing.groebner import modulo, step_limit
 from matsing.poly import add, exp_divides, mul
 
 from conftest import budget
@@ -395,3 +395,59 @@ def test_syzygies_generate_kernel_of_pencil_gen_b_d2():
     d2 = kind_complex(fam).diff(2)
     _assert_generates_syzygies(
         ModuleBasis(d2.rows, [d2.column(j) for j in range(d2.cols)], LOCAL))
+
+
+def _combination(coeffs, vectors, nvars):
+    rank = len(vectors[0])
+    out = [Poly.zero(nvars)] * rank
+    for c, v in zip(coeffs, vectors):
+        out = [add(o, mul(c, p)) for o, p in zip(out, v)]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("order", [GLOBAL, LOCAL])
+def test_modulo_gives_the_coefficients_landing_in_the_module(order):
+    # Every a from modulo has sum a_i z_i in M, and the z-part of every
+    # syzygy of the z_i together with the generators of M lies in their
+    # span; the two inclusions make the modules equal.  Inputs whose
+    # computations or checks pass the step budget are skipped, and counted.
+    import random
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(15):
+        nv, rank = rng.randint(2, 3), rng.randint(1, 2)
+
+        def vec():
+            while True:
+                v = tuple(random_poly(rng, nv, max_degree=2, terms=3)
+                          for _ in range(rank))
+                if any(p.terms for p in v):
+                    return v
+        basis = ModuleBasis(rank, [vec() for _ in range(rng.randint(1, 3))],
+                            order)
+        zs = [vec() for _ in range(rng.randint(1, 3))]
+        try:
+            with budget(600):
+                rel = modulo(zs, basis)
+                both = ModuleBasis(rank, zs + basis.generators, order)
+                ref = [w[:len(zs)] for w in syzygies_of_basis(both)]
+                for a in rel:
+                    assert member(_combination(a, zs, nv), basis).contains
+                span = ModuleBasis(len(zs), rel, order)
+                for w in ref:
+                    assert member(w, span).contains
+        except StepLimitExceeded:
+            continue
+        checked += 1
+    assert checked >= 12, checked
+
+
+def test_modulo_of_boundaries_inside_cycles():
+    # d_1 = (x, y) and d_2 = (-y, x)^t * x: the cycle (-y, x) times a lies
+    # in the boundaries exactly when a is in (x), so modulo gives (x).
+    d1_kernel = [(P("-y"), P("x"))]
+    boundaries = ModuleBasis(2, [(P("-x*y"), P("x^2"))], GLOBAL)
+    rel = modulo(d1_kernel, boundaries)
+    assert quotient_dimension(ModuleBasis(1, rel, LOCAL)) is INFINITE
+    assert member((P("x"),), ModuleBasis(1, rel, GLOBAL)).contains
+    assert all(member(a, ideal([P("x")], GLOBAL)).contains for a in rel)
