@@ -177,8 +177,8 @@ def flatten_vector(vec: Sequence[Poly]) -> Flat:
 def unflatten_vector(flat: Flat, rank: int, nvars: int) -> Vector:
     per_comp: list[dict] = [dict() for _ in range(rank)]
     for (comp, exp), coeff in flat.items():
-        per_comp[comp][exp] = coeff
-    return tuple(Poly(nvars, t) for t in per_comp)
+        per_comp[comp][exp] = Fraction(coeff)
+    return tuple(Poly._of(nvars, t) for t in per_comp)
 
 
 def _leading(flat: Flat, order: MonomialOrder) -> tuple[FlatKey, Scalar]:

@@ -1,6 +1,7 @@
 """Matrices of polynomials and matrix families.
 
-A PolyMatrix is a dense rows x cols grid of Poly entries over one ring.
+A PolyMatrix is a rows x cols grid of Poly entries over one ring; its
+arithmetic skips zero entries and multiplies constant entries as scalars.
 A MatrixFamily is a square PolyMatrix together with its symmetry kind
 (symmetric, skew, general) and is the basic input object downstream:
 its determinant or Pfaffian is the function whose singularity theory is
@@ -33,8 +34,41 @@ from .poly import Poly, SubstitutionMap, substitute
 KINDS = ("symmetric", "skew", "general")
 
 
+def _scalar(p: Poly):
+    """The value of p if p is a nonzero constant, else None."""
+    if len(p.terms) == 1:
+        (exp, c), = p.terms.items()
+        if not any(exp):
+            return c
+    return None
+
+
+def _times(p: Poly, c) -> Poly:
+    """p * c for a rational c: p itself for c = 1, -p for c = -1."""
+    if c == 1:
+        return p
+    if c == -1:
+        return -p
+    return p * c
+
+
+def _product(a: Poly, ca, b: Poly) -> Poly:
+    """a * b, where ca is _scalar(a); a constant factor acts as a scalar."""
+    if ca is not None:
+        return _times(b, ca)
+    cb = _scalar(b)
+    return a * b if cb is None else _times(a, cb)
+
+
 class PolyMatrix:
-    """A rows x cols matrix of polynomials over a common ring."""
+    """A rows x cols matrix of polynomials over a common ring.
+
+    The public constructor validates its input; arithmetic and the
+    classmethod constructors build their results through the unchecked _of.
+    Products walk only the nonzero entries of each row and multiply a
+    constant entry as a scalar (1 passes the other factor through, -1
+    negates it); zero entries pass through every entrywise operation.
+    """
 
     __slots__ = ("rows", "cols", "nvars", "entries")
 
@@ -43,6 +77,8 @@ class PolyMatrix:
         rows = [tuple(r) for r in entries]
         nr = len(rows)
         nc = len(rows[0]) if nr else (cols if cols is not None else 0)
+        if cols is not None and cols != nc:
+            raise ValueError(f"rows have {nc} entries, expected cols={cols}")
         for r in rows:
             if len(r) != nc:
                 raise ValueError("ragged matrix")
@@ -62,19 +98,31 @@ class PolyMatrix:
         self.nvars = nv
         self.entries = tuple(rows)
 
+    @classmethod
+    def _of(cls, entries: Sequence[Sequence[Poly]], nvars: int,
+            cols: int) -> "PolyMatrix":
+        """A matrix of rows the caller built from Polys of ring nvars,
+        each of length cols, without checks: internal use only."""
+        m = object.__new__(cls)
+        m.rows = len(entries)
+        m.cols = cols
+        m.nvars = nvars
+        m.entries = tuple(map(tuple, entries))
+        return m
+
     # -- construction --------------------------------------------------------
 
     @classmethod
     def zeros(cls, rows: int, cols: int, nvars: int) -> "PolyMatrix":
         z = Poly.zero(nvars)
-        return cls([[z] * cols for _ in range(rows)], nvars, cols=cols)
+        return cls._of([(z,) * cols] * rows, nvars, cols)
 
     @classmethod
     def identity(cls, n: int, nvars: int) -> "PolyMatrix":
         one = Poly.constant(nvars, 1)
         z = Poly.zero(nvars)
-        return cls([[one if i == j else z for j in range(n)] for i in range(n)],
-                   nvars)
+        return cls._of([[one if i == j else z for j in range(n)]
+                        for i in range(n)], nvars, n)
 
     @classmethod
     def from_columns(cls, rows: int, columns: Sequence[Sequence[Poly]],
@@ -84,8 +132,7 @@ class PolyMatrix:
         for c in columns:
             if len(c) != rows:
                 raise ValueError("column length mismatch")
-        return cls([[columns[j][i] for j in range(len(columns))]
-                    for i in range(rows)], nvars, cols=len(columns))
+        return cls._of(list(zip(*columns)), nvars, len(columns))
 
     @classmethod
     def block(cls, grid: Sequence[Sequence[Optional["PolyMatrix"]]],
@@ -107,11 +154,10 @@ class PolyMatrix:
                             f"block ({bi},{bj}) is {blk.rows}x{blk.cols}, "
                             f"expected {rs}x{cs}")
                     for i in range(rs):
-                        for j in range(cs):
-                            out[r0 + i][c0 + j] = blk.entries[i][j]
+                        out[r0 + i][c0:c0 + cs] = blk.entries[i]
                 c0 += cs
             r0 += rs
-        return cls(out, nvars, cols=total_c)
+        return cls._of(out, nvars, total_c)
 
     # -- access ---------------------------------------------------------------
 
@@ -139,60 +185,81 @@ class PolyMatrix:
 
     # -- arithmetic -----------------------------------------------------------
 
+    def _same_ring(self, nvars: int) -> None:
+        # Entries that pass through untouched skip Poly's own ring check.
+        if nvars != self.nvars:
+            raise ValueError("matrices live in different rings")
+
     def _same_shape(self, other: "PolyMatrix") -> None:
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("shape mismatch")
+        self._same_ring(other.nvars)
+
+    def _entrywise(self, fn: Callable[[Poly], Poly]) -> "PolyMatrix":
+        """fn applied to the nonzero entries; zero entries pass through."""
+        return PolyMatrix._of([[fn(a) if a.terms else a for a in r]
+                               for r in self.entries], self.nvars, self.cols)
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         self._same_shape(other)
-        return PolyMatrix([[a + b for a, b in zip(ra, rb)]
-                           for ra, rb in zip(self.entries, other.entries)],
-                          self.nvars, cols=self.cols)
+        return PolyMatrix._of(
+            [[(a + b if a.terms else b) if b.terms else a
+              for a, b in zip(ra, rb)]
+             for ra, rb in zip(self.entries, other.entries)],
+            self.nvars, self.cols)
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
         self._same_shape(other)
-        return PolyMatrix([[a - b for a, b in zip(ra, rb)]
-                           for ra, rb in zip(self.entries, other.entries)],
-                          self.nvars, cols=self.cols)
+        return PolyMatrix._of(
+            [[(a - b if a.terms else -b) if b.terms else a
+              for a, b in zip(ra, rb)]
+             for ra, rb in zip(self.entries, other.entries)],
+            self.nvars, self.cols)
 
     def __neg__(self) -> "PolyMatrix":
-        return PolyMatrix([[-a for a in r] for r in self.entries],
-                          self.nvars, cols=self.cols)
+        return self._entrywise(Poly.__neg__)
 
     def scale(self, c) -> "PolyMatrix":
-        return PolyMatrix([[a * c for a in r] for r in self.entries],
-                          self.nvars, cols=self.cols)
+        """Every entry times c, a Poly or a rational number."""
+        if isinstance(c, Poly):
+            self._same_ring(c.nvars)
+            return self._entrywise(lambda a: _product(a, _scalar(a), c))
+        return self._entrywise(lambda a: _times(a, c))
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
+        self._same_ring(other.nvars)
+        sparse = [[(j, b) for j, b in enumerate(r) if b.terms]
+                  for r in other.entries]
         z = Poly.zero(self.nvars)
         out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = z
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.terms and b.terms:
-                        acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(out, self.nvars, cols=other.cols)
+        for r in self.entries:
+            acc = [None] * other.cols
+            for a, row in zip(r, sparse):
+                if not (row and a.terms):
+                    continue
+                ca = _scalar(a)
+                for j, b in row:
+                    p = _product(a, ca, b)
+                    s = acc[j]
+                    acc[j] = p if s is None else s + p
+            out.append([z if s is None else s for s in acc])
+        return PolyMatrix._of(out, self.nvars, other.cols)
 
     def transpose(self) -> "PolyMatrix":
-        return PolyMatrix([[self.entries[i][j] for i in range(self.rows)]
-                           for j in range(self.cols)], self.nvars,
-                          cols=self.rows)
+        return PolyMatrix._of(list(zip(*self.entries)) if self.rows
+                              else [()] * self.cols, self.nvars, self.rows)
 
     def trace(self) -> Poly:
         if not self.is_square():
             raise ValueError("trace of a non-square matrix")
-        t = Poly.zero(self.nvars)
+        t = None
         for i in range(self.rows):
-            t = t + self.entries[i][i]
-        return t
+            d = self.entries[i][i]
+            if d.terms:
+                t = d if t is None else t + d
+        return Poly.zero(self.nvars) if t is None else t
 
     def map_entries(self, fn: Callable[[Poly], Poly],
                     nvars: Optional[int] = None) -> "PolyMatrix":
@@ -201,8 +268,9 @@ class PolyMatrix:
 
     def apply_map(self, f: SubstitutionMap) -> "PolyMatrix":
         """Entrywise substitution; the result lives in the source ring of f."""
-        return PolyMatrix([[substitute(p, f) for p in r] for r in self.entries],
-                          f.source_nvars, cols=self.cols)
+        return PolyMatrix._of([[substitute(p, f) for p in r]
+                               for r in self.entries],
+                              f.source_nvars, self.cols)
 
 
 # -- determinant, adjugate, pfaffian ------------------------------------------
@@ -558,10 +626,10 @@ def sl_basis(n: int, nvars: int) -> List[PolyMatrix]:
                 continue
             ent = [[z] * n for _ in range(n)]
             ent[i][j] = one
-            out.append(PolyMatrix(ent, nvars))
+            out.append(PolyMatrix._of(ent, nvars, n))
     for i in range(n - 1):
         ent = [[z] * n for _ in range(n)]
         ent[i][i] = one
         ent[i + 1][i + 1] = -one
-        out.append(PolyMatrix(ent, nvars))
+        out.append(PolyMatrix._of(ent, nvars, n))
     return out

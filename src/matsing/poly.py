@@ -73,6 +73,16 @@ class Poly:
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
 
+    @classmethod
+    def _of(cls, nvars: int, terms: dict) -> "Poly":
+        """Wrap a term dict without checks: internal use only.  The caller
+        guarantees canonical terms: exponent tuples of length nvars and
+        nonzero Fraction coefficients, in a dict nobody mutates later."""
+        result = object.__new__(cls)
+        object.__setattr__(result, "nvars", nvars)
+        object.__setattr__(result, "terms", terms)
+        return result
+
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("Poly is immutable")
 
@@ -154,18 +164,12 @@ class Poly:
                 out[exp] = s
             elif exp in out:
                 del out[exp]
-        result = Poly.__new__(Poly)
-        object.__setattr__(result, "nvars", self.nvars)
-        object.__setattr__(result, "terms", out)
-        return result
+        return Poly._of(self.nvars, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        result = Poly.__new__(Poly)
-        object.__setattr__(result, "nvars", self.nvars)
-        object.__setattr__(result, "terms", {e: -c for e, c in self.terms.items()})
-        return result
+        return Poly._of(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -182,11 +186,8 @@ class Poly:
             c = Fraction(other)
             if c == 0:
                 return Poly.zero(self.nvars)
-            result = Poly.__new__(Poly)
-            object.__setattr__(result, "nvars", self.nvars)
-            object.__setattr__(result, "terms",
-                               {e: k * c for e, k in self.terms.items()})
-            return result
+            return Poly._of(self.nvars,
+                            {e: k * c for e, k in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_compatible(other)
@@ -199,10 +200,7 @@ class Poly:
                     out[exp] = s
                 elif exp in out:
                     del out[exp]
-        result = Poly.__new__(Poly)
-        object.__setattr__(result, "nvars", self.nvars)
-        object.__setattr__(result, "terms", out)
-        return result
+        return Poly._of(self.nvars, out)
 
     __rmul__ = __mul__
 
@@ -352,10 +350,7 @@ def substitute(p: Poly, f: SubstitutionMap) -> Poly:
                 out[e] = s
             else:
                 out.pop(e, None)
-    result = Poly.__new__(Poly)
-    object.__setattr__(result, "nvars", f.source_nvars)
-    object.__setattr__(result, "terms", out)
-    return result
+    return Poly._of(f.source_nvars, out)
 
 
 def partial(p: Poly, i: int) -> Poly:
@@ -370,7 +365,7 @@ def partial(p: Poly, i: int) -> Poly:
         new = list(exp)
         new[i] = e - 1
         out[tuple(new)] = coeff * e
-    return Poly(p.nvars, out)
+    return Poly._of(p.nvars, out)
 
 
 def translate(p: Poly, a: Sequence[Scalar]) -> Poly:

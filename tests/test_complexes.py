@@ -28,8 +28,8 @@ from matsing import (
 from matsing.families import catalog, parse_family
 from matsing.groebner import (GLOBAL, LOCAL, ModuleBasis, member,
                               quotient_dimension, syzygies, syzygies_of_basis)
-from matsing.invariants import function_presentation
-from matsing.poly import SubstitutionMap
+from matsing.invariants import _lie_images, function_presentation
+from matsing.poly import SubstitutionMap, substitute
 
 from oracle import random_poly
 
@@ -136,6 +136,22 @@ def test_kind_complex_is_pullback_of_generic(rng):
             fam = random_family(rng, kind, n, rng.choice((1, 2, 3)))
             assert pullback(generic, fam.as_map()) == kind_complex(fam), \
                 (kind, n)
+
+
+@pytest.mark.parametrize("name, n", [
+    ("normal-form-sym", 4), ("normal-form-gen", 4), ("normal-form-skew", 6)])
+def test_normal_forms_are_pullbacks_of_the_generic_objects(name, n):
+    # The kind complex and the Lie-algebra tangent images are linear in the
+    # family matrix S, so building them on S directly and pulling back the
+    # generic ones along fam.as_map() are two routes to the same matrices.
+    fam = catalog(name, n=n).to_family()
+    generic = generic_family(fam.kind, n)
+    fmap = fam.as_map()
+    assert kind_complex(fam) == pullback(kind_complex(generic), fmap)
+    for flavour in ("special", "general"):
+        pulled = [tuple(substitute(p, fmap) for p in v)
+                  for v in _lie_images(generic, flavour)]
+        assert _lie_images(fam, flavour) == pulled, flavour
 
 
 def test_chain_map_three_kinds(rng):

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matsing import (
     INFINITE,
@@ -153,6 +154,126 @@ def test_zero_row_matrices_keep_columns():
     assert t.rows == 3 and t.cols == 0
     prod = t @ m
     assert prod.rows == 3 and prod.cols == 3 and prod.is_zero()
+
+
+def test_public_constructor_validates():
+    x = P("x")
+    with pytest.raises(ValueError):
+        PolyMatrix([[x, x], [x]], 2)
+    with pytest.raises(TypeError):
+        PolyMatrix([[x, 1]], 2)
+    with pytest.raises(ValueError):
+        PolyMatrix([[x, Poly.variable(3, 0)]])
+    with pytest.raises(ValueError):
+        PolyMatrix([], cols=2)
+
+
+def test_cols_must_match_the_rows():
+    x = P("x")
+    with pytest.raises(ValueError):
+        PolyMatrix([[x, x]], 2, cols=3)
+    assert PolyMatrix([[x, x]], 2, cols=2).cols == 2
+    assert PolyMatrix([], 2, cols=3).cols == 3
+
+
+# Entries that exercise every branch of the kernel: zero, +-1, other
+# constants and general polynomials.
+_coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+_NV = 2
+
+
+def _entries():
+    exps = st.tuples(*[st.integers(min_value=0, max_value=2)
+                       for _ in range(_NV)])
+    return st.one_of(
+        st.just(Poly.zero(_NV)),
+        st.sampled_from((1, -1)).map(lambda c: Poly.constant(_NV, c)),
+        _coeffs.map(lambda c: Poly.constant(_NV, c)),
+        st.dictionaries(exps, _coeffs, max_size=3).map(
+            lambda d: Poly(_NV, d)))
+
+
+def _matrices(rows, cols):
+    return st.lists(st.lists(_entries(), min_size=cols, max_size=cols),
+                    min_size=rows, max_size=rows).map(
+        lambda g: PolyMatrix(g, _NV, cols=cols))
+
+
+@st.composite
+def _chain(draw):
+    """Matrices a (r x k), b (k x c) and a2 (r x k)."""
+    r, k, c = (draw(st.integers(min_value=0, max_value=3)) for _ in range(3))
+    return (draw(_matrices(r, k)), draw(_matrices(k, c)),
+            draw(_matrices(r, k)))
+
+
+def _dense(rows, cols, fn):
+    """The reference: every entry computed by fn, zeros included."""
+    return PolyMatrix([[fn(i, j) for j in range(cols)] for i in range(rows)],
+                      _NV, cols=cols)
+
+
+def _dense_product(a, b):
+    def entry(i, j):
+        acc = Poly.zero(_NV)
+        for k in range(a.cols):
+            acc = acc + a.entry(i, k) * b.entry(k, j)
+        return acc
+    return _dense(a.rows, b.cols, entry)
+
+
+def _assert_same(got, want):
+    """Equal entries, in the same term order, with canonical Fraction
+    coefficients in the matrix's ring."""
+    assert (got.rows, got.cols, got.nvars) == (want.rows, want.cols,
+                                               want.nvars)
+    for rg, rw in zip(got.entries, want.entries):
+        for p, q in zip(rg, rw):
+            assert isinstance(p, Poly) and p.nvars == _NV
+            assert list(p.terms.items()) == list(q.terms.items())
+            assert all(type(c) is Fraction and c != 0
+                       for c in p.terms.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(_chain(), _entries(), st.sampled_from((0, 1, -1, Fraction(3, 2))))
+def test_kernel_matches_dense_reference(mats, p, c):
+    a, b, a2 = mats
+    _assert_same(a @ b, _dense_product(a, b))
+    _assert_same(a + a2, _dense(a.rows, a.cols,
+                                lambda i, j: a.entry(i, j) + a2.entry(i, j)))
+    _assert_same(a - a2, _dense(a.rows, a.cols,
+                                lambda i, j: a.entry(i, j) - a2.entry(i, j)))
+    _assert_same(-a, _dense(a.rows, a.cols, lambda i, j: -a.entry(i, j)))
+    _assert_same(a.scale(p), _dense(a.rows, a.cols,
+                                    lambda i, j: a.entry(i, j) * p))
+    _assert_same(a.scale(c), _dense(a.rows, a.cols,
+                                    lambda i, j: a.entry(i, j) * c))
+    _assert_same(a.transpose(), _dense(a.cols, a.rows,
+                                       lambda i, j: a.entry(j, i)))
+    sq = b @ b.transpose()
+    want = Poly.zero(_NV)
+    for i in range(sq.rows):
+        want = want + sq.entry(i, i)
+    assert list(sq.trace().terms.items()) == list(want.terms.items())
+    if a.rows != a.cols:
+        with pytest.raises(ValueError):
+            a.trace()
+    if b.rows != a.rows or b.cols != a.cols:
+        for op in (a.__add__, a.__sub__):
+            with pytest.raises(ValueError):
+                op(b)
+    if b.rows != b.cols:
+        with pytest.raises(ValueError):
+            b @ b
+    # Matrices over another ring, shaped to fit a.
+    same = PolyMatrix.zeros(a.rows, a.cols, _NV + 1)
+    fit = PolyMatrix.zeros(a.cols, 2, _NV + 1)
+    for op, x in ((a.__add__, same), (a.__sub__, same), (a.__matmul__, fit)):
+        with pytest.raises(ValueError):
+            op(x)
+    with pytest.raises(ValueError):
+        a.scale(Poly.constant(_NV + 1, 1))
 
 
 def test_flatten_round_trips(rng):

@@ -65,6 +65,7 @@ def test_partial_derivative():
     g = P("x^3*y + 2*y^2")
     assert partial(g, 0) == P("3*x^2*y")
     assert partial(g, 1) == P("x^3 + 4*y")
+    assert all(type(c) is Fraction for c in partial(g, 0).terms.values())
 
 
 def test_translate_moves_origin():
