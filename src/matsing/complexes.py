@@ -410,7 +410,7 @@ def homology_dimension(c: FreeComplex, k: int):
     if t == 0:
         return 0
     relations = modulo(cycles, _columns(c, k + 1))
-    return quotient_dimension(ModuleBasis(t, relations, LOCAL))
+    return quotient_dimension(ModuleBasis._of(t, relations, LOCAL))
 
 
 def homology_profile(c: FreeComplex) -> list:

@@ -24,8 +24,13 @@ with u a unit of the local ring (constant term 1 after scaling).  Over a
 global order u is literally 1.  Membership tests therefore produce exact
 polynomial identities that can be re-multiplied and checked.
 
-Under a global order groebner_basis returns the reduced basis: monic, and
-no term of any element is divisible by the leading term of another.
+Each ModuleBasis completes its standard basis once, in flat form, and
+caches it (_standard): colengths count the staircase of its leading terms
+straight from there, groebner_basis unflattens it (after tail reduction
+under a global order), and comparing two cached lead modules decides
+equality of a module and a submodule.  Under a global order groebner_basis
+returns the reduced basis: monic, and no term of any element is divisible
+by the leading term of another.
 
 A step counter guards all completion and division loops.  Local-order
 completion always terminates in theory, but badly posed inputs can be
@@ -220,28 +225,30 @@ def _integral(flat: Flat) -> tuple[Flat, int]:
             for k, c in flat.items()}, den
 
 
-def _normalize_content(flat: Flat, order: MonomialOrder) -> Flat:
-    """Clear denominators, divide by content, make the leading coeff
-    positive; the result has int coefficients."""
-    if not flat:
-        return flat
-    flat, _ = _integral(flat)
-    content = gcd(*flat.values())
-    _, lead = _leading(flat, order)
-    if lead < 0:
-        content = -content
-    return {k: c // content for k, c in flat.items()}
-
-
 class _Gen:
-    """A basis element with its cached leading data."""
+    """A basis element with its cached leading data; lead, if given, is
+    the (leading term, leading coefficient) of flat."""
 
     __slots__ = ("flat", "lt", "lc", "ecart")
 
-    def __init__(self, flat: Flat, order: MonomialOrder):
+    def __init__(self, flat: Flat, order: MonomialOrder, lead=None):
         self.flat = flat
-        self.lt, self.lc = _leading(flat, order)
+        self.lt, self.lc = lead or _leading(flat, order)
         self.ecart = _maxdeg(flat) - sum(self.lt[1])
+
+
+def _normalized(flat: Flat, order: MonomialOrder) -> _Gen:
+    """A nonzero flat with denominators cleared, divided by its content and
+    its leading coefficient made positive, as a _Gen with int coefficients.
+    The leading term is found once, for the sign and for the _Gen."""
+    flat, _ = _integral(flat)
+    lt, lc = _leading(flat, order)
+    content = gcd(*flat.values())
+    if lc < 0:
+        content = -content
+    if content != 1:
+        flat = {k: c // content for k, c in flat.items()}
+    return _Gen(flat, order, (lt, lc // content))
 
 
 @dataclass
@@ -280,6 +287,21 @@ class ModuleBasis:
         self.generators = gens
         self.nvars = nv
         self._stacked = None
+        self._standard = None
+
+    @classmethod
+    def _of(cls, ambient_rank: int, generators: list, order: MonomialOrder,
+            is_reduced: bool = False, completed: bool = False) -> ModuleBasis:
+        """A basis of vectors the library has just built: tuples of
+        ambient_rank Polys in one ring.  Only zero vectors are dropped; the
+        other checks of __post_init__ are skipped."""
+        out = cls.__new__(cls)
+        out.ambient_rank, out.order = ambient_rank, order
+        out.is_reduced, out.completed = is_reduced, completed
+        out.generators = [g for g in generators if any(p.terms for p in g)]
+        out.nvars = next((p.nvars for g in generators for p in g), None)
+        out._stacked = out._standard = None
+        return out
 
 
 # -- division ---------------------------------------------------------------
@@ -398,8 +420,7 @@ class _Completion:
 
     def add(self, flat: Flat) -> None:
         gens = self.gens
-        flat = _normalize_content(flat, self.order)
-        g = _Gen(flat, self.order)
+        g = _normalized(flat, self.order)
         k = len(gens)
         gens.append(g)
         if g.lt[0] >= self.paired_rank:
@@ -421,8 +442,7 @@ class _Completion:
         formed; the chain criterion may still use them."""
         start = len(self.gens)
         for flat in flats:
-            self.gens.append(_Gen(_normalize_content(flat, self.order),
-                                  self.order))
+            self.gens.append(_normalized(flat, self.order))
         for k in range(start, len(self.gens)):
             for i in range(start, k):
                 self.treated.add((i, k))
@@ -467,6 +487,40 @@ def _complete(flats: list, order: MonomialOrder, ambient_rank: int,
             completion.add(dict(flat))
     completion.run()
     return completion.gens
+
+
+def _standard(basis: ModuleBasis) -> tuple:
+    """(gens, steps): the lead-interreduced standard basis of basis as flat
+    _Gens, sorted by decreasing module_key, and the steps its completion
+    took.  Built once and cached on basis; a cache hit under a step limit
+    smaller than those steps raises, as a fresh build under that limit
+    would.  A completed basis is taken as it is."""
+    got = basis._standard
+    if got is None:
+        order = basis.order
+        flats = [flatten_vector(g) for g in basis.generators]
+        counter = _Counter()
+        if basis.completed:
+            gens = [_normalized(flat, order) for flat in flats]
+        else:
+            gens = _lead_interreduce(_complete(flats, order,
+                                               basis.ambient_rank, counter))
+        gens.sort(key=lambda g: order.module_key(*g.lt), reverse=True)
+        got = basis._standard = (gens, counter.steps)
+    elif got[1] > step_limit():
+        raise StepLimitExceeded(step_limit())
+    return got
+
+
+def _leads_divided_by(basis: ModuleBasis, by: ModuleBasis) -> bool:
+    """Whether L(basis) lies in L(by): every leading term of the standard
+    basis of basis is divisible by one of that of by.  For by a submodule
+    of basis the lead modules are then equal, which makes the modules
+    equal, in the local ring under a local order (Greuel-Pfister, A
+    Singular Introduction to Commutative Algebra, 1.6 and 2.3)."""
+    divisors = [g.lt for g in _standard(by)[0]]
+    return all(any(c == gc and exp_divides(e, ge) for c, e in divisors)
+               for gc, ge in (g.lt for g in _standard(basis)[0]))
 
 
 def _lead_interreduce(gens: list) -> list:
@@ -526,22 +580,22 @@ def groebner_basis(basis: ModuleBasis) -> ModuleBasis:
 
     Global order: the unique reduced (monic, tail-reduced) Groebner basis.
     Local order: a lead-interreduced standard basis (tails kept, since tail
-    reduction need not terminate in the local ring).
+    reduction need not terminate in the local ring).  The completion is
+    the one cached on basis (see _standard); a tail reduction counts its
+    steps on from it, against the same limit.
     """
     if basis.completed:
         return basis
-    counter = _Counter()
-    flats = [flatten_vector(g) for g in basis.generators]
-    gens = _complete(flats, basis.order, basis.ambient_rank, counter)
-    gens = _lead_interreduce(gens)
-    if basis.order.is_global:
-        gens = _tail_reduce(gens, basis.order, counter)
-    gens.sort(key=lambda g: basis.order.module_key(*g.lt), reverse=True)
+    order = basis.order
+    gens, steps = _standard(basis)
+    if order.is_global:
+        counter = _Counter()
+        counter.steps = steps
+        gens = _tail_reduce(gens, order, counter)
     vectors = [unflatten_vector(g.flat, basis.ambient_rank, basis.nvars)
                for g in gens]
-    out = ModuleBasis(basis.ambient_rank, vectors, basis.order,
-                      is_reduced=basis.order.is_global, completed=True)
-    return out
+    return ModuleBasis._of(basis.ambient_rank, vectors, order,
+                           is_reduced=order.is_global, completed=True)
 
 
 def prune_generators(basis: ModuleBasis) -> ModuleBasis:
@@ -577,16 +631,14 @@ def quotient_dimension(basis: ModuleBasis):
     ring for a global one.  The dimension is the number of standard
     monomials: pairs (component, monomial) outside the leading-term module.
     """
-    completed = groebner_basis(basis)
-    r = completed.ambient_rank
-    if r and not completed.generators:
+    gens, _ = _standard(basis)
+    r = basis.ambient_rank
+    if r and not gens:
         return INFINITE  # all of O^r; for r = 0 the sum below is 0
-    nv = completed.nvars
+    nv = basis.nvars
     lts: list = [[] for _ in range(r)]
-    for g in completed.generators:
-        flat = flatten_vector(g)
-        (comp, exp), _ = _leading(flat, completed.order)
-        lts[comp].append(exp)
+    for g in gens:
+        lts[g.lt[0]].append(g.lt[1])
     total = 0
     for comp in range(r):
         exps = lts[comp]

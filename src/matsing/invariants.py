@@ -31,9 +31,9 @@ from typing import List, Optional, Union
 from .complexes import (FreeComplex, cone, homology_dimension,
                         homology_profile, kind_complex, koszul, phi_f,
                         pullback)
-from .groebner import (GLOBAL, INFINITE, LOCAL, ModuleBasis, member,
-                       prune_generators, quotient_dimension, step_limit,
-                       syzygies)
+from .groebner import (GLOBAL, INFINITE, LOCAL, ModuleBasis,
+                       _leads_divided_by, prune_generators,
+                       quotient_dimension, step_limit, syzygies)
 from .matalg import (MatrixFamily, PolyMatrix, flatten, generic_family,
                      gl_basis, sl_basis, space_dim)
 from .poly import Poly, SubstitutionMap, partial, substitute
@@ -129,7 +129,7 @@ def pulled_field_module(fmap: SubstitutionMap,
         raise ValueError("map target does not match the ring of the fields")
     gens = [fmap.jacobian_column(j) for j in range(fmap.source_nvars)]
     gens += [tuple(substitute(p, fmap) for p in v) for v in fields.generators]
-    return ModuleBasis(n, gens, LOCAL)
+    return ModuleBasis._of(n, gens, LOCAL)
 
 
 def t1_kf(f: Poly, fmap: SubstitutionMap):
@@ -179,7 +179,7 @@ def tangent_module(fam: MatrixFamily, flavour: str) -> ModuleBasis:
     """The tangent space itself, as a module basis."""
     gens = [tuple(flatten(fam.kind, fam.partial(i))) for i in range(fam.m)]
     gens += _lie_images(fam, flavour)
-    return ModuleBasis(space_dim(fam.kind, fam.n), gens, LOCAL)
+    return ModuleBasis._of(space_dim(fam.kind, fam.n), gens, LOCAL)
 
 
 def betti_numbers(fam: MatrixFamily) -> list:
@@ -434,19 +434,19 @@ class _Analysis:
         if lhs != rhs:
             return CheckRecord("eqeq", _jsonable(lhs), _jsonable(rhs),
                                "FAILS", note)
-        # Dimensions agree; confirm the modules coincide.  For a finite
-        # dimension d, A is contained in A + B, so dim O^r/(A + B) = d
-        # forces A + B = A, and likewise A + B = B: one colength proves
-        # A = B.  An INFINITE side needs mutual membership of generators.
-        for a, b, dim in ((self.tangent_special, self.pulled_f, lhs[0]),
-                          (self.tangent_general, self.pulled_V, lhs[1])):
-            if _finite(dim):
-                both = ModuleBasis(a.ambient_rank,
+        # Dimensions agree; confirm the modules coincide.  A and B lie in
+        # A + B, so a standard basis of A + B whose leading terms are all
+        # divisible by leading terms of the (cached) standard bases of A
+        # and of B proves A + B = A and A + B = B in the local ring.  For
+        # finite colengths this is the same as dim O^r/(A + B) = d; it
+        # decides INFINITE sides too.  A + B is completed from scratch:
+        # seeding it with the basis of A or B was slower.
+        for a, b in ((self.tangent_special, self.pulled_f),
+                     (self.tangent_general, self.pulled_V)):
+            both = ModuleBasis._of(a.ambient_rank,
                                    a.generators + b.generators, LOCAL)
-                same = quotient_dimension(both) == dim
-            else:
-                same = (all(member(v, b).contains for v in a.generators)
-                        and all(member(v, a).contains for v in b.generators))
+            same = (_leads_divided_by(both, a)
+                    and _leads_divided_by(both, b))
             if not same:
                 return CheckRecord("eqeq", _jsonable(lhs), _jsonable(rhs),
                                    "FAILS", note + "; containment failed")

@@ -187,6 +187,100 @@ def test_member_budget_holds_on_a_cached_stacked_basis():
         assert member(gens[0], basis).contains
 
 
+@pytest.mark.parametrize("order", [GLOBAL, LOCAL])
+def test_standard_basis_is_completed_once(monkeypatch, order):
+    import matsing.groebner as gb
+    calls = []
+    complete = gb._complete
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return complete(*args, **kwargs)
+
+    monkeypatch.setattr(gb, "_complete", counting)
+    basis = ideal([P("x^4 + y^3"), P("x*y^2 + x^3*y")], order)
+    first = quotient_dimension(basis)
+    assert quotient_dimension(basis) == first
+    groebner_basis(basis)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("order", [GLOBAL, LOCAL])
+def test_budget_holds_on_a_cached_standard_basis(order):
+    # The standard basis is cached on the module; a later call with a budget
+    # too small to build it must fail as it does on a fresh module.  Global
+    # tail reduction counts on from the completion's steps, so groebner_basis
+    # agrees on a fresh and a cached module under every budget too.
+    gens = [P("x^4 + y^3"), P("x*y^2 + x^3*y")]
+    with budget(3), pytest.raises(StepLimitExceeded):
+        quotient_dimension(ideal(gens, order))
+    cached = ideal(gens, order)
+    dim = quotient_dimension(cached)
+    with budget(3), pytest.raises(StepLimitExceeded):
+        quotient_dimension(cached)
+    with budget(100):
+        assert quotient_dimension(cached) == dim
+    seen = set()
+    for steps in range(1, 60):
+        for f in (quotient_dimension, groebner_basis):
+            outcomes = []
+            for basis in (ideal(gens, order), cached):
+                try:
+                    with budget(steps):
+                        f(basis)
+                    outcomes.append(True)
+                except StepLimitExceeded:
+                    outcomes.append(False)
+            assert outcomes[0] == outcomes[1], (steps, f.__name__)
+            seen.add((f.__name__, outcomes[0]))
+    assert len(seen) == 4
+
+
+def _groebner_basis_in_one_pass(basis):
+    """Reference: groebner_basis as one pass of completion, lead
+    interreduction, tail reduction (global only) and sort, with no cache."""
+    from matsing.groebner import (_complete, _Counter, _lead_interreduce,
+                                  _tail_reduce, flatten_vector,
+                                  unflatten_vector)
+    order, counter = basis.order, _Counter()
+    gens = _lead_interreduce(_complete(
+        [flatten_vector(g) for g in basis.generators], order,
+        basis.ambient_rank, counter))
+    if order.is_global:
+        gens = _tail_reduce(gens, order, counter)
+    gens.sort(key=lambda g: order.module_key(*g.lt), reverse=True)
+    return [unflatten_vector(g.flat, basis.ambient_rank, basis.nvars)
+            for g in gens]
+
+
+@pytest.mark.parametrize("order", [GLOBAL, LOCAL])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_groebner_basis_from_the_cache_matches_one_pass(order, rank):
+    # Reading the cached standard basis, sorted before the tail reduction,
+    # gives the same vectors in the same order as the one-pass reference.
+    import random
+    rng = random.Random(10 + rank)
+    checked = 0
+    for _ in range(12):
+        nv = rng.randint(2, 3)
+        gens = [tuple(random_poly(rng, nv, max_degree=2, terms=3)
+                      for _ in range(rank))
+                for _ in range(rng.randint(2, 4))]
+        try:
+            with budget(600):
+                want = _groebner_basis_in_one_pass(
+                    ModuleBasis(rank, gens, order))
+                basis = ModuleBasis(rank, gens, order)
+                quotient_dimension(basis)
+                got = groebner_basis(basis)
+        except StepLimitExceeded:
+            continue
+        assert got.generators == want
+        assert got.completed and got.is_reduced == order.is_global
+        checked += 1
+    assert checked >= 10, checked
+
+
 def test_lead_interreduce_drops_proper_multiples_under_global():
     from matsing.groebner import _Gen, _lead_interreduce, flatten_vector
     for order in (GLOBAL, LOCAL):

@@ -360,8 +360,8 @@ def test_step_limit_bounds_each_computation_of_an_analysis():
 # -- eqeq ----------------------------------------------------------------------
 
 def _eqeq_by_membership(ctx):
-    """The eqeq record by mutual membership of generators on every side,
-    as the check was made before it compared colengths of A + B."""
+    """The eqeq record by mutual membership of generators on every side: a
+    second route, independent of the lead-module comparison of eqeq."""
     note = ("tangent space of the group action vs jacobian plus "
             "pulled-back log fields, both flavours")
     lhs = _jsonable([ctx.tau_special, ctx.tau_general])
@@ -407,11 +407,36 @@ def test_eqeq_matches_membership_route_on_random_families():
         _assert_same_eqeq(fam, seed)
 
 
-def test_eqeq_matches_membership_route_with_an_infinite_side():
-    # det = x^2 in two variables: every side has infinite colength.
-    fam = sym_family([["x", "0"], ["0", "x"]], ["x", "y"])
+@pytest.mark.parametrize("text", [
+    # det = x^2 in two variables.
+    "kind=symmetric; vars=x,y; matrix=[[x,0],[0,x]]",
+    # slow-skew6 of perfbench/gen.py KNOWN_SLOW.
+    "kind=skew; vars=x,y,z; "
+    "upper=[[x,y,z,0,0],[z,0,y^2,0],[x,0,0],[1,0],[x^2+y^3]]",
+])
+def test_eqeq_matches_membership_route_with_an_infinite_side(text):
+    # Every side has infinite colength, so lead modules decide eqeq;
+    # mutual membership of generators finishes here and must agree.
+    fam = parse_family(text).to_family()
     assert _Analysis(fam).check("eqeq").lhs == ["infinite", "infinite"]
-    _assert_same_eqeq(fam, "x^2")
+    _assert_same_eqeq(fam, text)
+
+
+@pytest.mark.parametrize("text, steps", [
+    # random-00008 and random-00015 of perfbench/hangs.py --seed 1.  Their
+    # largest computations take 515 and 617 steps; mutual membership of
+    # generators runs for minutes in its stacked completions.
+    ("kind=general; vars=x1..x3; matrix=[[-4/3*x2-3/2*x3, "
+     "-1/3*x1^2-1/3*x3^2], [-x3^2, 1/3*x2^2+2*x2]]", 600),
+    ("kind=skew; vars=x1..x5; upper=[[-1/3*x3*x5-3*x4*x5, 0, -2*x5], "
+     "[-2*x1-x2*x3-x2, -3/2*x1+2/3*x3*x4], [-x3^2]]", 700),
+])
+def test_eqeq_holds_on_infinite_random_families_under_a_budget(text, steps):
+    fam = parse_family(text).to_family()
+    with budget(steps):
+        rec = _Analysis(fam).check("eqeq")
+    assert rec.verdict == "HOLDS"
+    assert rec.lhs == rec.rhs == ["infinite", "infinite"]
 
 
 def _unit_vectors_plus(rank, first):
@@ -430,7 +455,7 @@ def _unit_vectors_plus(rank, first):
     # Colength 2 on both sides: the sum of the modules decides.
     ("kind=symmetric; vars=x,y; matrix=[[x,y],[y,x^2]]", ("x", "y^2"),
      [2, 2]),
-    # Infinite colength on both sides: mutual membership decides.
+    # Infinite colength on both sides: lead modules decide.
     ("kind=symmetric; vars=x,y; matrix=[[x,0],[0,x]]", ("x",),
      ["infinite", "infinite"]),
 ])
