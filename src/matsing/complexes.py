@@ -29,7 +29,6 @@ the colength of O^t / R is taken under the local order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -38,22 +37,21 @@ from .groebner import (GLOBAL, INFINITE, LOCAL, ModuleBasis, column_syzygies,
                        modulo, quotient_dimension)
 from .matalg import (MatrixFamily, PolyMatrix, flatten, sl_coords, space_dim,
                      unflatten)
-from .poly import Poly, SubstitutionMap, partial
+from .poly import Poly, SubstitutionMap, _Record, partial
 
 
-@dataclass(frozen=True)
-class FreeComplex:
+class FreeComplex(_Record):
     """ranks[k] is the rank of F_k; differentials[k-1] is the matrix of d_k."""
 
-    ranks: tuple
-    differentials: tuple
-    nvars: int
-    # k -> the GLOBAL ModuleBasis of the columns of d_k, built on first use
-    # (see _columns).
-    _column_bases: dict = field(default_factory=dict, init=False,
-                                compare=False, repr=False)
+    FIELDS = ("ranks", "differentials", "nvars")
 
-    def __post_init__(self):
+    def __init__(self, ranks: tuple, differentials: tuple, nvars: int):
+        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "differentials", differentials)
+        object.__setattr__(self, "nvars", nvars)
+        # k -> the GLOBAL ModuleBasis of the columns of d_k, built on first
+        # use (see _columns).
+        object.__setattr__(self, "_column_bases", {})
         if len(self.differentials) != len(self.ranks) - 1:
             raise ValueError("rank/differential count mismatch")
         for k, d in enumerate(self.differentials, start=1):
@@ -61,6 +59,9 @@ class FreeComplex:
                 raise ValueError(
                     f"d_{k} is {d.rows}x{d.cols}, expected "
                     f"{self.ranks[k - 1]}x{self.ranks[k]}")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FreeComplex is immutable")
 
     @property
     def length(self) -> int:
@@ -79,20 +80,23 @@ def verify_complex(c: FreeComplex) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class ComplexMorphism:
+class ComplexMorphism(_Record):
     """A degreewise map between complexes; maps[k] sends source F_k to
     target F_k."""
 
-    source: FreeComplex
-    target: FreeComplex
-    maps: tuple
+    FIELDS = ("source", "target", "maps")
 
-    def __post_init__(self):
+    def __init__(self, source: FreeComplex, target: FreeComplex, maps: tuple):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "maps", maps)
         for k, m in enumerate(self.maps):
             if (m.rows != self.target.ranks[k]
                     or m.cols != self.source.ranks[k]):
                 raise ValueError(f"map {k} has the wrong shape")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ComplexMorphism is immutable")
 
 
 def verify_chain_map(phi: ComplexMorphism) -> bool:

@@ -23,12 +23,11 @@ implicit multiplication; exponents are nonnegative integers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .matalg import MatrixFamily, PolyMatrix
-from .poly import Poly, SubstitutionMap, format_poly
+from .poly import Poly, SubstitutionMap, _Record, format_poly
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
@@ -161,19 +160,23 @@ def parse_poly(text: str, varnames: List[str]) -> Poly:
 
 # -- family files -----------------------------------------------------------------
 
-@dataclass
-class FamilySpec:
-    """A parsed family description plus carried metadata."""
+class FamilySpec(_Record):
+    """A parsed family description plus carried metadata.  expected
+    defaults to a fresh empty dict."""
 
-    kind: str
-    variables: List[str]
-    name: str = ""
-    n: Optional[int] = None
-    entries: Optional[List[List[Poly]]] = None
-    fvars: Optional[List[str]] = None
-    f: Optional[Poly] = None
-    map_images: Optional[List[Poly]] = None
-    expected: dict = field(default_factory=dict)
+    FIELDS = ("kind", "variables", "name", "n", "entries", "fvars", "f",
+              "map_images", "expected")
+
+    def __init__(self, kind: str, variables: List[str], name: str = "",
+                 n: Optional[int] = None,
+                 entries: Optional[List[List[Poly]]] = None,
+                 fvars: Optional[List[str]] = None, f: Optional[Poly] = None,
+                 map_images: Optional[List[Poly]] = None,
+                 expected: Optional[dict] = None):
+        self.kind, self.variables, self.name, self.n = kind, variables, name, n
+        self.entries, self.fvars, self.f = entries, fvars, f
+        self.map_images = map_images
+        self.expected = {} if expected is None else expected
 
     def to_family(self) -> MatrixFamily:
         if self.kind == "section":

@@ -43,14 +43,13 @@ one analysis can take many times the limit in total.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import gcd, lcm
 from typing import Optional, Sequence, Tuple
 
-from .poly import (ExpVec, Poly, Scalar, exp_divides, exp_lcm, exp_mul,
-                   exp_sub)
+from .poly import (ExpVec, Poly, Scalar, _Record, exp_divides, exp_lcm,
+                   exp_mul, exp_sub)
 
 Vector = Tuple[Poly, ...]
 FlatKey = Tuple[int, ExpVec]  # (component, exponent)
@@ -251,8 +250,7 @@ def _normalized(flat: Flat, order: MonomialOrder) -> _Gen:
     return _Gen(flat, order, (lt, lc // content))
 
 
-@dataclass
-class ModuleBasis:
+class ModuleBasis(_Record):
     """A generating set for a submodule of O^ambient_rank.
 
     generators are tuples of Poly, all of the same length ambient_rank.
@@ -260,23 +258,22 @@ class ModuleBasis:
     order; local standard bases are lead-interreduced but keep their tails.
     """
 
-    ambient_rank: int
-    generators: list
-    order: MonomialOrder
-    is_reduced: bool = False
-    completed: bool = False
+    FIELDS = ("ambient_rank", "generators", "order", "is_reduced",
+              "completed")
 
-    def __post_init__(self):
+    def __init__(self, ambient_rank: int, generators: list,
+                 order: MonomialOrder, is_reduced: bool = False,
+                 completed: bool = False):
         gens = []
         nv = None
-        for g in self.generators:
+        for g in generators:
             if isinstance(g, Poly):
                 g = (g,)
             g = tuple(g)
-            if len(g) != self.ambient_rank:
+            if len(g) != ambient_rank:
                 raise ValueError(
                     f"generator has {len(g)} components, ambient rank is "
-                    f"{self.ambient_rank}")
+                    f"{ambient_rank}")
             for p in g:
                 if nv is None:
                     nv = p.nvars
@@ -284,17 +281,18 @@ class ModuleBasis:
                     raise ValueError("generators live in different rings")
             if any(p.terms for p in g):
                 gens.append(g)
+        self.ambient_rank, self.order = ambient_rank, order
+        self.is_reduced, self.completed = is_reduced, completed
         self.generators = gens
         self.nvars = nv
-        self._stacked = None
-        self._standard = None
+        self._stacked = self._standard = None
 
     @classmethod
     def _of(cls, ambient_rank: int, generators: list, order: MonomialOrder,
             is_reduced: bool = False, completed: bool = False) -> ModuleBasis:
         """A basis of vectors the library has just built: tuples of
         ambient_rank Polys in one ring.  Only zero vectors are dropped; the
-        other checks of __post_init__ are skipped."""
+        other checks of __init__ are skipped."""
         out = cls.__new__(cls)
         out.ambient_rank, out.order = ambient_rank, order
         out.is_reduced, out.completed = is_reduced, completed
@@ -832,8 +830,7 @@ def modulo(vectors: Sequence[Vector], basis: ModuleBasis) -> list:
             for g in completion.gens if g.lt[0] >= r]
 
 
-@dataclass
-class MemberResult:
+class MemberResult(_Record):
     """Outcome of a membership test.
 
     On success (contains=True) the exact identity
@@ -842,10 +839,12 @@ class MemberResult:
     one.  On failure, remainder is the (order-dependent) normal form.
     """
 
-    contains: bool
-    coefficients: tuple
-    unit: Poly
-    remainder: tuple
+    FIELDS = ("contains", "coefficients", "unit", "remainder")
+
+    def __init__(self, contains: bool, coefficients: tuple, unit: Poly,
+                 remainder: tuple):
+        self.contains, self.coefficients = contains, coefficients
+        self.unit, self.remainder = unit, remainder
 
 
 def member(vec, basis: ModuleBasis) -> MemberResult:

@@ -23,7 +23,6 @@ hypothesis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import List, Optional, Union
@@ -36,7 +35,7 @@ from .groebner import (GLOBAL, INFINITE, LOCAL, ModuleBasis,
                        quotient_dimension, step_limit, syzygies)
 from .matalg import (MatrixFamily, PolyMatrix, flatten, generic_family,
                      gl_basis, sl_basis, space_dim)
-from .poly import Poly, SubstitutionMap, partial, substitute
+from .poly import Poly, SubstitutionMap, _Record, partial, substitute
 
 Dim = Union[int, type(INFINITE)]
 
@@ -218,16 +217,16 @@ def corank_at_origin(fam: MatrixFamily) -> int:
 
 # -- reports -------------------------------------------------------------------
 
-@dataclass
-class CheckRecord:
+class CheckRecord(_Record):
     """One verified identity: both sides are stored even when the verdict
     is NOT-APPLICABLE, so a failed hypothesis leaves an audit trail."""
 
-    identity: str
-    lhs: object
-    rhs: object
-    verdict: str
-    note: str = ""
+    FIELDS = ("identity", "lhs", "rhs", "verdict", "note")
+
+    def __init__(self, identity: str, lhs: object, rhs: object, verdict: str,
+                 note: str = ""):
+        self.identity, self.lhs, self.rhs = identity, lhs, rhs
+        self.verdict, self.note = verdict, note
 
     def to_dict(self) -> dict:
         return {"identity": self.identity, "lhs": _jsonable(self.lhs),
@@ -235,27 +234,31 @@ class CheckRecord:
                 "note": self.note}
 
 
-@dataclass
-class InvariantReport:
+class InvariantReport(_Record):
     """All invariants of one family or section, plus identity checks.
 
     tau_matrix_special / tau_matrix_general are None for sections (there
-    is no matrix structure); every dimension may be INFINITE.
+    is no matrix structure); every dimension may be INFINITE.  checks
+    defaults to a fresh empty list.
     """
 
-    name: str
-    kind: str
-    n: Optional[int]
-    m: int
-    mu: object
-    tau_function_right: object
-    tau_function_contact: object
-    tau_matrix_special: object
-    tau_matrix_general: object
-    betti: list
-    codim_minors: object
-    m0: Optional[int]
-    checks: List[CheckRecord] = field(default_factory=list)
+    FIELDS = ("name", "kind", "n", "m", "mu", "tau_function_right",
+              "tau_function_contact", "tau_matrix_special",
+              "tau_matrix_general", "betti", "codim_minors", "m0", "checks")
+
+    def __init__(self, name: str, kind: str, n: Optional[int], m: int,
+                 mu: object, tau_function_right: object,
+                 tau_function_contact: object, tau_matrix_special: object,
+                 tau_matrix_general: object, betti: list,
+                 codim_minors: object, m0: Optional[int],
+                 checks: Optional[List[CheckRecord]] = None):
+        self.name, self.kind, self.n, self.m, self.mu = name, kind, n, m, mu
+        self.tau_function_right = tau_function_right
+        self.tau_function_contact = tau_function_contact
+        self.tau_matrix_special = tau_matrix_special
+        self.tau_matrix_general = tau_matrix_general
+        self.betti, self.codim_minors, self.m0 = betti, codim_minors, m0
+        self.checks = [] if checks is None else checks
 
     def to_dict(self) -> dict:
         return {

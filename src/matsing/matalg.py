@@ -25,11 +25,10 @@ Coordinate conventions (all row-major):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from .groebner import LOCAL, ModuleBasis
-from .poly import Poly, SubstitutionMap, substitute
+from .poly import Poly, SubstitutionMap, _Record, substitute
 
 KINDS = ("symmetric", "skew", "general")
 
@@ -443,8 +442,7 @@ def sub_pfaffian_matrix(m: PolyMatrix) -> PolyMatrix:
 
 # -- matrix families ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class MatrixFamily:
+class MatrixFamily(_Record):
     """A square matrix of polynomials with a declared symmetry kind.
 
     kind is one of 'symmetric', 'skew', 'general'; the structural
@@ -452,12 +450,13 @@ class MatrixFamily:
     parameters (ring variables); entries is the n x n matrix itself.
     """
 
-    kind: str
-    n: int
-    m: int
-    entries: PolyMatrix
+    FIELDS = ("kind", "n", "m", "entries")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, n: int, m: int, entries: PolyMatrix):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "entries", entries)
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
         e = self.entries
@@ -472,6 +471,9 @@ class MatrixFamily:
                         raise ValueError(f"symmetry violated at ({i},{j})")
         elif self.kind == "skew":
             _check_skew(e)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("MatrixFamily is immutable")
 
     def function(self) -> Poly:
         """det for symmetric/general families, Pf for skew ones."""

@@ -46,6 +46,24 @@ def exp_lcm(a: ExpVec, b: ExpVec) -> ExpVec:
     return tuple(map(max, a, b))
 
 
+class _Record:
+    """Base of the package's record classes: == and repr over the names in
+    FIELDS, in declaration order and in the text a dataclass gives.  Other
+    attributes (caches) are ignored; instances are unhashable."""
+
+    FIELDS: Tuple[str, ...] = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ([getattr(self, f) for f in self.FIELDS]
+                == [getattr(other, f) for f in self.FIELDS])
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.FIELDS)
+        return f"{type(self).__qualname__}({args})"
+
+
 class Poly:
     """An exact multivariate polynomial with rational coefficients.
 

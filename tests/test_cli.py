@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -327,3 +331,18 @@ def test_parser_is_built_once_and_namespaces_are_fresh():
     second = cli._build_parser().parse_args(["analyze", "generic-sym-2"])
     assert first is not second
     assert first.params == ["a=(1,2)"] and second.params == []
+
+
+def test_import_loads_no_dataclasses():
+    # A fresh `matsing` process pays for every module the package imports;
+    # dataclasses alone brings inspect, ast and dis.  The set difference
+    # leaves out whatever the environment's site imports.
+    code = ("import sys; before = set(sys.modules); import matsing.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    added = set(out.stdout.split())
+    assert "matsing.cli" in added
+    assert not added & {"dataclasses", "inspect", "ast", "dis"}

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from matsing import (
+    ComplexMorphism,
     FreeComplex,
     INFINITE,
     MatrixFamily,
@@ -227,6 +228,40 @@ def test_homology_of_zero_modules_is_zero():
 def test_complex_validation():
     with pytest.raises(ValueError):
         FreeComplex((1, 2), (PolyMatrix([[P("x")]], 2),), 2)
+    c = koszul(P("x^2 + y^3"))
+    with pytest.raises(ValueError):
+        ComplexMorphism(c, c, (PolyMatrix([[P("x"), P("y")]], 2),))
+
+
+def test_complexes_are_immutable_records():
+    fam = generic_family("symmetric", 2)
+    c = jozefiak_complex(fam)
+    assert c == FreeComplex(ranks=c.ranks, differentials=c.differentials,
+                            nvars=c.nvars)
+    assert repr(c) == (
+        "FreeComplex(ranks=(1, 3, 3, 1), differentials=(PolyMatrix(1x3 in 3 "
+        "vars), PolyMatrix(3x3 in 3 vars), PolyMatrix(3x1 in 3 vars)), "
+        "nvars=3)")
+    phi = phi_f(fam.function(), fam.as_map(), c, "symmetric")
+    assert phi == ComplexMorphism(phi.source, phi.target, phi.maps)
+    assert repr(phi).startswith("ComplexMorphism(source=FreeComplex(")
+    for obj, name in [(c, "ranks"), (c, "_column_bases"), (phi, "maps")]:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+
+
+def test_column_bases_are_built_once_and_reused():
+    fam = generic_family("symmetric", 2)
+    c = jozefiak_complex(fam)
+    assert c._column_bases == {}
+    first = homology_profile(c)
+    bases = dict(c._column_bases)
+    assert sorted(bases) == list(range(1, c.length + 1))
+    assert homology_profile(c) == first
+    assert all(c._column_bases[k] is b for k, b in bases.items())
+    # The cache is no field: it changes neither == nor repr.
+    fresh = jozefiak_complex(fam)
+    assert c == fresh and repr(c) == repr(fresh)
 
 
 # -- homology against the route by membership certificates ---------------------

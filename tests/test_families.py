@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from matsing import (
+    FamilySpec,
     ParseError,
     Poly,
     catalog,
@@ -129,14 +130,20 @@ def test_print_family_round_trip_catalog():
         spec = catalog(name, **params)
         text = print_family(spec)
         back = parse_family(text)
-        assert back.kind == spec.kind
-        assert back.variables == spec.variables
-        assert back.n == spec.n
-        assert back.entries == spec.entries
-        assert back.f == spec.f
-        assert back.map_images == spec.map_images
-        assert back.expected == spec.expected
-        assert back.name == spec.name
+        assert back == spec, name  # all nine fields
+
+
+def test_family_spec_defaults_are_fresh():
+    a = FamilySpec("symmetric", ["x"])
+    b = FamilySpec(kind="symmetric", variables=["x"])
+    assert a == b and a.expected is not b.expected
+    assert (a.name, a.n, a.entries, a.fvars, a.f, a.map_images) == (
+        "", None, None, None, None, None)
+    a.expected["mu"] = 1
+    assert b.expected == {} and a != b
+    assert repr(b) == ("FamilySpec(kind='symmetric', variables=['x'], "
+                       "name='', n=None, entries=None, fvars=None, f=None, "
+                       "map_images=None, expected={})")
 
 
 def test_catalog_names_and_errors():

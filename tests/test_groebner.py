@@ -205,6 +205,33 @@ def test_standard_basis_is_completed_once(monkeypatch, order):
     assert len(calls) == 1
 
 
+def test_module_basis_fields_equality_and_repr():
+    gens = [P("x^2 + y^3"), P("x*y")]
+    basis, fresh = ideal(gens), ideal(gens)
+    assert basis.generators == [(g,) for g in gens]
+    assert not basis.is_reduced and not basis.completed
+    quotient_dimension(basis)
+    member(gens[0], basis)
+    assert basis._standard is not None and basis._stacked is not None
+    # The caches are no fields: a completed module equals a fresh one.
+    assert basis == fresh and not basis != fresh
+    assert basis != ideal(gens, GLOBAL) and basis != ideal(gens[:1])
+    assert basis != gens
+    sb = groebner_basis(basis)
+    done = ModuleBasis(1, sb.generators, LOCAL, completed=True)
+    assert done.completed and done == sb
+    assert done == ModuleBasis._of(1, sb.generators, LOCAL, completed=True)
+    assert repr(ModuleBasis(1, [P("x*y")], LOCAL, completed=True)) == (
+        "ModuleBasis(ambient_rank=1, generators=[(Poly(x*y),)], "
+        "order=MonomialOrder('negdegrevlex-local'), is_reduced=False, "
+        "completed=True)")
+    assert repr(member(gens[1], basis)) == (
+        "MemberResult(contains=True, coefficients=(Poly(0), Poly(1)), "
+        "unit=Poly(1), remainder=Poly(0))")
+    with pytest.raises(TypeError):
+        hash(basis)
+
+
 @pytest.mark.parametrize("order", [GLOBAL, LOCAL])
 def test_budget_holds_on_a_cached_standard_basis(order):
     # The standard basis is cached on the module; a later call with a budget

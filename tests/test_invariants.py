@@ -35,7 +35,8 @@ from matsing import (
     verify_identity,
 )
 from matsing.groebner import GLOBAL, syzygies
-from matsing.invariants import CheckRecord, _Analysis, _jsonable
+from matsing.invariants import (CheckRecord, InvariantReport, _Analysis,
+                                 _jsonable)
 from matsing.poly import add, mul, partial, substitute
 
 from conftest import budget
@@ -277,6 +278,23 @@ def test_analyze_report_shape():
     d = rep.to_dict()
     assert d["mu"] == 1 and d["tau_matrix_special"] == 0
     assert all(isinstance(c, dict) for c in d["checks"])
+    assert rep == analyze(fam, name="generic")
+    assert repr(rep).startswith(
+        "InvariantReport(name='generic', kind='symmetric', n=2, m=3, mu=1, "
+        "tau_function_right=0, tau_function_contact=0, ")
+    assert repr(CheckRecord("submax", 1, 1, "HOLDS")) == (
+        "CheckRecord(identity='submax', lhs=1, rhs=1, verdict='HOLDS', "
+        "note='')")
+    # Fields in declaration order; checks defaults to a fresh list.
+    fields = [rep.name, rep.kind, rep.n, rep.m, rep.mu,
+              rep.tau_function_right, rep.tau_function_contact,
+              rep.tau_matrix_special, rep.tau_matrix_general, rep.betti,
+              rep.codim_minors, rep.m0]
+    bare, other = InvariantReport(*fields), InvariantReport(*fields)
+    assert bare.checks == [] and bare.checks is not other.checks
+    assert bare != rep and InvariantReport(*fields, rep.checks) == rep
+    assert CheckRecord("x", 1, 1, "HOLDS") == CheckRecord(
+        identity="x", lhs=1, rhs=1, verdict="HOLDS", note="")
 
 
 def test_infinite_tau_detected():

@@ -349,6 +349,17 @@ def test_family_validation():
                       PolyMatrix([[P("x"), P("y")], [P("y"), P("x")]], 2))
 
 
+def test_family_is_an_immutable_record():
+    fam = generic_family("symmetric", 2)
+    assert fam == MatrixFamily(kind="symmetric", n=2, m=3,
+                               entries=fam.entries)
+    assert fam != generic_family("general", 2)
+    assert repr(fam) == ("MatrixFamily(kind='symmetric', n=2, m=3, "
+                         "entries=PolyMatrix(2x2 in 3 vars))")
+    with pytest.raises(AttributeError):
+        fam.n = 3
+
+
 def test_generic_family_structure():
     for kind in KINDS:
         n = 4 if kind == "skew" else 2
