@@ -1,9 +1,18 @@
 """Standard bases for submodules of free modules over polynomial rings.
 
-Supports both global monomial orders (ordinary Groebner bases, terminating
-division) and local orders (standard bases in the ring of germs at the
-origin, Mora's tangent-cone division).  Everything is done degree-exactly
-over the rationals; there is no numerical step anywhere.
+Global orders give ordinary Groebner bases, local orders standard bases
+in the ring of germs at the origin, all exactly over the rationals.  There
+is one division rule.  Under a local order a vector is divided as if
+homogenised with a variable t to a degree deg carried beside it (Lazard;
+Greuel-Pfister, A Singular Introduction to Commutative Algebra, 1.7 and
+2.3): a reducer g cancels the leading term x^a only if its t-power,
+g.ecart, is at most deg - |a|.  Completion is then homogeneous Buchberger
+in K[t, x]^r with t never written down, and its x-parts form a local
+standard basis.  Under a global order the rule never stops a division.
+Syzygies, modulo and membership certificates are computed globally:
+localisation is flat, so global generators of a syzygy or colon module
+generate it locally too, and local membership of v in M takes its unit
+from the colon M : v (see member).
 
 Vectors in a free module O^r are stored flat as dicts keyed by
 (component, exponent-tuple): this keeps division and s-vector code
@@ -19,11 +28,6 @@ intermediate result scaled by a known nonzero integer, which a certificate
 divides out once at the end.  Results cross back to Fraction at the Poly
 boundary (unflatten_vector, Poly).
 
-The local normal form returns a unit certificate: nf(v) = u*v - sum q_i g_i
-with u a unit of the local ring (constant term 1 after scaling).  Over a
-global order u is literally 1.  Membership tests therefore produce exact
-polynomial identities that can be re-multiplied and checked.
-
 Each ModuleBasis completes its standard basis once, in flat form, and
 caches it (_standard): colengths count the staircase of its leading terms
 straight from there, groebner_basis unflattens it (after tail reduction
@@ -32,13 +36,13 @@ equality of a module and a submodule.  Under a global order groebner_basis
 returns the reduced basis: monic, and no term of any element is divisible
 by the leading term of another.
 
-A step counter guards all completion and division loops.  Local-order
-completion always terminates in theory, but badly posed inputs can be
-astronomically slow, so the guard raises StepLimitExceeded instead of
-hanging.  set_step_limit is the one way to set the budget, and it bounds
-each computation separately: every completion (with the divisions inside
-it) and every member() division counts its own steps against the limit, so
-one analysis can take many times the limit in total.
+A step counter guards all completion and division loops: badly posed
+inputs can be astronomically slow, so it raises StepLimitExceeded instead
+of hanging.  set_step_limit is the one way to set the budget, and it
+bounds each computation separately: every completion (with the divisions
+inside it) and every division of a member() query counts its own steps
+against the limit, so one analysis can take many times the limit in
+total.
 """
 
 from __future__ import annotations
@@ -226,20 +230,25 @@ def _integral(flat: Flat) -> tuple[Flat, int]:
 
 class _Gen:
     """A basis element with its cached leading data; lead, if given, is
-    the (leading term, leading coefficient) of flat."""
+    the (leading term, leading coefficient) of flat.  ecart = deg - |lt|
+    is the t-power of lt with flat homogenised to degree deg (by default
+    its top degree)."""
 
     __slots__ = ("flat", "lt", "lc", "ecart")
 
-    def __init__(self, flat: Flat, order: MonomialOrder, lead=None):
+    def __init__(self, flat: Flat, order: MonomialOrder, lead=None,
+                 deg: Optional[int] = None):
         self.flat = flat
         self.lt, self.lc = lead or _leading(flat, order)
-        self.ecart = _maxdeg(flat) - sum(self.lt[1])
+        self.ecart = (_maxdeg(flat) if deg is None else deg) - sum(self.lt[1])
 
 
-def _normalized(flat: Flat, order: MonomialOrder) -> _Gen:
+def _normalized(flat: Flat, order: MonomialOrder,
+                deg: Optional[int] = None) -> _Gen:
     """A nonzero flat with denominators cleared, divided by its content and
-    its leading coefficient made positive, as a _Gen with int coefficients.
-    The leading term is found once, for the sign and for the _Gen."""
+    its leading coefficient made positive, as a _Gen of degree deg with int
+    coefficients.  The leading term is found once, for the sign and for the
+    _Gen."""
     flat, _ = _integral(flat)
     lt, lc = _leading(flat, order)
     content = gcd(*flat.values())
@@ -247,7 +256,7 @@ def _normalized(flat: Flat, order: MonomialOrder) -> _Gen:
         content = -content
     if content != 1:
         flat = {k: c // content for k, c in flat.items()}
-    return _Gen(flat, order, (lt, lc // content))
+    return _Gen(flat, order, (lt, lc // content), deg)
 
 
 class ModuleBasis(_Record):
@@ -305,62 +314,45 @@ class ModuleBasis(_Record):
 # -- division ---------------------------------------------------------------
 
 def _normal_form(f: Flat, gens: list, order: MonomialOrder,
-                 counter: _Counter, upper_rank: Optional[int] = None):
-    """Division with remainder, Mora-style under a local order.
+                 counter: _Counter, upper_rank: Optional[int] = None,
+                 deg: Optional[int] = None) -> tuple[Flat, int]:
+    """Division with remainder.
 
     gens must have int coefficients (as completed bases do).  Returns
-    (h, scale, unit) with the exact identity
-        unit * f  =  sum_i q_i * gens[i].flat  +  h
+    (h, scale) with the exact identity
+        scale * f  =  sum_i q_i * gens[i].flat  +  h
     for some polynomials q_i, which are not returned.  Division is
-    fraction-free, so h and unit have int coefficients: they are the nonzero
-    integer scale times what the same division with Fraction arithmetic
-    gives, and divided by scale they are exactly that.  Before scaling,
-    unit = 1 under a global order and a unit of the local ring otherwise.
-    unit is a flat with component 0, and None unless upper_rank is given.
+    fraction-free, so h has int coefficients: it is the nonzero integer
+    scale times what the same division with Fraction arithmetic gives.
 
-    Under a local order the reducer set is extended by intermediate results
-    whose ecart is smaller (Mora's trick); those carry their own unit, so
-    the final identity still refers to the original gens only.
+    Under a local order f is divided as if homogenised to degree deg (by
+    default its top degree): a reducer cancels the leading term x^a only
+    if its ecart is at most deg - |a|, so h never passes degree deg.
 
     upper_rank: for division against a stacked basis, whose components from
-    upper_rank on are bookkeeping.  If given, unit is tracked, and division
-    stops as soon as the leading term falls in a component >= upper_rank:
-    under position-over-term that is exactly "the upper block is exhausted".
+    upper_rank on are bookkeeping.  If given, division stops as soon as the
+    leading term falls in a component >= upper_rank: under position-over-
+    term that is exactly "the upper block is exhausted".
     """
-    local = not order.is_global
     h, scale = _integral(f)
-    unit = None
-    if upper_rank is not None:
-        nvars = len(next(iter(gens[0].flat if gens else f))[1])
-        unit = {(0, (0,) * nvars): scale}
-    # Working list entries: (gen, its unit); a T-extension element t and its
-    # unit c_t satisfy t = c_t*f - sum q_i g_i over the ORIGINAL gens.
-    work = [(g, None) for g in gens]
-
+    local = not order.is_global
+    if local and deg is None:
+        deg = _maxdeg(h)
     while h:
         lt, lc = _leading(h, order)
         if upper_rank is not None and lt[0] >= upper_rank:
             break
         comp, exp = lt
-        best = None
-        best_ecart = None
-        for i, (g, _) in enumerate(work):
-            gc, ge = g.lt
+        g = None
+        for cand in gens:
+            gc, ge = cand.lt
             if gc != comp or not exp_divides(ge, exp):
                 continue
-            if best is None or g.ecart < best_ecart:
-                best, best_ecart = i, g.ecart
+            if g is None or cand.ecart < ecart:
+                g, ecart = cand, cand.ecart
         counter.tick()
-        if best is None:
+        if g is None or local and ecart > deg - sum(exp):
             break
-        g, g_unit = work[best]
-        # The lead term has the least degree of h, so the right side is
-        # >= 0 and needs computing only for a reducer of positive ecart.
-        if local and g.ecart and g.ecart > _maxdeg(h) - sum(exp):
-            # Reducer has larger ecart: remember the current h as an extra
-            # reducer before cancelling, so the loop cannot cycle upward.
-            work.append((_Gen(dict(h), order),
-                         None if unit is None else dict(unit)))
         # h <- a*h - b*x^shift*g, which is a times h - (lc/g.lc)*x^shift*g.
         d = gcd(lc, g.lc)
         a, b = g.lc // d, lc // d
@@ -368,14 +360,8 @@ def _normal_form(f: Flat, gens: list, order: MonomialOrder,
             scale *= a
             for k in h:
                 h[k] *= a
-            if unit is not None:
-                for k in unit:
-                    unit[k] *= a
-        shift = exp_sub(exp, g.lt[1])
-        _scale_into(h, g.flat, -b, shift)
-        if g_unit is not None:
-            _scale_into(unit, g_unit, -b, shift)
-    return h, scale, unit
+        _scale_into(h, g.flat, -b, exp_sub(exp, g.lt[1]))
+    return h, scale
 
 
 # -- completion --------------------------------------------------------------
@@ -394,10 +380,15 @@ def _spair(gi: _Gen, gj: _Gen) -> Flat:
 
 
 class _Completion:
-    """Buchberger/Mora completion that accepts new elements between runs:
-    after run() returns, gens is a standard basis (not interreduced) of
-    everything added so far.  run(max_degree) only treats pairs whose lcm
-    has degree <= max_degree and keeps the rest for a later run.
+    """Buchberger completion that accepts new elements between runs: after
+    run() returns, gens is a standard basis (not interreduced) of
+    everything added so far.  run(max_degree) only treats pairs whose key
+    degree is <= max_degree and keeps the rest for a later run.
+
+    Under a local order this is homogeneous Buchberger in t and x: a pair
+    is keyed by its homogenised degree (sugar), |lcm| + the larger ecart,
+    under which its remainder is divided and stored, and the chain and
+    coprime criteria see the t-powers of the leading terms.
 
     paired_rank: if given, only elements whose leading component is below
     it are paired.  The others are still kept and used as reducers, so gens
@@ -407,31 +398,35 @@ class _Completion:
     def __init__(self, order: MonomialOrder, ambient_rank: int,
                  counter: _Counter, paired_rank: Optional[int] = None):
         self.order = order
+        self.local = not order.is_global
         self.ambient_rank = ambient_rank
         self.counter = counter
         self.paired_rank = ambient_rank if paired_rank is None else paired_rank
         self.gens: list = []
-        # Heap of pending pairs (deg lcm, component, lcm, i, j); the keys
+        # Heap of pending pairs (degree, component, lcm, i, j); the keys
         # are unique, so the pop order is fully determined.
         self.pairs: list = []
         self.treated: set = set()
 
-    def add(self, flat: Flat) -> None:
-        gens = self.gens
-        g = _normalized(flat, self.order)
+    def add(self, flat: Flat, deg: Optional[int] = None) -> None:
+        gens, local = self.gens, self.local
+        g = _normalized(flat, self.order, deg)
         k = len(gens)
         gens.append(g)
         if g.lt[0] >= self.paired_rank:
             return
-        for i in range(k):
-            if gens[i].lt[0] != g.lt[0]:
+        for i, gi in enumerate(gens[:k]):
+            if gi.lt[0] != g.lt[0]:
                 continue
-            lcm = exp_lcm(gens[i].lt[1], g.lt[1])
-            if self.ambient_rank == 1 and lcm == exp_mul(gens[i].lt[1], g.lt[1]):
-                # Coprime leading monomials reduce to zero (ideal case only).
+            lcm = exp_lcm(gi.lt[1], g.lt[1])
+            if (self.ambient_rank == 1 and lcm == exp_mul(gi.lt[1], g.lt[1])
+                    and not min(gi.ecart, g.ecart)):
+                # Coprime leading terms reduce to zero (ideal case only).
+                # Under a global order ideal elements have ecart 0.
                 self.treated.add((i, k))
                 continue
-            heappush(self.pairs, (sum(lcm), g.lt[0], lcm, i, k))
+            t = max(gi.ecart, g.ecart) if local else 0
+            heappush(self.pairs, (sum(lcm) + t, g.lt[0], lcm, i, k))
 
     def add_standard(self, flats: list) -> None:
         """Add elements that form a standard basis of their own module, before
@@ -447,38 +442,34 @@ class _Completion:
 
     def run(self, max_degree: Optional[int] = None) -> None:
         gens, pairs, treated = self.gens, self.pairs, self.treated
+        local = self.local
         while pairs:
             if max_degree is not None and pairs[0][0] > max_degree:
                 return
             self.counter.tick()
-            _, _, lcm, i, j = heappop(pairs)
+            deg, comp, lcm, i, j = heappop(pairs)
             treated.add((i, j))
             # Classical chain criterion: skip if some third leading term
-            # divides the lcm and both side pairs were already handled.
-            skip = False
-            for k in range(len(gens)):
-                if k == i or k == j or gens[k].lt[0] != gens[i].lt[0]:
-                    continue
-                if not exp_divides(gens[k].lt[1], lcm):
-                    continue
-                a = (min(i, k), max(i, k))
-                b = (min(j, k), max(j, k))
-                if a in treated and b in treated:
-                    skip = True
+            # divides the lcm, t-part included, and both side pairs were
+            # already handled.
+            for k, gk in enumerate(gens):
+                if (k != i and k != j and gk.lt[0] == comp
+                        and exp_divides(gk.lt[1], lcm)
+                        and not (local and gk.ecart > deg - sum(lcm))
+                        and (min(i, k), max(i, k)) in treated
+                        and (min(j, k), max(j, k)) in treated):
                     break
-            if skip:
-                continue
-            s = _spair(gens[i], gens[j])
-            if not s:
-                continue
-            h, _, _ = _normal_form(s, gens, self.order, self.counter)
-            if h:
-                self.add(h)  # normalised there, so the scale of h is moot
+            else:
+                s = _spair(gens[i], gens[j])
+                deg = deg if local else None
+                h, _ = _normal_form(s, gens, self.order, self.counter, deg=deg)
+                if h:
+                    self.add(h, deg)  # normalised there: the scale is moot
 
 
 def _complete(flats: list, order: MonomialOrder, ambient_rank: int,
               counter: _Counter, paired_rank: Optional[int] = None) -> list:
-    """Buchberger/Mora completion; returns the list of _Gen (not interreduced)."""
+    """Buchberger completion; returns the list of _Gen (not interreduced)."""
     completion = _Completion(order, ambient_rank, counter, paired_rank)
     for flat in flats:
         if flat:
@@ -547,7 +538,7 @@ def _reduce_fully(flat: Flat, gens: list, order: MonomialOrder,
     done: Flat = {}
     h = flat
     while True:
-        h, scale, _ = _normal_form(h, gens, order, counter)
+        h, scale = _normal_form(h, gens, order, counter)
         if not h:
             return done
         if scale != 1:
@@ -614,8 +605,8 @@ def prune_generators(basis: ModuleBasis) -> ModuleBasis:
     kept = []
     for vec in sorted(basis.generators, key=degree):
         completion.run(degree(vec))
-        h, _, _ = _normal_form(flatten_vector(vec), completion.gens,
-                               basis.order, counter)
+        h, _ = _normal_form(flatten_vector(vec), completion.gens,
+                            basis.order, counter)
         if h:
             kept.append(vec)
             completion.add(h)
@@ -671,35 +662,32 @@ def _staircase_size(exps: list, nv: int) -> int:
 
 class _StackedBasis:
     """The module generated by g_j + e_j in O^(r+s), completed in its upper
-    block only.
+    block only, under the global order whatever the order of the basis.
 
     The order is position-over-term with the original components dominant,
     so an element reduces its upper block first.  Only elements whose
     leading term lies in the upper block are paired, so the upper-block
-    elements form a standard basis of the module of the g_j, each carrying
+    elements form a Groebner basis of the module of the g_j, each carrying
     in its lower block its expression in the g_j.  Dividing (v, 0) against
     them until the upper block dies yields a membership certificate for v.
     The elements with vanishing upper block are the reduced s-vectors of
-    upper-block pairs: by Schreyer's theorem, which holds for local orders
-    too (Greuel-Pfister, A Singular Introduction to Commutative Algebra,
-    2.5), their lower blocks generate the syzygies of the g_j.  They are a
-    generating set, not a standard basis, and are never paired; express()
-    stops at the upper block and so never divides by them, and pairing them
-    would change no certificate.
+    upper-block pairs: by Schreyer's theorem (Greuel-Pfister, A Singular
+    Introduction to Commutative Algebra, 2.5), their lower blocks generate
+    the syzygies of the g_j, locally too.  They are never paired, and
+    express() stops at the upper block and so never divides by them.
     """
 
     def __init__(self, basis: ModuleBasis):
         self.rank = basis.ambient_rank
         self.count = len(basis.generators)
         self.nvars = basis.nvars
-        self.order = basis.order
         flats = []
         for j, g in enumerate(basis.generators):
             flat = flatten_vector(g)
             flat[(self.rank + j, (0,) * self.nvars)] = 1
             flats.append(flat)
         counter = _Counter()
-        self.gens = _complete(flats, self.order, self.rank + self.count,
+        self.gens = _complete(flats, GLOBAL, self.rank + self.count,
                               counter, paired_rank=self.rank)
         # The completion is deterministic, so this is the least budget
         # under which it can be built.
@@ -716,24 +704,18 @@ class _StackedBasis:
                 for g in self.gens if g.lt[0] >= self.rank]
 
     def express(self, vec: Sequence[Poly]):
-        """Certificate (unit, coeffs, remainder) with
-        unit * vec = sum coeffs[j] * g_j + remainder.  Each call counts its
-        own steps against the step limit; the completion's steps are spent
+        """Certificate (coeffs, remainder) with, in the polynomial ring,
+        vec = sum coeffs[j] * g_j + remainder.  Each call counts its own
+        steps against the step limit; the completion's steps are spent
         once, when built."""
-        flat = flatten_vector(vec)
-        h, scale, c_h = _normal_form(flat, self.gens, self.order, _Counter(),
-                                     upper_rank=self.rank)
+        h, scale = _normal_form(flatten_vector(vec), self.gens, GLOBAL,
+                                _Counter(), upper_rank=self.rank)
         upper = {k: Fraction(c, scale) for k, c in h.items()
                  if k[0] < self.rank}
         lower = {(k[0] - self.rank, k[1]): Fraction(-c, scale)
                  for k, c in h.items() if k[0] >= self.rank}
-        unit = Poly(self.nvars, {exp: Fraction(c, scale)
-                                 for (_, exp), c in c_h.items()})
-        if not self.order.is_global and unit.constant_term() == 0:
-            raise AssertionError("division produced a non-unit multiplier")
-        coeffs = unflatten_vector(lower, self.count, self.nvars)
-        remainder = unflatten_vector(upper, self.rank, self.nvars)
-        return unit, coeffs, remainder
+        return (unflatten_vector(lower, self.count, self.nvars),
+                unflatten_vector(upper, self.rank, self.nvars))
 
 
 def _stacked(basis: ModuleBasis) -> _StackedBasis:
@@ -749,9 +731,8 @@ def _stacked(basis: ModuleBasis) -> _StackedBasis:
 
 
 def syzygies_of_basis(basis: ModuleBasis) -> list:
-    """Generators of the syzygy module {w : sum w_j g_j = 0} in O^len(gens).
-
-    A generating set (Schreyer's theorem), not a standard basis: the
+    """Generators of the syzygy module {w : sum w_j g_j = 0} in O^len(gens),
+    global or local.  A generating set (Schreyer's theorem), not a standard basis: the
     stacked completion that finds them pairs only elements with a nonzero
     upper block (see _StackedBasis).  member() certificates, which divide
     by that upper block only, are the same as after a full completion."""
@@ -779,16 +760,16 @@ def column_syzygies(m, basis: ModuleBasis) -> list:
     return out
 
 
-def syzygies(m, order: MonomialOrder = LOCAL):
+def syzygies(m):
     """Syzygy matrix of a polynomial matrix: columns generate ker(m: O^c -> O^r).
 
     Returns a PolyMatrix z with m * z = 0 whose columns generate all
-    relations among the columns of m over the (local or global) ring.  The
-    columns are a generating set (Schreyer's theorem), not a standard basis
-    of the kernel, and need not be minimal.
+    relations among the columns of m over the polynomial ring, and so over
+    the local ring too.  The columns are a generating set (Schreyer's
+    theorem), not a standard basis of the kernel, and need not be minimal.
     """
     from .matalg import PolyMatrix
-    basis = ModuleBasis(m.rows, [m.column(j) for j in range(m.cols)], order)
+    basis = ModuleBasis(m.rows, [m.column(j) for j in range(m.cols)], GLOBAL)
     return PolyMatrix.from_columns(m.cols, column_syzygies(m, basis), m.nvars)
 
 
@@ -797,8 +778,9 @@ def modulo(vectors: Sequence[Vector], basis: ModuleBasis) -> list:
     vectors of O^r and M the module of basis (Singular's modulo;
     Greuel-Pfister, A Singular Introduction to Commutative Algebra, 2.8).
 
-    The upper-block elements of the stacked completion of basis, cached on
-    it, are a standard basis G of M.  The module of the (g, 0), g in G, and
+    It is computed globally, which generates the local answer too.  The
+    upper-block elements of the stacked completion of basis, cached on it,
+    are a Groebner basis G of M.  The module of the (g, 0), g in G, and
     the (z_i, e_i) in O^(r+t) is completed in its upper block only, as in
     _StackedBasis, and its elements with a vanishing upper block give the
     answer: by Schreyer's theorem their lower blocks generate all a with
@@ -812,15 +794,15 @@ def modulo(vectors: Sequence[Vector], basis: ModuleBasis) -> list:
     if not t:
         return []
     nvars = vectors[0][0].nvars
-    completion = _Completion(basis.order, r + t, _Counter(), paired_rank=r)
+    completion = _Completion(GLOBAL, r + t, _Counter(), paired_rank=r)
     upper = [g for g in _stacked(basis).gens if g.lt[0] < r]
     completion.add_standard([{k: c for k, c in g.flat.items() if k[0] < r}
                              for g in _lead_interreduce(upper)])
     for i, z in enumerate(vectors):
         flat = flatten_vector(z)
         flat[(r + i, (0,) * nvars)] = 1
-        h, _, _ = _normal_form(flat, completion.gens, basis.order,
-                               completion.counter)
+        h, _ = _normal_form(flat, completion.gens, GLOBAL,
+                            completion.counter)
         if h:
             completion.add(h)
     completion.run()
@@ -835,8 +817,9 @@ class MemberResult(_Record):
 
     On success (contains=True) the exact identity
         unit * vec = sum coefficients[j] * generators[j]
-    holds, with unit = 1 for a global order and unit(0) != 0 for a local
-    one.  On failure, remainder is the (order-dependent) normal form.
+    holds in the polynomial ring, with unit = 1 for a global order and
+    unit(0) != 0 for a local one.  On failure unit = 1 and remainder is the
+    nonzero global remainder of vec.
     """
 
     FIELDS = ("contains", "coefficients", "unit", "remainder")
@@ -851,9 +834,11 @@ def member(vec, basis: ModuleBasis) -> MemberResult:
     """Decide membership of a vector (or Poly, for rank 1) with certificate.
 
     The certificate satisfies unit * vec == sum coefficients[i] *
-    generators[i] + remainder, with unit == 1 under a global order and a
-    unit of the local ring otherwise.  For a bare Poly input the remainder
-    is returned as a bare Poly as well.
+    generators[i] + remainder in the polynomial ring.  Under a local order
+    unit is the first generator a of the colon module([vec], basis) with
+    a(0) != 0, which exists exactly when vec lies in the local module; else
+    unit == 1, as under a global order.  For a bare Poly input the
+    remainder is returned as a bare Poly as well.
     """
     scalar = isinstance(vec, Poly)
     if scalar:
@@ -865,14 +850,19 @@ def member(vec, basis: ModuleBasis) -> MemberResult:
     if len(vec) != basis.ambient_rank:
         raise ValueError("vector rank does not match ambient rank")
     is_zero = all(p.is_zero() for p in vec)
+    nv = vec[0].nvars
+    unit = Poly.constant(nv, 1)
     if is_zero or not basis.generators:
         # Nothing to divide, or nothing to divide by: vec is its own
         # remainder.
-        nv = vec[0].nvars
         zero = tuple(Poly.zero(nv) for _ in basis.generators)
-        return MemberResult(is_zero, zero, Poly.constant(nv, 1),
-                            vec[0] if scalar else vec)
-    unit, coeffs, remainder = _stacked(basis).express(vec)
+        return MemberResult(is_zero, zero, unit, vec[0] if scalar else vec)
+    if not basis.order.is_global:
+        a = next((a for a, in modulo([vec], basis) if a.constant_term()),
+                 None)
+        if a is not None:
+            unit, vec = a, tuple(a * p for p in vec)
+    coeffs, remainder = _stacked(basis).express(vec)
     ok = all(p.is_zero() for p in remainder)
     return MemberResult(ok, coeffs, unit,
                         remainder[0] if scalar else remainder)

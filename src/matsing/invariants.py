@@ -81,7 +81,7 @@ _LOG_FIELDS: dict = {}
 def _syzygy_fields(row: list, n: int) -> ModuleBasis:
     """First n components of the syzygies of a row of polynomials in n
     variables, pruned to a generating set of the same module."""
-    z = syzygies(PolyMatrix([row], n), GLOBAL)
+    z = syzygies(PolyMatrix([row], n))
     vecs = [z.column(j)[:n] for j in range(z.cols)]
     return prune_generators(ModuleBasis(n, vecs, GLOBAL))
 
@@ -615,7 +615,7 @@ def function_presentation(f: Poly) -> FreeComplex:
     Used in place of the Koszul complex when f is not isolated."""
     n = f.nvars
     d1 = PolyMatrix([[partial(f, i) for i in range(n)]], n)
-    d2 = syzygies(d1, GLOBAL)
+    d2 = syzygies(d1)
     return FreeComplex((1, n, d2.cols), (d1, d2), n)
 
 

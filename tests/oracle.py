@@ -50,35 +50,39 @@ def _rank(rows):
 
 
 def jet_quotient_dimension(gens, degree_cap=14):
-    """dim of O/(gens) as a vector space at the origin, or None when it
+    """dim of O^r/(gens) as a vector space at the origin, or None when it
     does not stabilize below the cap (treated as infinite by callers).
+    gens are Polys (r = 1) or r-tuples of Polys.
 
-    Works degree by degree: dim O/(I + m^D) is the number of monomials of
-    degree < D minus the rank of all multiples of the generators truncated
-    to that jet space; the sequence stabilizes exactly at dim O/I when the
-    colength is finite.
+    Works degree by degree: dim O^r/(M + m^D O^r) is r times the number of
+    monomials of degree < D minus the rank of all multiples of the
+    generators truncated to that jet space; the sequence stabilizes exactly
+    at dim O^r/M when the colength is finite (Nakayama).
     """
-    gens = [g for g in gens if not g.is_zero()]
+    gens = [g if isinstance(g, tuple) else (g,) for g in gens]
+    gens = [g for g in gens if not all(p.is_zero() for p in g)]
     if not gens:
         return None
-    nvars = gens[0].nvars
-    if any(g.constant_term() != 0 for g in gens):
+    nvars = gens[0][0].nvars
+    if len(gens[0]) == 1 and any(g[0].constant_term() != 0 for g in gens):
         return 0
     prev = None
     for degree in range(2, degree_cap + 1):
-        basis = monomials_below(nvars, degree)
-        index = {e: i for i, e in enumerate(basis)}
+        monos = monomials_below(nvars, degree)
+        basis = [(c, e) for c in range(len(gens[0])) for e in monos]
+        index = {ce: i for i, ce in enumerate(basis)}
         rows = []
         for g in gens:
-            for mono in monomials_below(nvars, degree):
+            for mono in monos:
                 row = [Fraction(0)] * len(basis)
                 hit = False
-                for e, c in g:
-                    prod = tuple(a + b for a, b in zip(e, mono))
-                    slot = index.get(prod)
-                    if slot is not None:
-                        row[slot] = c
-                        hit = True
+                for comp, p in enumerate(g):
+                    for e, c in p:
+                        prod = tuple(a + b for a, b in zip(e, mono))
+                        slot = index.get((comp, prod))
+                        if slot is not None:
+                            row[slot] = c
+                            hit = True
                 if hit:
                     rows.append(row)
         dim = len(basis) - _rank(rows)
@@ -135,3 +139,26 @@ def random_finite_colength_ideal(rng: random.Random, nvars):
     if rng.random() < 0.5:
         gens.append(random_poly(rng, nvars, max_degree=2, terms=3))
     return gens
+
+
+def random_finite_colength_module(rng: random.Random, nvars, rank):
+    """rank-tuples of Polys that certainly cut out a finite-dimensional
+    quotient of O^rank.  For each component k, the generators of a
+    random_finite_colength_ideal sit in component k, with random entries
+    in the later components and zeros in the earlier ones; this triangular
+    module contains m^N O^rank for some N.  A random constant unipotent
+    change of coordinates (adding multiples of later components to earlier
+    ones) then mixes the components without changing the colength."""
+    zero = Poly.zero(nvars)
+    gens = []
+    for comp in range(rank):
+        for g in random_finite_colength_ideal(rng, nvars):
+            gens.append([zero] * comp + [g] + [
+                random_poly(rng, nvars, max_degree=2, terms=2)
+                for _ in range(comp + 1, rank)])
+    for i in range(rank):
+        for k in range(i + 1, rank):
+            c = rng.randint(-2, 2)
+            for vec in gens:
+                vec[i] = vec[i] + vec[k] * c
+    return [tuple(vec) for vec in gens]

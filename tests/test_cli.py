@@ -325,6 +325,31 @@ def test_eqeq_on_slow_sym_under_a_small_budget(tmp_path, capsys):
     assert data["lhs"] == data["rhs"] == [4, 4]
 
 
+@pytest.mark.parametrize("theorem, dims", [("eqeq", [4, 4]),
+                                            ("betas", 4)])
+def test_slow_gen_verifies_under_a_budget(tmp_path, capsys, theorem, dims):
+    # slow-gen of perfbench/gen.py KNOWN_SLOW: mu = tau = 4 and Betti
+    # numbers [2, 2, 0, 0, 0], so tau = mu - b0 + b1.  Its largest single
+    # computation takes 1134 steps.
+    p = tmp_path / "fam.txt"
+    p.write_text("kind=general; vars=x,y,z; "
+                 "matrix=[[x,y^2+z^3],[z^2+x*y,y+x^3]]\n")
+    code, out, err = run(capsys, "verify", "--theorem", theorem, "--json",
+                         "--max-steps", "1500", str(p))
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["verdict"] == "HOLDS"
+    assert data["lhs"] == data["rhs"] == dims
+    code, out, err = run(capsys, "analyze", "--json", "--max-steps", "1500",
+                         str(p))
+    assert code == 0, err
+    data = json.loads(out)
+    assert {data[k] for k in ("mu", "tau_function_right",
+                              "tau_function_contact", "tau_matrix_special",
+                              "tau_matrix_general")} == {4}
+    assert data["betti"] == [2, 2, 0, 0, 0]
+
+
 def test_parser_is_built_once_and_namespaces_are_fresh():
     assert cli._build_parser() is cli._build_parser()
     first = cli._build_parser().parse_args(["analyze", "diag-sym", "a=(1,2)"])

@@ -138,7 +138,7 @@ def test_pruned_generic_log_fields(kind, n):
         == LIE_DIMS[kind](n)
     # The pruned basis spans the whole syzygy module it was taken from.
     row = PolyMatrix([[partial(f, i) for i in range(nv)]], nv)
-    z = syzygies(row, GLOBAL)
+    z = syzygies(row)
     unpruned = ModuleBasis(nv, [z.column(j) for j in range(z.cols)], GLOBAL)
     assert _same_module(fields_f, unpruned)
     # Der(-log f) plus the Euler field is all of Der(-log V).
@@ -150,7 +150,7 @@ def _syzygy_route_V(f):
     (df/dx_1, ..., df/dx_N, f), unpruned."""
     n = f.nvars
     row = PolyMatrix([[partial(f, i) for i in range(n)] + [f]], n)
-    z = syzygies(row, GLOBAL)
+    z = syzygies(row)
     return ModuleBasis(n, [z.column(j)[:n] for j in range(z.cols)], GLOBAL)
 
 
@@ -442,12 +442,12 @@ def test_eqeq_matches_membership_route_with_an_infinite_side(text):
 
 @pytest.mark.parametrize("text, steps", [
     # random-00008 and random-00015 of perfbench/hangs.py --seed 1.  Their
-    # largest computations take 515 and 617 steps; mutual membership of
-    # generators runs for minutes in its stacked completions.
+    # largest computations, local completions of A + B, take 335 and 921
+    # steps.
     ("kind=general; vars=x1..x3; matrix=[[-4/3*x2-3/2*x3, "
      "-1/3*x1^2-1/3*x3^2], [-x3^2, 1/3*x2^2+2*x2]]", 600),
     ("kind=skew; vars=x1..x5; upper=[[-1/3*x3*x5-3*x4*x5, 0, -2*x5], "
-     "[-2*x1-x2*x3-x2, -3/2*x1+2/3*x3*x4], [-x3^2]]", 700),
+     "[-2*x1-x2*x3-x2, -3/2*x1+2/3*x3*x4], [-x3^2]]", 1000),
 ])
 def test_eqeq_holds_on_infinite_random_families_under_a_budget(text, steps):
     fam = parse_family(text).to_family()
@@ -455,6 +455,30 @@ def test_eqeq_holds_on_infinite_random_families_under_a_budget(text, steps):
         rec = _Analysis(fam).check("eqeq")
     assert rec.verdict == "HOLDS"
     assert rec.lhs == rec.rhs == ["infinite", "infinite"]
+
+
+@pytest.mark.parametrize("text, mu", [
+    # random-00016, -17 and -18 of perfbench/hangs.py --seed 1: symmetric
+    # 3x3 families in 2 variables, m = m0 - 1.  Their largest computations
+    # in analyze take 759, 320 and 1567 steps.
+    ("kind=symmetric; vars=x1,x2; matrix=[[-2/3*x1^2+x1*x2, -2*x2, -x2], "
+     "[-2*x2, -10/3*x1+x2, -x1^2-17/6*x1], "
+     "[-x2, -x1^2-17/6*x1, -3/2*x1-2*x2]]", 5),
+    ("kind=symmetric; vars=x1,x2; matrix=[[x1^2+1/3*x2^2, -2/3*x2, "
+     "1/3*x1^2-2/3*x1*x2+2*x1], [-2/3*x2, 0, -1/2*x1], "
+     "[1/3*x1^2-2/3*x1*x2+2*x1, -1/2*x1, -3/2*x1*x2]]", 6),
+    ("kind=symmetric; vars=x1,x2; matrix=[[-4*x1^2-2/3*x1*x2-2/3*x1, "
+     "2*x1-4/3*x2, 4/3*x1^2+2*x1-x2], [2*x1-4/3*x2, -x1*x2, "
+     "-2/3*x1-5/2*x2], [4/3*x1^2+2*x1-x2, -2/3*x1-5/2*x2, -2/3*x2^2]]", 4),
+])
+def test_two_parameter_symmetric_families_have_tau_equal_to_mu(text, mu):
+    # The paper's theorem for symmetric families in two parameters.
+    fam = parse_family(text).to_family()
+    with budget(2000):
+        ctx = _Analysis(fam)
+        assert ctx.mu == ctx.tau_kf == mu
+        for identity in ("submax", "betas"):
+            assert ctx.check(identity).verdict == "HOLDS", identity
 
 
 def _unit_vectors_plus(rank, first):
