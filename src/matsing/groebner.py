@@ -380,10 +380,8 @@ def _spair(gi: _Gen, gj: _Gen) -> Flat:
 
 
 class _Completion:
-    """Buchberger completion that accepts new elements between runs: after
-    run() returns, gens is a standard basis (not interreduced) of
-    everything added so far.  run(max_degree) only treats pairs whose key
-    degree is <= max_degree and keeps the rest for a later run.
+    """Buchberger completion: after run() returns, gens is a standard basis
+    (not interreduced) of everything added before it.
 
     Under a local order this is homogeneous Buchberger in t and x: a pair
     is keyed by its homogenised degree (sugar), |lcm| + the larger ecart,
@@ -440,12 +438,10 @@ class _Completion:
             for i in range(start, k):
                 self.treated.add((i, k))
 
-    def run(self, max_degree: Optional[int] = None) -> None:
+    def run(self) -> None:
         gens, pairs, treated = self.gens, self.pairs, self.treated
         local = self.local
         while pairs:
-            if max_degree is not None and pairs[0][0] > max_degree:
-                return
             self.counter.tick()
             deg, comp, lcm, i, j = heappop(pairs)
             treated.add((i, j))
@@ -585,32 +581,6 @@ def groebner_basis(basis: ModuleBasis) -> ModuleBasis:
                for g in gens]
     return ModuleBasis._of(basis.ambient_rank, vectors, order,
                            is_reduced=order.is_global, completed=True)
-
-
-def prune_generators(basis: ModuleBasis) -> ModuleBasis:
-    """A generating set of the same module, chosen from basis.generators.
-
-    Generators are visited by increasing degree.  One is dropped only when
-    its normal form against the generators kept so far, completed through
-    its degree, is exactly zero: that zero certifies it lies in their
-    module, so the module does not change.  For homogeneous generators under
-    a global degree order the degree-bounded completion is a Groebner basis
-    in those degrees, so every redundant generator is dropped.
-    """
-    def degree(vec) -> int:
-        return max(p.total_degree() for p in vec)
-
-    counter = _Counter()
-    completion = _Completion(basis.order, basis.ambient_rank, counter)
-    kept = []
-    for vec in sorted(basis.generators, key=degree):
-        completion.run(degree(vec))
-        h, _ = _normal_form(flatten_vector(vec), completion.gens,
-                            basis.order, counter)
-        if h:
-            kept.append(vec)
-            completion.add(h)
-    return ModuleBasis(basis.ambient_rank, kept, basis.order)
 
 
 def quotient_dimension(basis: ModuleBasis):

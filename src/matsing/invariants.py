@@ -12,7 +12,7 @@ reachable along independent routes:
     computed as syzygies and pulled back along a map.  A family is the
     section fam.as_map() of the generic det/Pf of its (kind, n), so one
     analysis path serves families and sections, and the fields of each
-    target function are computed and pruned once per process.
+    target function are computed once per process.
 
 The identity checkers at the bottom re-derive the relations between these
 numbers (difference formulas against Milnor numbers, Betti number
@@ -31,8 +31,8 @@ from .complexes import (FreeComplex, cone, homology_dimension,
                         homology_profile, kind_complex, koszul, phi_f,
                         pullback)
 from .groebner import (GLOBAL, INFINITE, LOCAL, ModuleBasis,
-                       _leads_divided_by, prune_generators,
-                       quotient_dimension, step_limit, syzygies)
+                       _leads_divided_by, quotient_dimension, step_limit,
+                       syzygies)
 from .matalg import (MatrixFamily, PolyMatrix, flatten, generic_family,
                      gl_basis, sl_basis, space_dim)
 from .poly import Poly, SubstitutionMap, _Record, partial, substitute
@@ -80,17 +80,17 @@ _LOG_FIELDS: dict = {}
 
 def _syzygy_fields(row: list, n: int) -> ModuleBasis:
     """First n components of the syzygies of a row of polynomials in n
-    variables, pruned to a generating set of the same module."""
+    variables, as syzygies returns them: a Schreyer generating set, not
+    necessarily minimal."""
     z = syzygies(PolyMatrix([row], n))
-    vecs = [z.column(j)[:n] for j in range(z.cols)]
-    return prune_generators(ModuleBasis(n, vecs, GLOBAL))
+    return ModuleBasis(n, [z.column(j)[:n] for j in range(z.cols)], GLOBAL)
 
 
 def der_log_f(f: Poly) -> ModuleBasis:
-    """Vector fields annihilating f: generators of the syzygies of the row
-    (df/dx_1, ..., df/dx_N), pruned to a generating set of the same module.
-    Computed over the polynomial ring; since localization is flat, the same
-    vectors generate over the local ring."""
+    """Vector fields annihilating f: the generators that syzygies gives
+    for the row (df/dx_1, ..., df/dx_N), in its order.  Computed over the
+    polynomial ring; since localization is flat, the same vectors generate
+    over the local ring."""
     key = ("f", f, step_limit())
     if key not in _LOG_FIELDS:
         _LOG_FIELDS[key] = _syzygy_fields(
@@ -100,7 +100,7 @@ def der_log_f(f: Poly) -> ModuleBasis:
 
 def der_log_V(f: Poly) -> ModuleBasis:
     """Vector fields tangent to the zero set of f, i.e. eta(f) in (f),
-    as a pruned generating set.
+    as a generating set.
 
     For homogeneous f of degree d > 0 no second syzygy computation is
     needed: if eta(f) = a*f then eta - (a/d)*E annihilates f, where E is
@@ -611,11 +611,12 @@ def _diagonal_exponents(fam: MatrixFamily) -> Optional[list]:
 
 def function_presentation(f: Poly) -> FreeComplex:
     """The two-step complex O^s -> O^N -> O with d1 the row of partials of
-    f and d2 their syzygy matrix; H_0 is the jacobian algebra, H_1 = 0.
-    Used in place of the Koszul complex when f is not isolated."""
+    f and d2 their syzygy matrix, whose columns are the (cached) fields
+    der_log_f(f); H_0 is the jacobian algebra, H_1 = 0.  Used in place of
+    the Koszul complex when f is not isolated."""
     n = f.nvars
     d1 = PolyMatrix([[partial(f, i) for i in range(n)]], n)
-    d2 = syzygies(d1)
+    d2 = PolyMatrix.from_columns(n, der_log_f(f).generators, n)
     return FreeComplex((1, n, d2.cols), (d1, d2), n)
 
 

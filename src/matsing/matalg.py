@@ -381,30 +381,13 @@ def pfaffian(m: PolyMatrix) -> Poly:
 _GENERIC_SUBPF: dict = {}
 
 
-def _upper_index(n: int):
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return pairs, {p: k for k, p in enumerate(pairs)}
-
-
-def _generic_skew(n: int) -> PolyMatrix:
-    pairs, _ = _upper_index(n)
-    nv = len(pairs)
-    z = Poly.zero(nv)
-    ent = [[z] * n for _ in range(n)]
-    for k, (i, j) in enumerate(pairs):
-        v = Poly.variable(nv, k)
-        ent[i][j] = v
-        ent[j][i] = -v
-    return PolyMatrix(ent, nv)
-
-
 def _generic_subpf(n: int) -> PolyMatrix:
     """P*[i][j] = (-1)^(i+j) Pf(S without rows/cols i, j) for i < j, and
     P*[j][i] = -P*[i][j], for the generic skew S of size n."""
     got = _GENERIC_SUBPF.get(n)
     if got is not None:
         return got
-    s = _generic_skew(n)
+    s = generic_family("skew", n).entries
     pf = _pfaffians(s)
     ent = [[Poly.zero(s.nvars)] * n for _ in range(n)]
     for i in range(n):
@@ -432,12 +415,10 @@ def sub_pfaffian_matrix(m: PolyMatrix) -> PolyMatrix:
     if n % 2 != 0:
         raise ValueError("sub-pfaffian matrix needs an even-size matrix")
     generic = _generic_subpf(n)
-    pairs, _ = _upper_index(n)
-    images = SubstitutionMap([m.entries[i][j] for (i, j) in pairs]) \
-        if pairs else None
-    if images is None:
+    coords = flatten("skew", m)
+    if not coords:
         return PolyMatrix.identity(0, m.nvars)
-    return generic.apply_map(images)
+    return generic.apply_map(SubstitutionMap(coords))
 
 
 # -- matrix families ----------------------------------------------------------

@@ -20,6 +20,7 @@ from matsing import (
     der_log_f,
     function_presentation,
     generic_family,
+    groebner_basis,
     member,
     milnor_number,
     minors_ideal,
@@ -36,7 +37,7 @@ from matsing import (
 )
 from matsing.groebner import GLOBAL, syzygies
 from matsing.invariants import (CheckRecord, InvariantReport, _Analysis,
-                                 _jsonable)
+                                 _jsonable, _lie_images)
 from matsing.poly import add, mul, partial, substitute
 
 from conftest import budget
@@ -129,20 +130,31 @@ def _same_module(a, b):
 @pytest.mark.parametrize("kind,n", [("symmetric", 2), ("symmetric", 3),
                                     ("general", 2), ("general", 3),
                                     ("skew", 4)])
-def test_pruned_generic_log_fields(kind, n):
+def test_generic_log_fields(kind, n):
     f = generic_family(kind, n).function()
-    nv = f.nvars
     fields_f = der_log_f(f)
     fields_v = der_log_V(f)
     assert (len(fields_f.generators), len(fields_v.generators)) \
         == LIE_DIMS[kind](n)
-    # The pruned basis spans the whole syzygy module it was taken from.
-    row = PolyMatrix([[partial(f, i) for i in range(nv)]], nv)
-    z = syzygies(row)
-    unpruned = ModuleBasis(nv, [z.column(j) for j in range(z.cols)], GLOBAL)
-    assert _same_module(fields_f, unpruned)
     # Der(-log f) plus the Euler field is all of Der(-log V).
     assert _same_module(fields_v, der_log_V(f))
+
+
+@pytest.mark.parametrize("kind,n", [("symmetric", 2), ("symmetric", 3),
+                                    ("symmetric", 4), ("general", 2),
+                                    ("general", 3), ("skew", 4), ("skew", 6)])
+def test_generic_log_fields_match_lie_algebra_images(kind, n):
+    # An independent route: the log fields of the generic det/Pf are the
+    # images of the Lie algebra acting on the generic matrix, sl for
+    # Der(-log f) and gl for Der(-log V).  Equal reduced global bases make
+    # the modules equal.
+    fam = generic_family(kind, n)
+    f = fam.function()
+    for fields, flavour in ((der_log_f(f), "special"),
+                            (der_log_V(f), "general")):
+        images = ModuleBasis(f.nvars, _lie_images(fam, flavour), GLOBAL)
+        assert groebner_basis(fields).generators \
+            == groebner_basis(images).generators, flavour
 
 
 def _syzygy_route_V(f):
