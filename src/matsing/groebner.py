@@ -9,6 +9,9 @@ Greuel-Pfister, A Singular Introduction to Commutative Algebra, 1.7 and
 g.ecart, is at most deg - |a|.  Completion is then homogeneous Buchberger
 in K[t, x]^r with t never written down, and its x-parts form a local
 standard basis.  Under a global order the rule never stops a division.
+A division may instead drop every term of degree >= d as it forms, with
+no ecart stop: sound for a module of finite colength d, which contains
+m^d O^r, and it decides membership by a division that ends (_contained).
 Syzygies, modulo and membership certificates are computed globally:
 localisation is flat, so global generators of a syzygy or colon module
 generate it locally too, and local membership of v in M takes its unit
@@ -40,9 +43,9 @@ A step counter guards all completion and division loops: badly posed
 inputs can be astronomically slow, so it raises StepLimitExceeded instead
 of hanging.  set_step_limit is the one way to set the budget, and it
 bounds each computation separately: every completion (with the divisions
-inside it) and every division of a member() query counts its own steps
-against the limit, so one analysis can take many times the limit in
-total.
+inside it), every division of a member() query and every _contained test
+counts its own steps against the limit, so one analysis can take many
+times the limit in total.
 """
 
 from __future__ import annotations
@@ -315,7 +318,8 @@ class ModuleBasis(_Record):
 
 def _normal_form(f: Flat, gens: list, order: MonomialOrder,
                  counter: _Counter, upper_rank: Optional[int] = None,
-                 deg: Optional[int] = None) -> tuple[Flat, int]:
+                 deg: Optional[int] = None,
+                 below: Optional[int] = None) -> tuple[Flat, int]:
     """Division with remainder.
 
     gens must have int coefficients (as completed bases do).  Returns
@@ -333,10 +337,17 @@ def _normal_form(f: Flat, gens: list, order: MonomialOrder,
     upper_rank on are bookkeeping.  If given, division stops as soon as the
     leading term falls in a component >= upper_rank: under position-over-
     term that is exactly "the upper block is exhausted".
+
+    below: if given, terms of degree >= below are dropped as they form, so
+    the identity holds modulo m^below O^r, and the ecart stop is skipped.
+    Every leading term then lies among the finitely many terms of degree
+    < below and falls at each step, so the loop ends under either order.
     """
     h, scale = _integral(f)
-    local = not order.is_global
-    if local and deg is None:
+    local = not order.is_global and below is None
+    if below is not None:
+        h = {k: c for k, c in h.items() if sum(k[1]) < below}
+    elif local and deg is None:
         deg = _maxdeg(h)
     while h:
         lt, lc = _leading(h, order)
@@ -360,7 +371,12 @@ def _normal_form(f: Flat, gens: list, order: MonomialOrder,
             scale *= a
             for k in h:
                 h[k] *= a
-        _scale_into(h, g.flat, -b, exp_sub(exp, g.lt[1]))
+        shift = exp_sub(exp, g.lt[1])
+        terms = g.flat
+        if below is not None:
+            top = below - sum(shift)
+            terms = {k: c for k, c in terms.items() if sum(k[1]) < top}
+        _scale_into(h, terms, -b, shift)
     return h, scale
 
 
@@ -506,6 +522,19 @@ def _leads_divided_by(basis: ModuleBasis, by: ModuleBasis) -> bool:
     divisors = [g.lt for g in _standard(by)[0]]
     return all(any(c == gc and exp_divides(e, ge) for c, e in divisors)
                for gc, ge in (g.lt for g in _standard(basis)[0]))
+
+
+def _contained(vectors: Sequence[Vector], basis: ModuleBasis,
+               d: int) -> bool:
+    """Whether all vectors lie in the module M of basis, a local basis with
+    dim O^r/M = d finite.  Then m^d O^r lies in M (Nakayama), so each
+    vector is divided by the cached standard basis of M with its terms of
+    degree >= d dropped: it lies in M exactly when the remainder is 0.  The
+    divisions count their steps together against the step limit."""
+    gens = _standard(basis)[0]
+    counter = _Counter()
+    return not any(_normal_form(flatten_vector(v), gens, basis.order,
+                                counter, below=d)[0] for v in vectors)
 
 
 def _lead_interreduce(gens: list) -> list:

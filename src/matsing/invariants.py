@@ -31,8 +31,8 @@ from .complexes import (FreeComplex, cone, homology_dimension,
                         homology_profile, kind_complex, koszul, phi_f,
                         pullback)
 from .groebner import (GLOBAL, INFINITE, LOCAL, ModuleBasis,
-                       _leads_divided_by, quotient_dimension, step_limit,
-                       syzygies)
+                       _contained, _leads_divided_by, quotient_dimension,
+                       step_limit, syzygies)
 from .matalg import (MatrixFamily, PolyMatrix, flatten, generic_family,
                      gl_basis, sl_basis, space_dim)
 from .poly import Poly, SubstitutionMap, _Record, partial, substitute
@@ -437,19 +437,23 @@ class _Analysis:
         if lhs != rhs:
             return CheckRecord("eqeq", _jsonable(lhs), _jsonable(rhs),
                                "FAILS", note)
-        # Dimensions agree; confirm the modules coincide.  A and B lie in
-        # A + B, so a standard basis of A + B whose leading terms are all
-        # divisible by leading terms of the (cached) standard bases of A
-        # and of B proves A + B = A and A + B = B in the local ring.  For
-        # finite colengths this is the same as dim O^r/(A + B) = d; it
-        # decides INFINITE sides too.  A + B is completed from scratch:
-        # seeding it with the basis of A or B was slower.
-        for a, b in ((self.tangent_special, self.pulled_f),
-                     (self.tangent_general, self.pulled_V)):
-            both = ModuleBasis._of(a.ambient_rank,
-                                   a.generators + b.generators, LOCAL)
-            same = (_leads_divided_by(both, a)
-                    and _leads_divided_by(both, b))
+        # Dimensions agree; confirm the modules coincide.  For a finite
+        # colength d, B in A with dim O^r/A = dim O^r/B = d gives A = B,
+        # and B in A is decided by division against the cached standard
+        # basis of A, truncated at degree d since m^d O^r lies in A.  An
+        # INFINITE side has no such bound: A and B lie in A + B, so a
+        # standard basis of A + B whose leading terms are all divisible by
+        # leading terms of the (cached) standard bases of A and of B
+        # proves A + B = A and A + B = B in the local ring.
+        for a, b, d in ((self.tangent_special, self.pulled_f, lhs[0]),
+                        (self.tangent_general, self.pulled_V, lhs[1])):
+            if _finite(d):
+                same = _contained(b.generators, a, d)
+            else:
+                both = ModuleBasis._of(a.ambient_rank,
+                                       a.generators + b.generators, LOCAL)
+                same = (_leads_divided_by(both, a)
+                        and _leads_divided_by(both, b))
             if not same:
                 return CheckRecord("eqeq", _jsonable(lhs), _jsonable(rhs),
                                    "FAILS", note + "; containment failed")

@@ -263,10 +263,11 @@ def test_batch_not_a_directory_exit_1(tmp_path, capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("budget, code", [("68", 0), ("67", 3)])
+@pytest.mark.parametrize("budget, code", [("38", 0), ("37", 3)])
 def test_max_steps_boundary_normal_form_sym_3(capsys, budget, code):
-    # 68 steps is the largest single computation of this analysis, the
-    # standard basis of the sum of the two eqeq modules; the boundary pins
+    # 38 steps is the largest single computation of this analysis, the
+    # stacked completion behind the Schreyer syzygies of the partials of
+    # the generic symmetric 3x3 determinant (der_log_f); the boundary pins
     # the step counts of completion and division.
     got, _, _ = run(capsys, "analyze", "normal-form-sym", "n=3",
                     "--max-steps", budget)
@@ -312,7 +313,7 @@ def test_resolution_check_on_slow_skew6_under_a_budget(tmp_path, capsys):
 
 def test_eqeq_on_slow_sym_under_a_small_budget(tmp_path, capsys):
     # slow-sym of perfbench/gen.py KNOWN_SLOW.  Both sides have colength 4,
-    # so one standard basis of their sum decides eqeq; mutual membership of
+    # so division truncated at degree 4 decides eqeq; mutual membership of
     # generators exceeds this budget in its stacked completions.
     p = tmp_path / "fam.txt"
     p.write_text("kind=symmetric; vars=x,y; "

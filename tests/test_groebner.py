@@ -18,7 +18,7 @@ from matsing import (
     quotient_dimension,
     syzygies_of_basis,
 )
-from matsing.groebner import modulo, step_limit
+from matsing.groebner import _contained, modulo, step_limit
 from matsing.poly import add, exp_divides, mul
 
 from conftest import budget
@@ -368,6 +368,48 @@ def test_local_colength_of_modules_matches_jet_oracle(rank):
         with budget(2000):
             got = quotient_dimension(ModuleBasis(rank, gens, LOCAL))
         assert got == expected, (seed, gens)
+
+
+def test_contained_needs_containment_not_just_equal_colength():
+    a = ideal([P("x"), P("y^2")])
+    b = ideal([P("x^2"), P("y")])
+    assert quotient_dimension(a) == quotient_dimension(b) == 2
+    assert not _contained(b.generators, a, 2)
+    assert not _contained(a.generators, b, 2)
+    assert _contained(ideal([P("y^2"), P("x")]).generators, a, 2)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_contained_matches_jet_oracle(rank):
+    # Truncated division against dense linear algebra on jets: v lies in A
+    # exactly when adding it leaves the colength of A unchanged.  v is an
+    # O-combination of the generators, which lies in A, plus on two draws
+    # of three a random vector or a pure power of degree d.
+    import random
+    verdicts = set()
+    for seed in range(12):
+        rng = random.Random(300 + 100 * rank + seed)
+        nv = rng.choice((1, 2, 2, 3))
+        gens = random_finite_colength_module(rng, nv, rank)
+        d = jet_quotient_dimension(gens)
+        v = [Poly.zero(nv)] * rank
+        for g in gens:
+            c = random_poly(rng, nv, max_degree=1, terms=2,
+                            zero_constant=False)
+            v = [p + c * q for p, q in zip(v, g)]
+        if seed % 3 == 1:
+            v = [p + random_poly(rng, nv, max_degree=2, terms=2) for p in v]
+        elif seed % 3 == 2:
+            v[rng.randrange(rank)] += Poly.monomial(nv, (d,) + (0,) * (nv - 1))
+        v = tuple(v)
+        expected = jet_quotient_dimension(gens + [v]) == d
+        a = ModuleBasis(rank, gens, LOCAL)
+        with budget(2000):
+            assert quotient_dimension(a) == d
+            got = _contained([v], a, d)
+        assert got == expected, (seed, gens, v)
+        verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_global_basis_is_fully_reduced():

@@ -35,7 +35,7 @@ from matsing import (
     tjurina_number_function,
     verify_identity,
 )
-from matsing.groebner import GLOBAL, syzygies
+from matsing.groebner import GLOBAL, _contained, _standard, syzygies
 from matsing.invariants import (CheckRecord, InvariantReport, _Analysis,
                                  _jsonable, _lie_images)
 from matsing.poly import add, mul, partial, substitute
@@ -137,7 +137,7 @@ def test_generic_log_fields(kind, n):
     assert (len(fields_f.generators), len(fields_v.generators)) \
         == LIE_DIMS[kind](n)
     # Der(-log f) plus the Euler field is all of Der(-log V).
-    assert _same_module(fields_v, der_log_V(f))
+    assert _same_module(fields_v, _syzygy_route_V(f))
 
 
 @pytest.mark.parametrize("kind,n", [("symmetric", 2), ("symmetric", 3),
@@ -378,12 +378,14 @@ def test_log_field_cache_respects_step_budget():
 
 def test_step_limit_bounds_each_computation_of_an_analysis():
     # The library counterpart of the CLI pin on normal-form-sym n=3: the
-    # largest single computation of the analysis takes 68 steps.
+    # largest single computation of the analysis, the stacked completion
+    # behind the Schreyer syzygies of the partials of the generic symmetric
+    # 3x3 determinant (der_log_f), takes 38 steps.
     from matsing import StepLimitExceeded
     subject = catalog("normal-form-sym", n=3).subject()
-    with budget(68):
+    with budget(38):
         analyze(subject)
-    with budget(67), pytest.raises(StepLimitExceeded):
+    with budget(37), pytest.raises(StepLimitExceeded):
         analyze(subject)
 
 
@@ -391,7 +393,8 @@ def test_step_limit_bounds_each_computation_of_an_analysis():
 
 def _eqeq_by_membership(ctx):
     """The eqeq record by mutual membership of generators on every side: a
-    second route, independent of the lead-module comparison of eqeq."""
+    second route, independent of the truncated division and the lead-module
+    comparison of eqeq."""
     note = ("tangent space of the group action vs jacobian plus "
             "pulled-back log fields, both flavours")
     lhs = _jsonable([ctx.tau_special, ctx.tau_general])
@@ -506,7 +509,7 @@ def _unit_vectors_plus(rank, first):
 @pytest.mark.parametrize("prop, side", [("pulled_f", "tangent_special"),
                                         ("pulled_V", "tangent_general")])
 @pytest.mark.parametrize("text, first, dims", [
-    # Colength 2 on both sides: the sum of the modules decides.
+    # Colength 2 on both sides: truncated division decides.
     ("kind=symmetric; vars=x,y; matrix=[[x,y],[y,x^2]]", ("x", "y^2"),
      [2, 2]),
     # Infinite colength on both sides: lead modules decide.
@@ -526,3 +529,23 @@ def test_eqeq_detects_a_different_module_of_the_same_colength(
     assert rec.verdict == "FAILS"
     assert rec.note.endswith("; containment failed")
     assert rec == _eqeq_by_membership(_Analysis(fam))
+
+
+def test_eqeq_truncates_at_the_colength_not_the_highest_standard_degree():
+    # Under position over term the highest standard monomial says little:
+    # the special tangent module A of diag-sym a=(2,1) has the leading
+    # terms x e_0, x e_1, x e_2, so every standard monomial has degree 0,
+    # yet x e_0 lies outside A, since A contains 2x e_0 + e_2.  Division
+    # truncated at degree 1 would take 2x e_0 + e_2 to e_2 and fail; eqeq
+    # truncates at the colength 3.
+    ctx = _Analysis(catalog("diag-sym", a=(2, 1)).to_family())
+    tangent = ctx.tangent_special
+    assert quotient_dimension(tangent) == 3
+    assert sorted(g.lt for g in _standard(tangent)[0]) \
+        == [(0, (1,)), (1, (1,)), (2, (1,))]
+    x, zero, one = Poly.variable(1, 0), Poly.zero(1), Poly.constant(1, 1)
+    x_e0 = (x, zero, zero)
+    assert not member(x_e0, tangent).contains
+    assert not _contained([x_e0], tangent, 3)
+    assert _contained([(x + x, zero, one)], tangent, 3)
+    assert ctx.check("eqeq").verdict == "HOLDS"
