@@ -24,7 +24,10 @@ on the complex, which serves twice: its syzygies are t generators z_i of
 ker d_k, and its upper block is a standard basis of im d_k.  R is then
 modulo(z, im d_(k+1)), the a with sum a_i z_i a boundary.  Localisation at
 0 is exact, so global generators generate the local modules too, and only
-the colength of O^t / R is taken under the local order.
+the colength of O^t / R is taken under the local order.  The z_i and R stay
+flat vectors with packed monomial keys from the syzygies to the colength
+(see groebner), never Polys; as everywhere in groebner, every degree must
+stay below 2^31, and past it a ValueError is raised.
 """
 
 from __future__ import annotations
@@ -33,8 +36,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .groebner import (GLOBAL, INFINITE, LOCAL, ModuleBasis, column_syzygies,
-                       modulo, quotient_dimension)
+from .groebner import (GLOBAL, LOCAL, ModuleBasis, _homology_colength,
+                       quotient_dimension)
 from .matalg import (MatrixFamily, PolyMatrix, flatten, sl_coords, space_dim,
                      unflatten)
 from .poly import Poly, SubstitutionMap, _Record, partial
@@ -407,14 +410,8 @@ def homology_dimension(c: FreeComplex, k: int):
             d1 = c.diff(1)
             cols = [d1.column(j) for j in range(d1.cols)]
         return quotient_dimension(ModuleBasis(c.ranks[0], cols, LOCAL))
-    cycles = column_syzygies(c.diff(k), _columns(c, k))
-    t = len(cycles)
-    if k == c.length:
-        return 0 if t == 0 else INFINITE
-    if t == 0:
-        return 0
-    relations = modulo(cycles, _columns(c, k + 1))
-    return quotient_dimension(ModuleBasis._of(t, relations, LOCAL))
+    boundaries = _columns(c, k + 1) if k < c.length else None
+    return _homology_colength(c.diff(k), _columns(c, k), boundaries)
 
 
 def homology_profile(c: FreeComplex) -> list:

@@ -18,8 +18,25 @@ generate it locally too, and local membership of v in M takes its unit
 from the colon M : v (see member).
 
 Vectors in a free module O^r are stored flat as dicts keyed by
-(component, exponent-tuple): this keeps division and s-vector code
-identical for the ideal case (r = 1) and the module case.
+(component, L), which keeps division and s-vector code identical for the
+ideal case (r = 1) and the module case.  L packs the monomial x^e of n
+variables into one int,
+
+    L(e) = s |e| 2^(nF) + sum_i e_i 2^(iF),    F = 32,
+
+with s = -1 under the global order and s = +1 under the local one
+(Bachmann-Schoenemann, Monomial representations for Groebner bases
+computations, ISSAC 1998).  L is additive, and a smaller (component, L)
+is a larger term under either order, so the leading term of a flat is its
+min, a monomial product or quotient is a sum or difference of keys, x^a
+divides x^b exactly when b - a borrows from no exponent field (the top
+bit of every field stays clear), and the degree reads back as
+s (L >> nF).  Exponents are decoded only at the Poly boundary
+(flatten_vector, unflatten_vector) and for the leading terms of basis
+elements.  The fields hold every exponent only while every degree stays
+below 2^31: that is checked when a Poly is packed, at each division step
+and at each s-vector, and past it a ValueError is raised, never a wrong
+answer given.
 
 Arithmetic inside the module is on ints.  A flat made from Polys holds
 their Fractions, but division and basis normalisation clear denominators
@@ -51,15 +68,16 @@ times the limit in total.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from heapq import heappop, heappush
 from math import gcd, lcm
+from struct import Struct
 from typing import Optional, Sequence, Tuple
 
-from .poly import (ExpVec, Poly, Scalar, _Record, exp_divides, exp_lcm,
-                   exp_mul, exp_sub)
+from .poly import ExpVec, Poly, Scalar, _Record, exp_divides, exp_lcm
 
 Vector = Tuple[Poly, ...]
-FlatKey = Tuple[int, ExpVec]  # (component, exponent)
+FlatKey = Tuple[int, int]  # (component, packed monomial)
 Flat = dict
 
 
@@ -135,8 +153,8 @@ class MonomialOrder:
 
     Orders are exposed as key functions: larger key means larger monomial,
     so the leading term of a nonzero object is the max of the keys.  The
-    division code finds leading terms with _leading instead, which gives
-    the same answer without building a key per term.
+    division code packs monomials into ints instead (see _Encoding), which
+    orders them the same way, reversed.
     """
 
     KINDS = ("degrevlex-global", "negdegrevlex-local")
@@ -175,43 +193,101 @@ GLOBAL = MonomialOrder("degrevlex-global")
 LOCAL = MonomialOrder("negdegrevlex-local")
 
 
-# -- flat vector helpers -----------------------------------------------------
+# -- packed monomials and flat vectors -----------------------------------------
 
-def flatten_vector(vec: Sequence[Poly]) -> Flat:
+_FIELD = 32  # bits per exponent field
+_DEGREE_BOUND = 1 << (_FIELD - 1)  # every degree must stay below this
+
+
+def _check_degree(d: int) -> None:
+    if d >= _DEGREE_BOUND:
+        raise ValueError(f"monomial degree {d} reaches 2^31, the degree "
+                         f"bound of the packed monomial keys")
+
+
+class _Encoding:
+    """The packed keys of the monomials in nvars variables under one order
+    (see the module docstring): local says whether s = +1, shift = nF is
+    the bit offset of the degree field, low the mask of the exponent fields
+    and high that of their top bits.  One instance per (nvars, order), from
+    _encoding."""
+
+    __slots__ = ("nvars", "local", "shift", "low", "high", "_struct")
+
+    def __init__(self, nvars: int, local: bool):
+        self.nvars = nvars
+        self.local = local
+        self.shift = nvars * _FIELD
+        self.low = (1 << self.shift) - 1
+        self.high = sum(1 << (i * _FIELD + _FIELD - 1) for i in range(nvars))
+        self._struct = Struct(f"<{nvars}I")
+
+    def pack(self, exp: ExpVec) -> int:
+        d = sum(exp)
+        _check_degree(d)
+        return (int.from_bytes(self._struct.pack(*exp), "little")
+                + ((d if self.local else -d) << self.shift))
+
+    def unpack(self, key: int) -> ExpVec:
+        return self._struct.unpack(
+            (key & self.low).to_bytes(4 * self.nvars, "little"))
+
+    def degree(self, key: int) -> int:
+        d = key >> self.shift
+        return d if self.local else -d
+
+
+def _encoding(nvars: Optional[int], order: MonomialOrder) -> _Encoding:
+    """The encoding of (nvars, order); None (a module without generators,
+    which packs nothing) counts as 0 variables."""
+    return _encoding_of(nvars or 0, not order.is_global)
+
+
+_encoding_of = cache(_Encoding)
+
+
+def flatten_vector(vec: Sequence[Poly], enc: _Encoding) -> Flat:
     out: Flat = {}
+    pack = enc.pack
     for comp, p in enumerate(vec):
         for exp, coeff in p.terms.items():
-            out[(comp, exp)] = coeff
+            out[(comp, pack(exp))] = coeff
     return out
 
 
-def unflatten_vector(flat: Flat, rank: int, nvars: int) -> Vector:
+def unflatten_vector(flat: Flat, rank: int, enc: _Encoding) -> Vector:
     per_comp: list[dict] = [dict() for _ in range(rank)]
-    for (comp, exp), coeff in flat.items():
-        per_comp[comp][exp] = Fraction(coeff)
-    return tuple(Poly._of(nvars, t) for t in per_comp)
+    unpack = enc.unpack
+    for (comp, key), coeff in flat.items():
+        per_comp[comp][unpack(key)] = Fraction(coeff)
+    return tuple(Poly._of(enc.nvars, t) for t in per_comp)
 
 
-def _leading(flat: Flat, order: MonomialOrder) -> tuple[FlatKey, Scalar]:
-    """The term with the largest order.module_key: the lowest component,
-    then the highest total degree (lowest under the local order), then the
-    reverse-lex tie break, i.e. the least reversed exponent."""
-    comp = min(c for c, _ in flat)
-    exps = [e for c, e in flat if c == comp]
-    degs = list(map(sum, exps))
-    top = max(degs) if order.is_global else min(degs)
-    exp = min(e[::-1] for e, d in zip(exps, degs) if d == top)[::-1]
-    return (comp, exp), flat[(comp, exp)]
+def _leading(flat: Flat) -> tuple[FlatKey, Scalar]:
+    """The leading term and its coefficient: the least key, which is the
+    largest term under order.module_key."""
+    lt = min(flat)
+    return lt, flat[lt]
 
 
-def _maxdeg(flat: Flat) -> int:
-    return max(sum(exp) for (_, exp) in flat)
+def _maxdeg(flat: Flat, enc: _Encoding) -> int:
+    if enc.local:
+        return max(key for _, key in flat) >> enc.shift
+    return -(min(key for _, key in flat) >> enc.shift)
 
 
-def _scale_into(dst: Flat, src: Flat, coeff: int, shift: ExpVec) -> None:
-    """dst += coeff * x^shift * src, in place."""
-    for (comp, exp), c in src.items():
-        k = (comp, exp_mul(exp, shift))
+def _below(flat: Flat, enc: _Encoding, d: int) -> Flat:
+    """The terms of flat of degree < d: one comparison of each key with
+    the least (global) or greatest (local) key of degree d - 1."""
+    if enc.local:
+        return {k: c for k, c in flat.items() if k[1] < (d << enc.shift)}
+    return {k: c for k, c in flat.items() if k[1] >= ((1 - d) << enc.shift)}
+
+
+def _scale_into(dst: Flat, src: Flat, coeff: int, shift: int) -> None:
+    """dst += coeff * x^shift * src, in place; shift is a packed key."""
+    for (comp, key), c in src.items():
+        k = (comp, key + shift)
         s = dst.get(k)
         if s is None:
             dst[k] = coeff * c
@@ -225,7 +301,10 @@ def _scale_into(dst: Flat, src: Flat, coeff: int, shift: ExpVec) -> None:
 
 def _integral(flat: Flat) -> tuple[Flat, int]:
     """(den * flat, den) with den the least common denominator, so that the
-    new flat has int coefficients."""
+    new flat has int coefficients.  A flat whose coefficients are all ints
+    already is returned as it is, not copied."""
+    if all(type(c) is int for c in flat.values()):
+        return flat, 1
     den = lcm(*(c.denominator for c in flat.values()))
     return {k: c.numerator * (den // c.denominator)
             for k, c in flat.items()}, den
@@ -233,33 +312,37 @@ def _integral(flat: Flat) -> tuple[Flat, int]:
 
 class _Gen:
     """A basis element with its cached leading data; lead, if given, is
-    the (leading term, leading coefficient) of flat.  ecart = deg - |lt|
-    is the t-power of lt with flat homogenised to degree deg (by default
-    its top degree)."""
+    the (leading term, leading coefficient) of flat.  exp is the decoded
+    exponent of the leading term and deg its degree.  top is the degree
+    flat is homogenised to (by default its top degree), and ecart =
+    top - deg the t-power of the leading term there."""
 
-    __slots__ = ("flat", "lt", "lc", "ecart")
+    __slots__ = ("flat", "lt", "lc", "exp", "deg", "top", "ecart")
 
-    def __init__(self, flat: Flat, order: MonomialOrder, lead=None,
+    def __init__(self, flat: Flat, enc: _Encoding, lead=None,
                  deg: Optional[int] = None):
         self.flat = flat
-        self.lt, self.lc = lead or _leading(flat, order)
-        self.ecart = (_maxdeg(flat) if deg is None else deg) - sum(self.lt[1])
+        self.lt, self.lc = lead or _leading(flat)
+        self.exp = enc.unpack(self.lt[1])
+        self.deg = sum(self.exp)
+        self.top = _maxdeg(flat, enc) if deg is None else deg
+        self.ecart = self.top - self.deg
 
 
-def _normalized(flat: Flat, order: MonomialOrder,
+def _normalized(flat: Flat, enc: _Encoding,
                 deg: Optional[int] = None) -> _Gen:
     """A nonzero flat with denominators cleared, divided by its content and
     its leading coefficient made positive, as a _Gen of degree deg with int
     coefficients.  The leading term is found once, for the sign and for the
-    _Gen."""
+    _Gen.  An int flat of content 1 becomes the _Gen's own, uncopied."""
     flat, _ = _integral(flat)
-    lt, lc = _leading(flat, order)
+    lt, lc = _leading(flat)
     content = gcd(*flat.values())
     if lc < 0:
         content = -content
     if content != 1:
         flat = {k: c // content for k, c in flat.items()}
-    return _Gen(flat, order, (lt, lc // content), deg)
+    return _Gen(flat, enc, (lt, lc // content), deg)
 
 
 class ModuleBasis(_Record):
@@ -316,7 +399,7 @@ class ModuleBasis(_Record):
 
 # -- division ---------------------------------------------------------------
 
-def _normal_form(f: Flat, gens: list, order: MonomialOrder,
+def _normal_form(f: Flat, gens: list, enc: _Encoding,
                  counter: _Counter, upper_rank: Optional[int] = None,
                  deg: Optional[int] = None,
                  below: Optional[int] = None) -> tuple[Flat, int]:
@@ -328,6 +411,7 @@ def _normal_form(f: Flat, gens: list, order: MonomialOrder,
     for some polynomials q_i, which are not returned.  Division is
     fraction-free, so h has int coefficients: it is the nonzero integer
     scale times what the same division with Fraction arithmetic gives.
+    An int flat f is divided in place, so the caller must own it.
 
     Under a local order f is divided as if homogenised to degree deg (by
     default its top degree): a reducer cancels the leading term x^a only
@@ -344,54 +428,58 @@ def _normal_form(f: Flat, gens: list, order: MonomialOrder,
     < below and falls at each step, so the loop ends under either order.
     """
     h, scale = _integral(f)
-    local = not order.is_global and below is None
+    local = enc.local and below is None
+    high = enc.high
     if below is not None:
-        h = {k: c for k, c in h.items() if sum(k[1]) < below}
+        _check_degree(below - 1)  # the degree of every term formed
+        h = _below(h, enc, below)
     elif local and deg is None:
-        deg = _maxdeg(h)
+        deg = _maxdeg(h, enc)
     while h:
-        lt, lc = _leading(h, order)
-        if upper_rank is not None and lt[0] >= upper_rank:
+        lt = min(h)
+        comp, key = lt
+        if upper_rank is not None and comp >= upper_rank:
             break
-        comp, exp = lt
         g = None
         for cand in gens:
-            gc, ge = cand.lt
-            if gc != comp or not exp_divides(ge, exp):
+            gc, gk = cand.lt
+            if gc != comp or (key - gk) & high:
                 continue
             if g is None or cand.ecart < ecart:
                 g, ecart = cand, cand.ecart
         counter.tick()
-        if g is None or local and ecart > deg - sum(exp):
+        if g is None:
             break
+        degree = enc.degree(key)
+        if local and ecart > deg - degree:
+            break
+        terms = g.flat
+        dshift = degree - g.deg
+        if below is None:
+            _check_degree(dshift + g.top)
+        else:
+            terms = _below(terms, enc, below - dshift)
         # h <- a*h - b*x^shift*g, which is a times h - (lc/g.lc)*x^shift*g.
+        lc = h[lt]
         d = gcd(lc, g.lc)
         a, b = g.lc // d, lc // d
         if a != 1:
             scale *= a
             for k in h:
                 h[k] *= a
-        shift = exp_sub(exp, g.lt[1])
-        terms = g.flat
-        if below is not None:
-            top = below - sum(shift)
-            terms = {k: c for k, c in terms.items() if sum(k[1]) < top}
-        _scale_into(h, terms, -b, shift)
+        _scale_into(h, terms, -b, key - g.lt[1])
     return h, scale
 
 
 # -- completion --------------------------------------------------------------
 
-def _spair(gi: _Gen, gj: _Gen) -> Flat:
-    """The s-vector of two elements with the same leading component,
-    cross-multiplied to stay denominator free."""
-    comp = gi.lt[0]
-    lcm = exp_lcm(gi.lt[1], gj.lt[1])
-    si = exp_sub(lcm, gi.lt[1])
-    sj = exp_sub(lcm, gj.lt[1])
+def _spair(gi: _Gen, gj: _Gen, lcm: int) -> Flat:
+    """The s-vector of two elements with the same leading component and
+    the packed lcm of their leading terms, cross-multiplied to stay
+    denominator free."""
     out: Flat = {}
-    _scale_into(out, gi.flat, gj.lc, si)
-    _scale_into(out, gj.flat, -gi.lc, sj)
+    _scale_into(out, gi.flat, gj.lc, lcm - gi.lt[1])
+    _scale_into(out, gj.flat, -gi.lc, lcm - gj.lt[1])
     return out
 
 
@@ -409,38 +497,41 @@ class _Completion:
     is then a standard basis only in those components (see _StackedBasis).
     """
 
-    def __init__(self, order: MonomialOrder, ambient_rank: int,
+    def __init__(self, enc: _Encoding, ambient_rank: int,
                  counter: _Counter, paired_rank: Optional[int] = None):
-        self.order = order
-        self.local = not order.is_global
+        self.enc = enc
+        self.local = enc.local
         self.ambient_rank = ambient_rank
         self.counter = counter
         self.paired_rank = ambient_rank if paired_rank is None else paired_rank
         self.gens: list = []
-        # Heap of pending pairs (degree, component, lcm, i, j); the keys
-        # are unique, so the pop order is fully determined.
+        # Heap of pending pairs (degree, component, lcm, i, j), lcm the
+        # exponent tuple; the keys are unique, so the pop order is fully
+        # determined.
         self.pairs: list = []
         self.treated: set = set()
 
     def add(self, flat: Flat, deg: Optional[int] = None) -> None:
         gens, local = self.gens, self.local
-        g = _normalized(flat, self.order, deg)
+        g = _normalized(flat, self.enc, deg)
         k = len(gens)
         gens.append(g)
-        if g.lt[0] >= self.paired_rank:
+        comp = g.lt[0]
+        if comp >= self.paired_rank:
             return
         for i, gi in enumerate(gens[:k]):
-            if gi.lt[0] != g.lt[0]:
+            if gi.lt[0] != comp:
                 continue
-            lcm = exp_lcm(gi.lt[1], g.lt[1])
-            if (self.ambient_rank == 1 and lcm == exp_mul(gi.lt[1], g.lt[1])
+            lcm = exp_lcm(gi.exp, g.exp)
+            d = sum(lcm)
+            if (self.ambient_rank == 1 and d == gi.deg + g.deg
                     and not min(gi.ecart, g.ecart)):
                 # Coprime leading terms reduce to zero (ideal case only).
                 # Under a global order ideal elements have ecart 0.
                 self.treated.add((i, k))
                 continue
             t = max(gi.ecart, g.ecart) if local else 0
-            heappush(self.pairs, (sum(lcm) + t, g.lt[0], lcm, i, k))
+            heappush(self.pairs, (d + t, comp, lcm, i, k))
 
     def add_standard(self, flats: list) -> None:
         """Add elements that form a standard basis of their own module, before
@@ -449,43 +540,48 @@ class _Completion:
         formed; the chain criterion may still use them."""
         start = len(self.gens)
         for flat in flats:
-            self.gens.append(_normalized(flat, self.order))
+            self.gens.append(_normalized(flat, self.enc))
         for k in range(start, len(self.gens)):
             for i in range(start, k):
                 self.treated.add((i, k))
 
     def run(self) -> None:
         gens, pairs, treated = self.gens, self.pairs, self.treated
-        local = self.local
+        enc, local = self.enc, self.local
+        high = enc.high
         while pairs:
             self.counter.tick()
             deg, comp, lcm, i, j = heappop(pairs)
             treated.add((i, j))
+            packed, lcm_deg = enc.pack(lcm), sum(lcm)
             # Classical chain criterion: skip if some third leading term
             # divides the lcm, t-part included, and both side pairs were
             # already handled.
             for k, gk in enumerate(gens):
                 if (k != i and k != j and gk.lt[0] == comp
-                        and exp_divides(gk.lt[1], lcm)
-                        and not (local and gk.ecart > deg - sum(lcm))
+                        and not (packed - gk.lt[1]) & high
+                        and not (local and gk.ecart > deg - lcm_deg)
                         and (min(i, k), max(i, k)) in treated
                         and (min(j, k), max(j, k)) in treated):
                     break
             else:
-                s = _spair(gens[i], gens[j])
+                gi, gj = gens[i], gens[j]
+                _check_degree(lcm_deg + max(gi.ecart, gj.ecart))
+                s = _spair(gi, gj, packed)
                 deg = deg if local else None
-                h, _ = _normal_form(s, gens, self.order, self.counter, deg=deg)
+                h, _ = _normal_form(s, gens, enc, self.counter, deg=deg)
                 if h:
                     self.add(h, deg)  # normalised there: the scale is moot
 
 
-def _complete(flats: list, order: MonomialOrder, ambient_rank: int,
+def _complete(flats: list, enc: _Encoding, ambient_rank: int,
               counter: _Counter, paired_rank: Optional[int] = None) -> list:
-    """Buchberger completion; returns the list of _Gen (not interreduced)."""
-    completion = _Completion(order, ambient_rank, counter, paired_rank)
+    """Buchberger completion; returns the list of _Gen (not interreduced).
+    The flats become the completion's own: the caller must not reuse them."""
+    completion = _Completion(enc, ambient_rank, counter, paired_rank)
     for flat in flats:
         if flat:
-            completion.add(dict(flat))
+            completion.add(flat)
     completion.run()
     return completion.gens
 
@@ -498,15 +594,16 @@ def _standard(basis: ModuleBasis) -> tuple:
     would.  A completed basis is taken as it is."""
     got = basis._standard
     if got is None:
-        order = basis.order
-        flats = [flatten_vector(g) for g in basis.generators]
+        enc = _encoding(basis.nvars, basis.order)
+        flats = [flatten_vector(g, enc) for g in basis.generators]
         counter = _Counter()
         if basis.completed:
-            gens = [_normalized(flat, order) for flat in flats]
+            gens = [_normalized(flat, enc) for flat in flats]
         else:
-            gens = _lead_interreduce(_complete(flats, order,
-                                               basis.ambient_rank, counter))
-        gens.sort(key=lambda g: order.module_key(*g.lt), reverse=True)
+            gens = _lead_interreduce(_complete(flats, enc,
+                                               basis.ambient_rank, counter),
+                                     enc)
+        gens.sort(key=lambda g: g.lt)
         got = basis._standard = (gens, counter.steps)
     elif got[1] > step_limit():
         raise StepLimitExceeded(step_limit())
@@ -519,9 +616,10 @@ def _leads_divided_by(basis: ModuleBasis, by: ModuleBasis) -> bool:
     of basis the lead modules are then equal, which makes the modules
     equal, in the local ring under a local order (Greuel-Pfister, A
     Singular Introduction to Commutative Algebra, 1.6 and 2.3)."""
+    high = _encoding(basis.nvars, basis.order).high
     divisors = [g.lt for g in _standard(by)[0]]
-    return all(any(c == gc and exp_divides(e, ge) for c, e in divisors)
-               for gc, ge in (g.lt for g in _standard(basis)[0]))
+    return all(any(c == gc and not (key - gk) & high for c, gk in divisors)
+               for gc, key in (g.lt for g in _standard(basis)[0]))
 
 
 def _contained(vectors: Sequence[Vector], basis: ModuleBasis,
@@ -532,60 +630,60 @@ def _contained(vectors: Sequence[Vector], basis: ModuleBasis,
     degree >= d dropped: it lies in M exactly when the remainder is 0.  The
     divisions count their steps together against the step limit."""
     gens = _standard(basis)[0]
+    enc = _encoding(basis.nvars, basis.order)
     counter = _Counter()
-    return not any(_normal_form(flatten_vector(v), gens, basis.order,
-                                counter, below=d)[0] for v in vectors)
+    return not any(_normal_form(flatten_vector(v, enc), gens, enc, counter,
+                                below=d)[0] for v in vectors)
 
 
-def _lead_interreduce(gens: list) -> list:
+def _lead_interreduce(gens: list, enc: _Encoding) -> list:
     """Drop elements whose leading term is divisible by another one's.
 
     Elements are visited by increasing degree of the leading term, so under
     either order a divisor comes before its proper multiples; among equal
     leading terms the first element is kept (the sort is stable)."""
+    high = enc.high
     keep: list = []
-    for g in sorted(gens, key=lambda g: sum(g.lt[1])):
-        redundant = False
-        for h in keep:
-            if h.lt[0] == g.lt[0] and exp_divides(h.lt[1], g.lt[1]):
-                redundant = True
-                break
-        if not redundant:
+    for g in sorted(gens, key=lambda g: g.deg):
+        comp, key = g.lt
+        if not any(h.lt[0] == comp and not (key - h.lt[1]) & high
+                   for h in keep):
             keep.append(g)
     return keep
 
 
-def _reduce_fully(flat: Flat, gens: list, order: MonomialOrder,
+def _reduce_fully(flat: Flat, gens: list, enc: _Encoding,
                   counter: _Counter) -> Flat:
     """A remainder of flat modulo gens, up to a nonzero factor, no term of
     which is divisible by a leading term of gens (global orders only):
-    top-reduce, move the irreducible leading term out, repeat."""
+    top-reduce, move the irreducible leading term out, repeat.  flat is
+    left as it is: division works in place, on a copy."""
     done: Flat = {}
-    h = flat
+    h = dict(flat)
     while True:
-        h, scale = _normal_form(h, gens, order, counter)
+        h, scale = _normal_form(h, gens, enc, counter)
         if not h:
             return done
         if scale != 1:
             # h was scaled by the division: keep the part moved out in step.
             done = {k: c * scale for k, c in done.items()}
-        lt, lc = _leading(h, order)
+        lt, lc = _leading(h)
         done[lt] = lc
         del h[lt]
 
 
-def _tail_reduce(gens: list, order: MonomialOrder, counter: _Counter) -> list:
+def _tail_reduce(gens: list, enc: _Encoding, counter: _Counter) -> list:
     """Fully reduce each element against the others and make it monic
     (global orders only, where this is the unique reduced basis).  An
     element whose leading term is a proper multiple of another's reduces
     to zero and is dropped; the others keep their leading terms."""
     out = []
     for i, g in enumerate(gens):
-        h = _reduce_fully(g.flat, gens[:i] + gens[i + 1:], order, counter)
+        h = _reduce_fully(g.flat, gens[:i] + gens[i + 1:], enc, counter)
         if not h:
             continue
         lc = h[g.lt]
-        out.append(_Gen({k: Fraction(c, lc) for k, c in h.items()}, order))
+        out.append(_Gen({k: Fraction(c, lc) for k, c in h.items()}, enc))
     return out
 
 
@@ -601,12 +699,13 @@ def groebner_basis(basis: ModuleBasis) -> ModuleBasis:
     if basis.completed:
         return basis
     order = basis.order
+    enc = _encoding(basis.nvars, order)
     gens, steps = _standard(basis)
     if order.is_global:
         counter = _Counter()
         counter.steps = steps
-        gens = _tail_reduce(gens, order, counter)
-    vectors = [unflatten_vector(g.flat, basis.ambient_rank, basis.nvars)
+        gens = _tail_reduce(gens, enc, counter)
+    vectors = [unflatten_vector(g.flat, basis.ambient_rank, enc)
                for g in gens]
     return ModuleBasis._of(basis.ambient_rank, vectors, order,
                            is_reduced=order.is_global, completed=True)
@@ -619,14 +718,17 @@ def quotient_dimension(basis: ModuleBasis):
     ring for a global one.  The dimension is the number of standard
     monomials: pairs (component, monomial) outside the leading-term module.
     """
-    gens, _ = _standard(basis)
-    r = basis.ambient_rank
+    return _colength(_standard(basis)[0], basis.ambient_rank, basis.nvars)
+
+
+def _colength(gens: list, r: int, nv: int):
+    """The number of standard monomials of a standard basis gens of a
+    submodule of O^r, O in nv variables; INFINITE if not finite."""
     if r and not gens:
         return INFINITE  # all of O^r; for r = 0 the sum below is 0
-    nv = basis.nvars
     lts: list = [[] for _ in range(r)]
     for g in gens:
-        lts[g.lt[0]].append(g.lt[1])
+        lts[g.lt[0]].append(g.exp)
     total = 0
     for comp in range(r):
         exps = lts[comp]
@@ -679,27 +781,25 @@ class _StackedBasis:
     def __init__(self, basis: ModuleBasis):
         self.rank = basis.ambient_rank
         self.count = len(basis.generators)
-        self.nvars = basis.nvars
+        self.enc = enc = _encoding(basis.nvars, GLOBAL)
         flats = []
         for j, g in enumerate(basis.generators):
-            flat = flatten_vector(g)
-            flat[(self.rank + j, (0,) * self.nvars)] = 1
+            flat = flatten_vector(g, enc)
+            flat[(self.rank + j, 0)] = 1  # 0 is the key of the monomial 1
             flats.append(flat)
         counter = _Counter()
-        self.gens = _complete(flats, GLOBAL, self.rank + self.count,
+        self.gens = _complete(flats, enc, self.rank + self.count,
                               counter, paired_rank=self.rank)
         # The completion is deterministic, so this is the least budget
         # under which it can be built.
         self.steps = counter.steps
 
-    def syzygy_vectors(self) -> list:
-        """Generators of the syzygies of the original generators, as vectors
+    def syzygy_flats(self) -> list:
+        """Generators of the syzygies of the original generators, as flats
         in O^count.  They are not lead-interreduced: dropping an element
         whose leading term is a multiple of another's is sound only for a
         standard basis, and these are just a generating set."""
-        return [unflatten_vector({(comp - self.rank, exp): c
-                                  for (comp, exp), c in g.flat.items()},
-                                 self.count, self.nvars)
+        return [_lower(g.flat, self.rank)
                 for g in self.gens if g.lt[0] >= self.rank]
 
     def express(self, vec: Sequence[Poly]):
@@ -707,14 +807,20 @@ class _StackedBasis:
         vec = sum coeffs[j] * g_j + remainder.  Each call counts its own
         steps against the step limit; the completion's steps are spent
         once, when built."""
-        h, scale = _normal_form(flatten_vector(vec), self.gens, GLOBAL,
+        enc = self.enc
+        h, scale = _normal_form(flatten_vector(vec, enc), self.gens, enc,
                                 _Counter(), upper_rank=self.rank)
         upper = {k: Fraction(c, scale) for k, c in h.items()
                  if k[0] < self.rank}
         lower = {(k[0] - self.rank, k[1]): Fraction(-c, scale)
                  for k, c in h.items() if k[0] >= self.rank}
-        return (unflatten_vector(lower, self.count, self.nvars),
-                unflatten_vector(upper, self.rank, self.nvars))
+        return (unflatten_vector(lower, self.count, enc),
+                unflatten_vector(upper, self.rank, enc))
+
+
+def _lower(flat: Flat, r: int) -> Flat:
+    """A flat whose components all lie at r or above, moved down by r."""
+    return {(comp - r, key): c for (comp, key), c in flat.items()}
 
 
 def _stacked(basis: ModuleBasis) -> _StackedBasis:
@@ -731,11 +837,14 @@ def _stacked(basis: ModuleBasis) -> _StackedBasis:
 
 def syzygies_of_basis(basis: ModuleBasis) -> list:
     """Generators of the syzygy module {w : sum w_j g_j = 0} in O^len(gens),
-    global or local.  A generating set (Schreyer's theorem), not a standard basis: the
-    stacked completion that finds them pairs only elements with a nonzero
-    upper block (see _StackedBasis).  member() certificates, which divide
-    by that upper block only, are the same as after a full completion."""
-    return _stacked(basis).syzygy_vectors()
+    global or local.  A generating set (Schreyer's theorem), not a standard
+    basis: the stacked completion that finds them pairs only elements with
+    a nonzero upper block (see _StackedBasis).  member() certificates,
+    which divide by that upper block only, are the same as after a full
+    completion."""
+    st = _stacked(basis)
+    return [unflatten_vector(flat, st.count, st.enc)
+            for flat in st.syzygy_flats()]
 
 
 def column_syzygies(m, basis: ModuleBasis) -> list:
@@ -743,19 +852,17 @@ def column_syzygies(m, basis: ModuleBasis) -> list:
     the ModuleBasis of the columns of m (which drops the zero columns): the
     syzygies of basis spread back over the columns, then a unit vector for
     each zero column."""
+    enc = _encoding(m.nvars, GLOBAL)
+    return [unflatten_vector(flat, m.cols, enc)
+            for flat in _column_syzygies(m, basis)]
+
+
+def _column_syzygies(m, basis: ModuleBasis) -> list:
+    """column_syzygies as flats packed under the global order."""
     keep = [j for j in range(m.cols) if any(p.terms for p in m.column(j))]
-    nv = m.nvars
-    out: list = []
-    for v in syzygies_of_basis(basis):
-        col = [Poly.zero(nv)] * m.cols
-        for slot, j in enumerate(keep):
-            col[j] = v[slot]
-        out.append(tuple(col))
-    for j in range(m.cols):
-        if j not in keep:
-            col = [Poly.zero(nv)] * m.cols
-            col[j] = Poly.constant(nv, 1)
-            out.append(tuple(col))
+    out = [{(keep[slot], key): c for (slot, key), c in flat.items()}
+           for flat in _stacked(basis).syzygy_flats()]
+    out += [{(j, 0): 1} for j in range(m.cols) if j not in keep]
     return out
 
 
@@ -789,26 +896,57 @@ def modulo(vectors: Sequence[Vector], basis: ModuleBasis) -> list:
     module unchanged and often its upper block zero.  The completion counts
     its own steps against the step limit.
     """
-    r, t = basis.ambient_rank, len(vectors)
+    t = len(vectors)
     if not t:
         return []
-    nvars = vectors[0][0].nvars
-    completion = _Completion(GLOBAL, r + t, _Counter(), paired_rank=r)
+    enc = _encoding(vectors[0][0].nvars, GLOBAL)
+    return [unflatten_vector(flat, t, enc)
+            for flat in _modulo([flatten_vector(z, enc) for z in vectors],
+                                basis, enc)]
+
+
+def _modulo(flats: list, basis: ModuleBasis, enc: _Encoding) -> list:
+    """modulo on flats: the z_i and the answer are flats packed by enc, the
+    global encoding.  The z_i are left as they are."""
+    r, t = basis.ambient_rank, len(flats)
+    completion = _Completion(enc, r + t, _Counter(), paired_rank=r)
     upper = [g for g in _stacked(basis).gens if g.lt[0] < r]
     completion.add_standard([{k: c for k, c in g.flat.items() if k[0] < r}
-                             for g in _lead_interreduce(upper)])
-    for i, z in enumerate(vectors):
-        flat = flatten_vector(z)
-        flat[(r + i, (0,) * nvars)] = 1
-        h, _ = _normal_form(flat, completion.gens, GLOBAL,
-                            completion.counter)
+                             for g in _lead_interreduce(upper, enc)])
+    for i, z in enumerate(flats):
+        flat = dict(z)
+        flat[(r + i, 0)] = 1
+        h, _ = _normal_form(flat, completion.gens, enc, completion.counter)
         if h:
             completion.add(h)
     completion.run()
-    return [unflatten_vector({(comp - r, exp): c
-                              for (comp, exp), c in g.flat.items()},
-                             t, nvars)
-            for g in completion.gens if g.lt[0] >= r]
+    return [_lower(g.flat, r) for g in completion.gens if g.lt[0] >= r]
+
+
+def _homology_colength(m, basis: ModuleBasis, boundaries):
+    """dim_Q of ker(m) / B over the local ring: 0, a count or INFINITE.
+
+    basis is the ModuleBasis of the columns of m, and boundaries that of
+    the columns of a matrix whose image B lies in ker(m), or None for B = 0,
+    where the answer is 0 or INFINITE.  With z_1..z_t the global syzygies
+    of the columns of m, which generate ker(m) locally too, the answer is
+    the colength of O^t / R, R = modulo(z, B).  z and R stay flat: R is
+    re-encoded for the local order by its degree fields alone and completed
+    there, counting its own steps against the step limit.
+    """
+    cycles = _column_syzygies(m, basis)
+    if not cycles:
+        return 0
+    if boundaries is None:
+        return INFINITE
+    t = len(cycles)
+    relations = _modulo(cycles, boundaries, _encoding(m.nvars, GLOBAL))
+    enc = _encoding(m.nvars, LOCAL)
+    shift, low = enc.shift, enc.low
+    local = [{(c, (-(key >> shift) << shift) + (key & low)): v
+              for (c, key), v in flat.items()} for flat in relations]
+    gens = _lead_interreduce(_complete(local, enc, t, _Counter()), enc)
+    return _colength(gens, t, m.nvars)
 
 
 class MemberResult(_Record):

@@ -23,7 +23,7 @@ hypothesis.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
 from typing import List, Optional, Union
 
@@ -290,6 +290,13 @@ def _jsonable(v):
 
 # -- analysis context ------------------------------------------------------------
 
+@cache
+def _generic_function(kind: str, n: int) -> Poly:
+    """The generic det/Pf of (kind, n), built once per process.  An odd
+    skew size has none: it raises on every call, and nothing is cached."""
+    return generic_family(kind, n).function()
+
+
 class _Analysis:
     """Shared lazy computations for one subject, reduced to one target: the
     function f composed with the map fmap.
@@ -328,7 +335,7 @@ class _Analysis:
         """The target function of a family: the generic det/Pf of its
         (kind, n).  Built only when needed, since odd-size skew families
         have none but still answer the checks that do not use it."""
-        return generic_family(self.kind, self.n).function()
+        return _generic_function(self.kind, self.n)
 
     @cached_property
     def fmap(self) -> SubstitutionMap:

@@ -26,19 +26,9 @@ ExpVec = Tuple[int, ...]
 _ZERO = Fraction(0)
 
 
-def exp_mul(a: ExpVec, b: ExpVec) -> ExpVec:
-    """Product of two monomials (componentwise exponent sum)."""
-    return tuple(map(operator.add, a, b))
-
-
 def exp_divides(a: ExpVec, b: ExpVec) -> bool:
     """True iff the monomial with exponents a divides the one with b."""
     return all(map(operator.le, a, b))
-
-
-def exp_sub(a: ExpVec, b: ExpVec) -> ExpVec:
-    """Quotient exponent a - b (caller guarantees divisibility)."""
-    return tuple(map(operator.sub, a, b))
 
 
 def exp_lcm(a: ExpVec, b: ExpVec) -> ExpVec:

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from matsing import (
     GLOBAL,
@@ -276,17 +276,18 @@ def test_budget_holds_on_a_cached_standard_basis(order):
 def _groebner_basis_in_one_pass(basis):
     """Reference: groebner_basis as one pass of completion, lead
     interreduction, tail reduction (global only) and sort, with no cache."""
-    from matsing.groebner import (_complete, _Counter, _lead_interreduce,
-                                  _tail_reduce, flatten_vector,
-                                  unflatten_vector)
+    from matsing.groebner import (_complete, _Counter, _encoding,
+                                  _lead_interreduce, _tail_reduce,
+                                  flatten_vector, unflatten_vector)
     order, counter = basis.order, _Counter()
+    enc = _encoding(basis.nvars, order)
     gens = _lead_interreduce(_complete(
-        [flatten_vector(g) for g in basis.generators], order,
-        basis.ambient_rank, counter))
+        [flatten_vector(g, enc) for g in basis.generators], enc,
+        basis.ambient_rank, counter), enc)
     if order.is_global:
-        gens = _tail_reduce(gens, order, counter)
-    gens.sort(key=lambda g: order.module_key(*g.lt), reverse=True)
-    return [unflatten_vector(g.flat, basis.ambient_rank, basis.nvars)
+        gens = _tail_reduce(gens, enc, counter)
+    gens.sort(key=lambda g: order.module_key(g.lt[0], g.exp), reverse=True)
+    return [unflatten_vector(g.flat, basis.ambient_rank, enc)
             for g in gens]
 
 
@@ -319,13 +320,15 @@ def test_groebner_basis_from_the_cache_matches_one_pass(order, rank):
 
 
 def test_lead_interreduce_drops_proper_multiples_under_global():
-    from matsing.groebner import _Gen, _lead_interreduce, flatten_vector
+    from matsing.groebner import (_encoding, _Gen, _lead_interreduce,
+                                  flatten_vector)
     for order in (GLOBAL, LOCAL):
-        gens = [_Gen(flatten_vector((P(t),)), order)
+        enc = _encoding(2, order)
+        gens = [_Gen(flatten_vector((P(t),), enc), enc)
                 for t in ("x^2*y", "x", "2*x", "y^3")]
-        kept = _lead_interreduce(gens)
+        kept = _lead_interreduce(gens, enc)
         # x divides x^2*y; of the equal leads x and 2*x the first is kept.
-        assert [g.lt[1] for g in kept] == [(1, 0), (0, 3)], order
+        assert [g.exp for g in kept] == [(1, 0), (0, 3)], order
         assert kept[0] is gens[1]
 
 
@@ -505,18 +508,21 @@ def test_quotient_dimension_walks_the_staircase():
 
 
 def test_leading_term_agrees_with_order_key():
-    # _leading avoids building key tuples; MonomialOrder.module_key is the
+    # _leading takes the least packed key; MonomialOrder.module_key is the
     # reference it must agree with.
     import random
-    from matsing.groebner import _leading
+    from matsing.groebner import _encoding, _leading
     rng = random.Random(3)
     for _ in range(300):
         nv = rng.randint(1, 4)
-        flat = {(rng.randint(0, 2), tuple(rng.randint(0, 3) for _ in range(nv))):
-                rng.randint(1, 9) for _ in range(rng.randint(1, 12))}
+        terms = {(rng.randint(0, 2), tuple(rng.randint(0, 3) for _ in range(nv))):
+                 rng.randint(1, 9) for _ in range(rng.randint(1, 12))}
         for order in (GLOBAL, LOCAL):
-            want = max(flat, key=lambda ce: order.module_key(*ce))
-            assert _leading(flat, order) == (want, flat[want])
+            enc = _encoding(nv, order)
+            flat = {(c, enc.pack(e)): v for (c, e), v in terms.items()}
+            want = max(terms, key=lambda ce: order.module_key(*ce))
+            (comp, key), coeff = _leading(flat)
+            assert ((comp, enc.unpack(key)), coeff) == (want, terms[want])
 
 
 def _full_completion_syzygies(basis):
@@ -636,3 +642,85 @@ def test_modulo_of_boundaries_inside_cycles():
     assert quotient_dimension(ModuleBasis(1, rel, LOCAL)) is INFINITE
     assert member((P("x"),), ModuleBasis(1, rel, GLOBAL)).contains
     assert all(member(a, ideal([P("x")], GLOBAL)).contains for a in rel)
+
+
+# -- packed monomial keys ------------------------------------------------------
+
+_BOUND = 2 ** 31  # every degree must stay below it
+
+
+@st.composite
+def _exponents(draw, nvars=None, room=_BOUND):
+    """An exponent vector of 0 to 30 variables: zeros and small entries,
+    and sometimes one entry that brings the degree just below room."""
+    n = draw(st.integers(0, 30)) if nvars is None else nvars
+    exp = draw(st.lists(st.sampled_from((0, 0, 1, 2, 3, 7)), min_size=n,
+                        max_size=n))
+    if n and room > 2000 and draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        exp[i] = 0
+        exp[i] = draw(st.integers(room - 1000, room - 1)) - sum(exp)
+    return tuple(exp)
+
+
+@st.composite
+def _exponent_pairs(draw):
+    """(a, b) in one ring, both of degree below the bound; b is a multiple
+    of a about half the time."""
+    a = draw(_exponents())
+    if draw(st.booleans()):
+        c = draw(_exponents(len(a), room=_BOUND - sum(a)))
+        b = tuple(map(int.__add__, a, c))
+        assume(sum(b) < _BOUND)
+    else:
+        b = draw(_exponents(len(a)))
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_exponent_pairs(), st.sampled_from((GLOBAL, LOCAL)))
+def test_packed_keys_encode_the_order(pair, order):
+    from matsing.groebner import _encoding
+    a, b = pair
+    enc = _encoding(len(a), order)
+    ka, kb = enc.pack(a), enc.pack(b)
+    for exp, key in ((a, ka), (b, kb)):
+        assert enc.unpack(key) == exp
+        assert enc.degree(key) == sum(exp)
+    # The borrow test is divisibility.
+    assert (not (kb - ka) & enc.high) == exp_divides(a, b)
+    # The least (component, key) is the largest term under module_key.
+    terms = [(0, a), (0, b), (1, a), (1, b)]
+    packed = {(c, enc.pack(e)): (c, e) for c, e in terms}
+    assert packed[min(packed)] == max(terms,
+                                      key=lambda t: order.module_key(*t))
+    # Keys are additive while the degree stays below the bound.
+    s = tuple(map(int.__add__, a, b))
+    if sum(s) < _BOUND:
+        assert enc.pack(s) == ka + kb
+        if exp_divides(a, b):
+            assert enc.unpack(kb - ka) == tuple(map(int.__sub__, b, a))
+    else:
+        with pytest.raises(ValueError, match="2\\^31"):
+            enc.pack(s)
+
+
+def test_degree_bound_is_checked_never_overflowed():
+    x = Poly.variable(1, 0)
+    # Far past 16-bit fields, well inside the bound.
+    assert quotient_dimension(ideal([x ** 70000])) == 70000
+    big = Poly.monomial(2, (_BOUND, 0))
+    with pytest.raises(ValueError, match="2\\^31"):
+        quotient_dimension(ideal([big]))
+    with pytest.raises(ValueError, match="2\\^31"):
+        quotient_dimension(ideal([Poly.monomial(2, (_BOUND // 2,) * 2)]))
+    x, y = Poly.variable(2, 0), Poly.variable(2, 1)
+    top = Poly.monomial(2, (0, _BOUND - 1))
+    # An s-vector: the lcm x*y has degree 2, but the tail y^(2^31-1) of
+    # (x, y^(2^31-1)) would reach degree 2^31.
+    with pytest.raises(ValueError, match="2\\^31"):
+        quotient_dimension(ModuleBasis(2, [(x, top), (y, Poly.zero(2))],
+                                       GLOBAL))
+    # A division step: dividing (x^2, 0) by (x, y^(2^31-1)).
+    with pytest.raises(ValueError, match="2\\^31"):
+        member((x * x, Poly.zero(2)), ModuleBasis(2, [(x, top)], GLOBAL))

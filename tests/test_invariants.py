@@ -541,7 +541,7 @@ def test_eqeq_truncates_at_the_colength_not_the_highest_standard_degree():
     ctx = _Analysis(catalog("diag-sym", a=(2, 1)).to_family())
     tangent = ctx.tangent_special
     assert quotient_dimension(tangent) == 3
-    assert sorted(g.lt for g in _standard(tangent)[0]) \
+    assert sorted((g.lt[0], g.exp) for g in _standard(tangent)[0]) \
         == [(0, (1,)), (1, (1,)), (2, (1,))]
     x, zero, one = Poly.variable(1, 0), Poly.zero(1), Poly.constant(1, 1)
     x_e0 = (x, zero, zero)
@@ -549,3 +549,54 @@ def test_eqeq_truncates_at_the_colength_not_the_highest_standard_degree():
     assert not _contained([x_e0], tangent, 3)
     assert _contained([(x + x, zero, one)], tangent, 3)
     assert ctx.check("eqeq").verdict == "HOLDS"
+
+
+# The m0 - 1 shapes of perfbench/gen.py HANGING_SHAPES in at most three
+# variables; the skew ones make the dense jet oracle too slow.
+_JET_SHAPES = [("symmetric", 2, 2), ("general", 2, 2), ("general", 2, 3),
+               ("symmetric", 3, 2)]
+
+
+@pytest.mark.parametrize("shape", _JET_SHAPES)
+def test_tangent_and_pulled_modules_match_the_jet_oracle(shape):
+    # The modules behind tau_special, tau_general, tau_kf and tau_kv of
+    # seeded draws, where their local colength d is finite: the jet oracle
+    # counts dim O^r/(M + m^D) by linear algebra alone, and stops at the
+    # first D with no growth, which Nakayama makes the colength; m^d O^r
+    # lies in M, so D = d + 2 is enough.
+    from matsing import StepLimitExceeded
+    from oracle import jet_quotient_dimension
+    rng = random.Random(17)
+    finite = 0
+    for _ in range(12):
+        ctx = _Analysis(random_family(rng, *shape))
+        try:
+            with budget(2000):
+                mods = [ctx.tangent_special, ctx.tangent_general,
+                        ctx.pulled_f, ctx.pulled_V]
+                dims = [quotient_dimension(m) for m in mods]
+        except StepLimitExceeded:
+            continue
+        if INFINITE in dims:
+            continue
+        for m, d in zip(mods, dims):
+            assert jet_quotient_dimension(m.generators, d + 2) == d, shape
+        finite += 1
+        if finite == 2:
+            break
+    assert finite == 2, shape
+
+
+def test_generic_function_is_built_once_per_kind_and_size():
+    from matsing.invariants import _generic_function
+    one = _Analysis(catalog("normal-form-sym", n=3).to_family())
+    two = _Analysis(random_family(random.Random(1), "symmetric", 3, 2))
+    assert one.f is two.f
+    assert one.f == generic_family("symmetric", 3).function()
+    # An odd skew size has no Pf: every analysis that needs it raises.
+    odd = parse_family("kind=skew; vars=x,y,z; upper=[[x,y],[z]]")
+    cached = _generic_function.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match="even-size"):
+            _Analysis(odd.to_family()).f
+    assert _generic_function.cache_info().currsize == cached
