@@ -19,15 +19,15 @@ Built here:
   * Mapping cones, and homology dimensions over the local ring at 0.
 
 Homology in degree k is computed as a presentation H_k = O^t / R.  Each
-differential d_k gets one GLOBAL stacked completion of its columns, cached
-on the complex, which serves twice: its syzygies are t generators z_i of
-ker d_k, and its upper block is a standard basis of im d_k.  R is then
-modulo(z, im d_(k+1)), the a with sum a_i z_i a boundary.  Localisation at
-0 is exact, so global generators generate the local modules too, and only
-the colength of O^t / R is taken under the local order.  The z_i and R stay
-flat vectors with packed monomial keys from the syzygies to the colength
-(see groebner), never Polys; as everywhere in groebner, every degree must
-stay below 2^31, and past it a ValueError is raised.
+differential d_k gets one GLOBAL stacked completion of its columns (see
+groebner._Stack), cached on the complex, which serves twice: its relations
+are t generators z_i of ker d_k, and its upper block is a standard basis of
+im d_k.  R is then the modulo relations of z over im d_(k+1), the a with
+sum a_i z_i a boundary; d_0 is the zero map from F_0, so H_0 takes the same
+route.  Localisation at 0 is exact, so global generators generate the local
+modules too, and only the colength of O^t / R is taken under the local
+order.  The z_i and R stay flat (see groebner), never Polys; every degree
+must stay below 2^31, and past it a ValueError is raised.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .groebner import (GLOBAL, LOCAL, ModuleBasis, _homology_colength,
-                       quotient_dimension)
+from .groebner import _column_stack, _homology_colength
 from .matalg import (MatrixFamily, PolyMatrix, flatten, sl_coords, space_dim,
                      unflatten)
 from .poly import Poly, SubstitutionMap, _Record, partial
@@ -52,9 +51,9 @@ class FreeComplex(_Record):
         object.__setattr__(self, "ranks", ranks)
         object.__setattr__(self, "differentials", differentials)
         object.__setattr__(self, "nvars", nvars)
-        # k -> the GLOBAL ModuleBasis of the columns of d_k, built on first
-        # use (see _columns).
-        object.__setattr__(self, "_column_bases", {})
+        # k -> the stack of the columns of d_k, built on first use (see
+        # _stack).
+        object.__setattr__(self, "_column_stacks", {})
         if len(self.differentials) != len(self.ranks) - 1:
             raise ValueError("rank/differential count mismatch")
         for k, d in enumerate(self.differentials, start=1):
@@ -377,41 +376,34 @@ def cone(phi: ComplexMorphism, through_degree: int) -> FreeComplex:
 
 # -- homology -------------------------------------------------------------------
 
-def _columns(c: FreeComplex, k: int) -> ModuleBasis:
-    """The GLOBAL module of the columns of d_k, built once per complex, so
-    that its cached stacked completion gives ker d_k for H_k and the
-    boundaries im d_k for H_(k-1)."""
-    basis = c._column_bases.get(k)
-    if basis is None:
-        d = c.diff(k)
-        basis = c._column_bases[k] = ModuleBasis(
-            d.rows, [d.column(j) for j in range(d.cols)], GLOBAL)
-    return basis
+def _stack(c: FreeComplex, k: int):
+    """The stack of the columns of d_k, built once per complex, so that it
+    gives ker d_k for H_k and the boundaries im d_k for H_(k-1).  d_0 is the
+    0 x r_0 zero matrix."""
+    st = c._column_stacks.get(k)
+    if st is None:
+        d = c.diff(k) if k else PolyMatrix.zeros(0, c.ranks[0], c.nvars)
+        st = c._column_stacks[k] = _column_stack(d)
+    return st.reused()
 
 
 def homology_dimension(c: FreeComplex, k: int):
     """dim_Q H_k(c) over the local ring at the origin; INFINITE if not finite.
 
-    H_0 is the cokernel of d_1, or F_0 itself when the length is 0.  For
-    0 < k < length the GLOBAL syzygies z_1..z_t of the columns of d_k
-    generate the kernel, locally too, since localisation is flat, and
-    H_k = O^t / R with R = modulo(z, im d_(k+1)): the coefficient vectors a
-    with sum a_i z_i a boundary.  Both come from the stacked completions of
-    the columns of d_k and d_(k+1), each built once per complex.  Only the
-    colength of O^t / R is taken under the local order.  For k = length the
-    kernel itself is the homology, which is either 0 or infinite
-    dimensional.
+    The GLOBAL relations z_1..z_t of the columns of d_k generate its
+    kernel, locally too, since localisation is flat, and
+    H_k = O^t / R with R the modulo relations of z over im d_(k+1): the
+    coefficient vectors a with sum a_i z_i a boundary.  Both come from the
+    stacks of the columns of d_k and d_(k+1), each built once per complex.
+    Only the colength of O^t / R is taken under the local order.  d_0 is
+    the zero map to 0, so H_0 is the cokernel of d_1, or F_0 itself when
+    the length is 0.  For k = length the kernel itself is the homology,
+    which is either 0 or infinite dimensional.
     """
     if not 0 <= k <= c.length:
         raise ValueError(f"degree {k} outside the complex")
-    if k == 0:
-        cols = []
-        if c.length:
-            d1 = c.diff(1)
-            cols = [d1.column(j) for j in range(d1.cols)]
-        return quotient_dimension(ModuleBasis(c.ranks[0], cols, LOCAL))
-    boundaries = _columns(c, k + 1) if k < c.length else None
-    return _homology_colength(c.diff(k), _columns(c, k), boundaries)
+    return _homology_colength(_stack(c, k),
+                              _stack(c, k + 1) if k < c.length else None)
 
 
 def homology_profile(c: FreeComplex) -> list:

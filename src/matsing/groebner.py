@@ -12,10 +12,10 @@ standard basis.  Under a global order the rule never stops a division.
 A division may instead drop every term of degree >= d as it forms, with
 no ecart stop: sound for a module of finite colength d, which contains
 m^d O^r, and it decides membership by a division that ends (_contained).
-Syzygies, modulo and membership certificates are computed globally:
-localisation is flat, so global generators of a syzygy or colon module
-generate it locally too, and local membership of v in M takes its unit
-from the colon M : v (see member).
+Syzygies, modulo, membership certificates and homology all read one
+global stacked completion (_Stack): localisation is flat, so global
+generators of a syzygy or colon module generate it locally too, and local
+membership of v in M takes its unit from the colon M : v (see member).
 
 Vectors in a free module O^r are stored flat as dicts keyed by
 (component, L), which keeps division and s-vector code identical for the
@@ -60,9 +60,9 @@ A step counter guards all completion and division loops: badly posed
 inputs can be astronomically slow, so it raises StepLimitExceeded instead
 of hanging.  set_step_limit is the one way to set the budget, and it
 bounds each computation separately: every completion (with the divisions
-inside it), every division of a member() query and every _contained test
-counts its own steps against the limit, so one analysis can take many
-times the limit in total.
+inside it), every division of a member() query, every _contained test and
+each staircase count counts its own steps against the limit, so one
+analysis can take many times the limit in total.
 """
 
 from __future__ import annotations
@@ -70,6 +70,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from heapq import heappop, heappush
+from itertools import combinations
 from math import gcd, lcm
 from struct import Struct
 from typing import Optional, Sequence, Tuple
@@ -400,8 +401,7 @@ class ModuleBasis(_Record):
 # -- division ---------------------------------------------------------------
 
 def _normal_form(f: Flat, gens: list, enc: _Encoding,
-                 counter: _Counter, upper_rank: Optional[int] = None,
-                 deg: Optional[int] = None,
+                 counter: _Counter, deg: Optional[int] = None,
                  below: Optional[int] = None) -> tuple[Flat, int]:
     """Division with remainder.
 
@@ -416,11 +416,6 @@ def _normal_form(f: Flat, gens: list, enc: _Encoding,
     Under a local order f is divided as if homogenised to degree deg (by
     default its top degree): a reducer cancels the leading term x^a only
     if its ecart is at most deg - |a|, so h never passes degree deg.
-
-    upper_rank: for division against a stacked basis, whose components from
-    upper_rank on are bookkeeping.  If given, division stops as soon as the
-    leading term falls in a component >= upper_rank: under position-over-
-    term that is exactly "the upper block is exhausted".
 
     below: if given, terms of degree >= below are dropped as they form, so
     the identity holds modulo m^below O^r, and the ecart stop is skipped.
@@ -438,8 +433,6 @@ def _normal_form(f: Flat, gens: list, enc: _Encoding,
     while h:
         lt = min(h)
         comp, key = lt
-        if upper_rank is not None and comp >= upper_rank:
-            break
         g = None
         for cand in gens:
             gc, gk = cand.lt
@@ -494,7 +487,7 @@ class _Completion:
 
     paired_rank: if given, only elements whose leading component is below
     it are paired.  The others are still kept and used as reducers, so gens
-    is then a standard basis only in those components (see _StackedBasis).
+    is then a standard basis only in those components (see _Stack).
     """
 
     def __init__(self, enc: _Encoding, ambient_rank: int,
@@ -538,12 +531,8 @@ class _Completion:
         any other.  The s-vector of two of them has a standard representation
         over them alone, so their mutual pairs count as treated and are never
         formed; the chain criterion may still use them."""
-        start = len(self.gens)
-        for flat in flats:
-            self.gens.append(_normalized(flat, self.enc))
-        for k in range(start, len(self.gens)):
-            for i in range(start, k):
-                self.treated.add((i, k))
+        self.gens = [_normalized(flat, self.enc) for flat in flats]
+        self.treated.update(combinations(range(len(flats)), 2))
 
     def run(self) -> None:
         gens, pairs, treated = self.gens, self.pairs, self.treated
@@ -575,10 +564,10 @@ class _Completion:
 
 
 def _complete(flats: list, enc: _Encoding, ambient_rank: int,
-              counter: _Counter, paired_rank: Optional[int] = None) -> list:
+              counter: _Counter) -> list:
     """Buchberger completion; returns the list of _Gen (not interreduced).
     The flats become the completion's own: the caller must not reuse them."""
-    completion = _Completion(enc, ambient_rank, counter, paired_rank)
+    completion = _Completion(enc, ambient_rank, counter)
     for flat in flats:
         if flat:
             completion.add(flat)
@@ -730,25 +719,28 @@ def _colength(gens: list, r: int, nv: int):
     for g in gens:
         lts[g.lt[0]].append(g.exp)
     total = 0
+    counter = _Counter()
     for comp in range(r):
         exps = lts[comp]
         for i in range(nv):
             # Finite only if some leading term is a power of x_i (or 1).
             if not any(sum(e) == e[i] for e in exps):
                 return INFINITE
-        total += _staircase_size(exps, nv)
+        total += _staircase_size(exps, nv, counter)
     return total
 
 
-def _staircase_size(exps: list, nv: int) -> int:
+def _staircase_size(exps: list, nv: int, counter: _Counter) -> int:
     """Number of monomials divisible by no element of exps, for a finite
     staircase.  Standard monomials are closed under division, so each one
     is reached from a smaller one by raising a single exponent: from m,
     raise exponent i for every i at or after the last nonzero exponent of
-    m, which reaches every monomial exactly once."""
+    m, which reaches every monomial exactly once.  Each visited monomial
+    counts a step."""
     count = 0
     stack = [(0,) * nv]
     while stack:
+        counter.tick()
         m = stack.pop()
         if any(exp_divides(e, m) for e in exps):
             continue
@@ -759,111 +751,112 @@ def _staircase_size(exps: list, nv: int) -> int:
     return count
 
 
-# -- stacked bases: syzygies, membership certificates ------------------------
+# -- stacks: syzygies, modulo, membership certificates, homology --------------
 
-class _StackedBasis:
-    """The module generated by g_j + e_j in O^(r+s), completed in its upper
-    block only, under the global order whatever the order of the basis.
+class _Stack:
+    """The module of the (f_j, e_j) in O^(rank + len(flats)), f_j the given
+    flats of O^rank and e_j unit vectors, completed under the global order
+    in its upper block only: the order is position-over-term with the upper
+    components first, and only elements with an upper leading term are
+    paired.  So upper() is a Groebner basis of the module M of the f_j (and
+    of the seed), each element carrying in its lower block its expression
+    in the f_j; dividing (v, 0) by it until the upper block dies gives a
+    membership certificate for v.  The elements with a vanishing upper
+    block, never paired, are the reduced s-vectors of upper pairs, and by
+    Schreyer's theorem (Greuel-Pfister, A Singular Introduction to
+    Commutative Algebra, 2.5) their lower blocks, relations(), generate all
+    a with (0, a) in the module, locally too.
 
-    The order is position-over-term with the original components dominant,
-    so an element reduces its upper block first.  Only elements whose
-    leading term lies in the upper block are paired, so the upper-block
-    elements form a Groebner basis of the module of the g_j, each carrying
-    in its lower block its expression in the g_j.  Dividing (v, 0) against
-    them until the upper block dies yields a membership certificate for v.
-    The elements with vanishing upper block are the reduced s-vectors of
-    upper-block pairs: by Schreyer's theorem (Greuel-Pfister, A Singular
-    Introduction to Commutative Algebra, 2.5), their lower blocks generate
-    the syzygies of the g_j, locally too.  They are never paired, and
-    express() stops at the upper block and so never divides by them.
+    standard: a Groebner basis of a submodule N of O^rank, as flats, which
+    enters first as the (g, 0), its mutual pairs treated; the relations
+    are then those of the f_j modulo N (Greuel-Pfister 2.8).  In a seeded
+    stack each (f_j, e_j) enters divided by the elements before it, which
+    leaves the module unchanged and often its upper block zero.
     """
 
-    def __init__(self, basis: ModuleBasis):
-        self.rank = basis.ambient_rank
-        self.count = len(basis.generators)
-        self.enc = enc = _encoding(basis.nvars, GLOBAL)
-        flats = []
-        for j, g in enumerate(basis.generators):
-            flat = flatten_vector(g, enc)
-            flat[(self.rank + j, 0)] = 1  # 0 is the key of the monomial 1
-            flats.append(flat)
-        counter = _Counter()
-        self.gens = _complete(flats, enc, self.rank + self.count,
-                              counter, paired_rank=self.rank)
+    def __init__(self, flats: list, rank: int, enc: _Encoding,
+                 standard: Optional[list] = None):
+        self.rank, self.enc = rank, enc
+        completion = _Completion(enc, rank + len(flats), _Counter(),
+                                 paired_rank=rank)
+        if standard is not None:
+            completion.add_standard(standard)
+        late = []
+        for j, flat in enumerate(flats):
+            vec = dict(flat)
+            vec[(rank + j, 0)] = 1  # 0 is the key of the monomial 1
+            if standard is not None:
+                vec, _ = _normal_form(vec, completion.gens, enc,
+                                      completion.counter)
+            elif not flat:
+                # (0, e_j) is never paired and reduces nothing, so it can
+                # wait for the end of the run: relations() then lists the
+                # syzygies the run finds before the unit vectors.
+                late.append(vec)
+                continue
+            completion.add(vec)
+        completion.run()
+        for vec in late:
+            completion.add(vec)
+        self.gens = completion.gens
         # The completion is deterministic, so this is the least budget
         # under which it can be built.
-        self.steps = counter.steps
+        self.steps = completion.counter.steps
 
-    def syzygy_flats(self) -> list:
-        """Generators of the syzygies of the original generators, as flats
-        in O^count.  They are not lead-interreduced: dropping an element
-        whose leading term is a multiple of another's is sound only for a
-        standard basis, and these are just a generating set."""
-        return [_lower(g.flat, self.rank)
-                for g in self.gens if g.lt[0] >= self.rank]
+    def reused(self) -> _Stack:
+        """self, taken from a cache: under a step limit smaller than the
+        steps its build took it raises, as a fresh build would."""
+        if self.steps > step_limit():
+            raise StepLimitExceeded(step_limit())
+        return self
 
-    def express(self, vec: Sequence[Poly]):
-        """Certificate (coeffs, remainder) with, in the polynomial ring,
-        vec = sum coeffs[j] * g_j + remainder.  Each call counts its own
-        steps against the step limit; the completion's steps are spent
-        once, when built."""
-        enc = self.enc
-        h, scale = _normal_form(flatten_vector(vec, enc), self.gens, enc,
-                                _Counter(), upper_rank=self.rank)
-        upper = {k: Fraction(c, scale) for k, c in h.items()
-                 if k[0] < self.rank}
-        lower = {(k[0] - self.rank, k[1]): Fraction(-c, scale)
-                 for k, c in h.items() if k[0] >= self.rank}
-        return (unflatten_vector(lower, self.count, enc),
-                unflatten_vector(upper, self.rank, enc))
+    def upper(self) -> list:
+        return [g for g in self.gens if g.lt[0] < self.rank]
 
+    def relations(self) -> list:
+        """The lower blocks, as flats in O^len(flats): a generating set, not
+        lead-interreduced, since that is sound only for a standard basis."""
+        r = self.rank
+        return [{(comp - r, key): c for (comp, key), c in g.flat.items()}
+                for g in self.gens if g.lt[0] >= r]
 
-def _lower(flat: Flat, r: int) -> Flat:
-    """A flat whose components all lie at r or above, moved down by r."""
-    return {(comp - r, key): c for (comp, key), c in flat.items()}
+    def modulo(self, flats: list, enc: _Encoding) -> list:
+        """Generators of {a : sum a_i z_i in M}, z_i the flats (packed by
+        enc) of O^rank: the relations of their stack seeded by the upper
+        blocks of upper(), lead-interreduced."""
+        seed = [{k: c for k, c in g.flat.items() if k[0] < self.rank}
+                for g in _lead_interreduce(self.upper(), enc)]
+        return _Stack(flats, self.rank, enc, seed).relations()
 
 
-def _stacked(basis: ModuleBasis) -> _StackedBasis:
-    """The stacked basis of basis, built once and cached on it.  A cache hit
-    under a step limit smaller than the steps the build took raises, as a
-    fresh build under that limit would."""
-    st = getattr(basis, "_stacked", None)
-    if st is None:
-        st = basis._stacked = _StackedBasis(basis)
-    elif st.steps > step_limit():
-        raise StepLimitExceeded(step_limit())
-    return st
+def _stacked(basis: ModuleBasis) -> _Stack:
+    """The stack of the generators of basis, built once and cached on it."""
+    if basis._stacked is None:
+        enc = _encoding(basis.nvars, GLOBAL)
+        basis._stacked = _Stack(
+            [flatten_vector(g, enc) for g in basis.generators],
+            basis.ambient_rank, enc)
+    return basis._stacked.reused()
+
+
+def _column_stack(m) -> _Stack:
+    """The stack of every column of the matrix m, zero columns included;
+    its relations generate ker(m: O^c -> O^r)."""
+    enc = _encoding(m.nvars, GLOBAL)
+    return _Stack([flatten_vector(m.column(j), enc) for j in range(m.cols)],
+                  m.rows, enc)
 
 
 def syzygies_of_basis(basis: ModuleBasis) -> list:
     """Generators of the syzygy module {w : sum w_j g_j = 0} in O^len(gens),
     global or local.  A generating set (Schreyer's theorem), not a standard
     basis: the stacked completion that finds them pairs only elements with
-    a nonzero upper block (see _StackedBasis).  member() certificates,
-    which divide by that upper block only, are the same as after a full
+    a nonzero upper block (see _Stack).  member() certificates, which
+    divide by that upper block only, are the same as after a full
     completion."""
-    st = _stacked(basis)
-    return [unflatten_vector(flat, st.count, st.enc)
-            for flat in st.syzygy_flats()]
-
-
-def column_syzygies(m, basis: ModuleBasis) -> list:
-    """Generators of ker(m: O^c -> O^r), as vectors in O^c, where basis is
-    the ModuleBasis of the columns of m (which drops the zero columns): the
-    syzygies of basis spread back over the columns, then a unit vector for
-    each zero column."""
-    enc = _encoding(m.nvars, GLOBAL)
-    return [unflatten_vector(flat, m.cols, enc)
-            for flat in _column_syzygies(m, basis)]
-
-
-def _column_syzygies(m, basis: ModuleBasis) -> list:
-    """column_syzygies as flats packed under the global order."""
-    keep = [j for j in range(m.cols) if any(p.terms for p in m.column(j))]
-    out = [{(keep[slot], key): c for (slot, key), c in flat.items()}
-           for flat in _stacked(basis).syzygy_flats()]
-    out += [{(j, 0): 1} for j in range(m.cols) if j not in keep]
-    return out
+    enc = _encoding(basis.nvars, GLOBAL)
+    return [unflatten_vector(flat, len(basis.generators), enc)
+            for flat in _stacked(basis).relations()]
 
 
 def syzygies(m):
@@ -875,78 +868,53 @@ def syzygies(m):
     theorem), not a standard basis of the kernel, and need not be minimal.
     """
     from .matalg import PolyMatrix
-    basis = ModuleBasis(m.rows, [m.column(j) for j in range(m.cols)], GLOBAL)
-    return PolyMatrix.from_columns(m.cols, column_syzygies(m, basis), m.nvars)
+    enc = _encoding(m.nvars, GLOBAL)
+    return PolyMatrix.from_columns(
+        m.cols, [unflatten_vector(flat, m.cols, enc)
+                 for flat in _column_stack(m).relations()], m.nvars)
 
 
 def modulo(vectors: Sequence[Vector], basis: ModuleBasis) -> list:
     """Generators of {a in O^t : sum a_i z_i in M}, with z_1..z_t the given
     vectors of O^r and M the module of basis (Singular's modulo;
     Greuel-Pfister, A Singular Introduction to Commutative Algebra, 2.8).
-
-    It is computed globally, which generates the local answer too.  The
-    upper-block elements of the stacked completion of basis, cached on it,
-    are a Groebner basis G of M.  The module of the (g, 0), g in G, and
-    the (z_i, e_i) in O^(r+t) is completed in its upper block only, as in
-    _StackedBasis, and its elements with a vanishing upper block give the
-    answer: by Schreyer's theorem their lower blocks generate all a with
-    (0, a) in that module.  Pairs of two (g, 0) are never formed, since G is
-    a standard basis: their s-vectors reduce over G alone, to (0, 0).  Each
-    (z_i, e_i) enters divided by the elements before it, which leaves the
-    module unchanged and often its upper block zero.  The completion counts
-    its own steps against the step limit.
+    It is computed globally, which generates the local answer too, from the
+    stack of basis cached on it (see _Stack), and counts its own steps
+    against the step limit.
     """
     t = len(vectors)
     if not t:
         return []
     enc = _encoding(vectors[0][0].nvars, GLOBAL)
     return [unflatten_vector(flat, t, enc)
-            for flat in _modulo([flatten_vector(z, enc) for z in vectors],
-                                basis, enc)]
+            for flat in _stacked(basis).modulo(
+                [flatten_vector(z, enc) for z in vectors], enc)]
 
 
-def _modulo(flats: list, basis: ModuleBasis, enc: _Encoding) -> list:
-    """modulo on flats: the z_i and the answer are flats packed by enc, the
-    global encoding.  The z_i are left as they are."""
-    r, t = basis.ambient_rank, len(flats)
-    completion = _Completion(enc, r + t, _Counter(), paired_rank=r)
-    upper = [g for g in _stacked(basis).gens if g.lt[0] < r]
-    completion.add_standard([{k: c for k, c in g.flat.items() if k[0] < r}
-                             for g in _lead_interreduce(upper, enc)])
-    for i, z in enumerate(flats):
-        flat = dict(z)
-        flat[(r + i, 0)] = 1
-        h, _ = _normal_form(flat, completion.gens, enc, completion.counter)
-        if h:
-            completion.add(h)
-    completion.run()
-    return [_lower(g.flat, r) for g in completion.gens if g.lt[0] >= r]
-
-
-def _homology_colength(m, basis: ModuleBasis, boundaries):
+def _homology_colength(cycles: _Stack, boundaries: Optional[_Stack]):
     """dim_Q of ker(m) / B over the local ring: 0, a count or INFINITE.
 
-    basis is the ModuleBasis of the columns of m, and boundaries that of
-    the columns of a matrix whose image B lies in ker(m), or None for B = 0,
-    where the answer is 0 or INFINITE.  With z_1..z_t the global syzygies
-    of the columns of m, which generate ker(m) locally too, the answer is
-    the colength of O^t / R, R = modulo(z, B).  z and R stay flat: R is
-    re-encoded for the local order by its degree fields alone and completed
-    there, counting its own steps against the step limit.
+    cycles is the stack of the columns of a matrix m, and boundaries that
+    of a matrix whose image B lies in ker(m), or None for B = 0, where the
+    answer is 0 or INFINITE.  The relations z_1..z_t of cycles generate
+    ker(m), locally too, and the answer is the colength of O^t / R,
+    R = boundaries.modulo(z).  z and R stay flat: R is re-encoded for the
+    local order by its degree fields alone and completed there, counting
+    its own steps against the step limit.
     """
-    cycles = _column_syzygies(m, basis)
-    if not cycles:
+    z = cycles.relations()
+    if not z:
         return 0
     if boundaries is None:
         return INFINITE
-    t = len(cycles)
-    relations = _modulo(cycles, boundaries, _encoding(m.nvars, GLOBAL))
-    enc = _encoding(m.nvars, LOCAL)
+    t = len(z)
+    relations = boundaries.modulo(z, cycles.enc)
+    enc = _encoding(cycles.enc.nvars, LOCAL)
     shift, low = enc.shift, enc.low
     local = [{(c, (-(key >> shift) << shift) + (key & low)): v
               for (c, key), v in flat.items()} for flat in relations]
     gens = _lead_interreduce(_complete(local, enc, t, _Counter()), enc)
-    return _colength(gens, t, m.nvars)
+    return _colength(gens, t, enc.nvars)
 
 
 class MemberResult(_Record):
@@ -999,7 +967,13 @@ def member(vec, basis: ModuleBasis) -> MemberResult:
                  None)
         if a is not None:
             unit, vec = a, tuple(a * p for p in vec)
-    coeffs, remainder = _stacked(basis).express(vec)
-    ok = all(p.is_zero() for p in remainder)
-    return MemberResult(ok, coeffs, unit,
-                        remainder[0] if scalar else remainder)
+    enc, r = _encoding(nv, GLOBAL), basis.ambient_rank
+    h, scale = _normal_form(flatten_vector(vec, enc), _stacked(basis).upper(),
+                            enc, _Counter())
+    upper = {k: Fraction(c, scale) for k, c in h.items() if k[0] < r}
+    lower = {(k[0] - r, k[1]): Fraction(-c, scale)
+             for k, c in h.items() if k[0] >= r}
+    remainder = unflatten_vector(upper, r, enc)
+    return MemberResult(not upper,
+                        unflatten_vector(lower, len(basis.generators), enc),
+                        unit, remainder[0] if scalar else remainder)

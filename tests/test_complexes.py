@@ -10,6 +10,7 @@ from matsing import (
     MatrixFamily,
     Poly,
     PolyMatrix,
+    StepLimitExceeded,
     cone,
     generic_family,
     gn_complex,
@@ -27,12 +28,12 @@ from matsing import (
     verify_complex,
 )
 from matsing.families import catalog, parse_family
-from matsing.groebner import (GLOBAL, LOCAL, ModuleBasis, column_syzygies,
-                              member, modulo, quotient_dimension, syzygies,
-                              syzygies_of_basis)
+from matsing.groebner import (GLOBAL, LOCAL, ModuleBasis, member, modulo,
+                              quotient_dimension, syzygies, syzygies_of_basis)
 from matsing.invariants import _lie_images, function_presentation
 from matsing.poly import SubstitutionMap, substitute
 
+from conftest import budget
 from oracle import random_poly
 
 
@@ -246,7 +247,7 @@ def test_complexes_are_immutable_records():
     phi = phi_f(fam.function(), fam.as_map(), c, "symmetric")
     assert phi == ComplexMorphism(phi.source, phi.target, phi.maps)
     assert repr(phi).startswith("ComplexMorphism(source=FreeComplex(")
-    for obj, name in [(c, "ranks"), (c, "_column_bases"), (phi, "maps")]:
+    for obj, name in [(c, "ranks"), (c, "_column_stacks"), (phi, "maps")]:
         with pytest.raises(AttributeError):
             setattr(obj, name, None)
 
@@ -254,15 +255,27 @@ def test_complexes_are_immutable_records():
 def test_column_bases_are_built_once_and_reused():
     fam = generic_family("symmetric", 2)
     c = jozefiak_complex(fam)
-    assert c._column_bases == {}
+    assert c._column_stacks == {}
     first = homology_profile(c)
-    bases = dict(c._column_bases)
-    assert sorted(bases) == list(range(1, c.length + 1))
+    bases = dict(c._column_stacks)
+    assert sorted(bases) == list(range(c.length + 1))
     assert homology_profile(c) == first
-    assert all(c._column_bases[k] is b for k, b in bases.items())
+    assert all(c._column_stacks[k] is b for k, b in bases.items())
     # The cache is no field: it changes neither == nor repr.
     fresh = jozefiak_complex(fam)
     assert c == fresh and repr(c) == repr(fresh)
+
+
+def test_cached_stacks_keep_the_step_limit():
+    # H_1 reads the stack of d_1 cached by the profile; under a budget too
+    # small to build that stack it must raise, as a fresh build would.
+    x, y = P("x"), P("y")
+    row = PolyMatrix([[x ** 4 + y ** 3, x * y ** 2 + x ** 3 * y,
+                       x ** 2 * y ** 2]], 2)
+    c = FreeComplex((1, 3), (row,), 2)
+    assert homology_profile(c) == [10, INFINITE]
+    with budget(1), pytest.raises(StepLimitExceeded):
+        homology_dimension(c, 1)
 
 
 # -- homology against the route by membership certificates ---------------------
@@ -311,13 +324,15 @@ def _homology_by_combined_syzygies(c, k):
 
 
 def _homology_by_poly_modulo(c, k):
-    """dim H_k, k >= 1, through the public Poly API: column_syzygies of
-    d_k, modulo im d_(k+1), then quotient_dimension under the local order.
-    homology_dimension takes the same steps on flat vectors throughout."""
+    """dim H_k, k >= 1, through the public Poly API: the columns of
+    syzygies(d_k), modulo im d_(k+1), then quotient_dimension under the
+    local order.  homology_dimension takes the same steps on flat vectors
+    throughout."""
     def columns(d):
         return ModuleBasis(d.rows, [d.column(j) for j in range(d.cols)],
                            GLOBAL)
-    cycles = column_syzygies(c.diff(k), columns(c.diff(k)))
+    kernel = syzygies(c.diff(k))
+    cycles = [kernel.column(j) for j in range(kernel.cols)]
     t = len(cycles)
     if k == c.length:
         return 0 if t == 0 else INFINITE
@@ -356,6 +371,31 @@ def test_flat_homology_matches_the_poly_route():
         for k in range(1, c.length + 1):
             assert homology_dimension(c, k) == _homology_by_poly_modulo(c, k), \
                 (label, k)
+
+
+def _h0_by_local_colength(c):
+    """H_0 as the LOCAL colength of the columns of d_1 (of nothing for
+    length 0), without the stacks."""
+    cols = []
+    if c.length:
+        d1 = c.diff(1)
+        cols = [d1.column(j) for j in range(d1.cols)]
+    return quotient_dimension(ModuleBasis(c.ranks[0], cols, LOCAL))
+
+
+def test_h0_by_the_stacks_matches_the_local_colength_of_d1():
+    cases = [(label, kind_complex(fam))
+             for label, fam in _flat_homology_cases()]
+    for name in ("remark-4-8-iii", "cross-ratio-example"):
+        spec = catalog(name)
+        g = substitute(spec.f, SubstitutionMap(spec.map_images))
+        cases += [(name, koszul(g)), ((name, "augmented"),
+                                      koszul_augmented(g))]
+    for label, c in cases:
+        assert homology_dimension(c, 0) == _h0_by_local_colength(c), label
+    for r0, want in ((0, 0), (2, INFINITE)):
+        c = FreeComplex((r0,), (), 2)
+        assert homology_dimension(c, 0) == _h0_by_local_colength(c) == want
 
 
 def _assert_same_homology(c, label):

@@ -9,6 +9,7 @@ from matsing import (
     LOCAL,
     ModuleBasis,
     Poly,
+    PolyMatrix,
     StepLimitExceeded,
     groebner_basis,
     kind_complex,
@@ -18,7 +19,7 @@ from matsing import (
     quotient_dimension,
     syzygies_of_basis,
 )
-from matsing.groebner import _contained, modulo, step_limit
+from matsing.groebner import _contained, modulo, step_limit, syzygies
 from matsing.poly import add, exp_divides, mul
 
 from conftest import budget
@@ -507,6 +508,17 @@ def test_quotient_dimension_walks_the_staircase():
     assert time.perf_counter() - t0 < 1.0
 
 
+def test_staircase_count_is_bounded_by_the_step_limit():
+    # Each visited standard monomial counts a step: a colength of 10^6
+    # fails at once under a budget of 100 instead of walking for seconds.
+    import time
+    x = Poly.variable(1, 0)
+    t0 = time.perf_counter()
+    with budget(100), pytest.raises(StepLimitExceeded):
+        quotient_dimension(ideal([x ** 1000000]))
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_leading_term_agrees_with_order_key():
     # _leading takes the least packed key; MonomialOrder.module_key is the
     # reference it must agree with.
@@ -586,6 +598,24 @@ def test_syzygies_generate_kernel_of_pencil_gen_b_d2():
     d2 = kind_complex(fam).diff(2)
     _assert_generates_syzygies(
         ModuleBasis(d2.rows, [d2.column(j) for j in range(d2.cols)], LOCAL))
+
+
+def test_syzygies_of_zero_columns_include_their_unit_vectors():
+    # A zero column stacks as (0, e_j), so e_j is a relation of its own;
+    # the 0-row matrix has only zero columns.
+    x, y, z0 = P("x"), P("y"), Poly.zero(2)
+    for m in (PolyMatrix([[x, z0, y, z0, x * y], [y, z0, x * x, z0, y * y]],
+                         2),
+              PolyMatrix.zeros(2, 3, 2), PolyMatrix.zeros(0, 3, 2)):
+        z = syzygies(m)
+        assert z.rows == m.cols and (m @ z).is_zero()
+        span = ModuleBasis(m.cols, [z.column(j) for j in range(z.cols)],
+                           GLOBAL)
+        for j in range(m.cols):
+            if all(p.is_zero() for p in m.column(j)):
+                e = tuple(Poly.constant(2, int(i == j))
+                          for i in range(m.cols))
+                assert member(e, span).contains, (m, j)
 
 
 def _combination(coeffs, vectors, nvars):
