@@ -88,20 +88,11 @@ def _print_report(report, out) -> None:
         head += f", n = {report.n}"
     head += f", m = {report.m}"
     print(head, file=out)
-    print(f"mu = {_fmt(report.mu)}", file=out)
-    print(f"tau_function_right = {_fmt(report.tau_function_right)}",
-          file=out)
-    print(f"tau_function_contact = {_fmt(report.tau_function_contact)}",
-          file=out)
-    if report.tau_matrix_special is not None:
-        print(f"tau_matrix_special = {_fmt(report.tau_matrix_special)}",
-              file=out)
-    if report.tau_matrix_general is not None:
-        print(f"tau_matrix_general = {_fmt(report.tau_matrix_general)}",
-              file=out)
-    print(f"betti = {_fmt(report.betti)}", file=out)
-    print(f"codim_minors = {_fmt(report.codim_minors)}", file=out)
-    print(f"m0 = {report.m0}", file=out)
+    fields = report.FIELDS
+    for f in fields[fields.index("mu"):fields.index("m0") + 1]:
+        v = getattr(report, f)
+        if v is not None:
+            print(f"{f} = {_fmt(v)}", file=out)
     for c in report.checks:
         line = f"check {c.identity:<11} {c.verdict}"
         if c.lhs is not None or c.rhs is not None:

@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import partial
 from typing import List, Optional, Tuple
 
-from .matalg import MatrixFamily, PolyMatrix
+from .matalg import MatrixFamily, PolyMatrix, generic_family, unflatten
 from .poly import Poly, SubstitutionMap, _Record, format_poly
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
@@ -430,15 +431,9 @@ def _fill_upper(kind: str, rows: List[List[Poly]], nvars: int,
         if len(r) != n - offset - i:
             raise ParseError(f"upper row {i + 1} needs {n - offset - i} "
                              f"entries, got {len(r)}", line)
-    z = Poly.zero(nvars)
-    grid = [[z] * n for _ in range(n)]
-    for i, r in enumerate(rows):
-        for k, p in enumerate(r):
-            j = i + offset + k
-            grid[i][j] = p
-            if i != j:
-                grid[j][i] = p if kind == "symmetric" else -p
-    return grid
+    # The upper triangle row-major is the flattening order of both kinds.
+    m = unflatten(kind, [p for r in rows for p in r], n, nvars)
+    return [list(r) for r in m.entries]
 
 
 def print_family(spec: FamilySpec) -> str:
@@ -473,42 +468,6 @@ def _xvars(k: int) -> List[str]:
     return [f"x{i + 1}" for i in range(k)]
 
 
-def _build_generic_sym_2(params: dict) -> FamilySpec:
-    v = _xvars(3)
-    e = [[_v(v, 0), _v(v, 1)], [_v(v, 1), _v(v, 2)]]
-    return FamilySpec(kind="symmetric", variables=v, name="generic-sym-2",
-                      n=2, entries=e,
-                      expected={"mu": 1, "tau_matrix_special": 0,
-                                "codim_minors": 1})
-
-
-def _build_generic_gen_2(params: dict) -> FamilySpec:
-    v = _xvars(4)
-    e = [[_v(v, 0), _v(v, 1)], [_v(v, 2), _v(v, 3)]]
-    return FamilySpec(kind="general", variables=v, name="generic-gen-2",
-                      n=2, entries=e,
-                      expected={"mu": 1, "tau_matrix_special": 0,
-                                "codim_minors": 1})
-
-
-def _build_generic_skew_4(params: dict) -> FamilySpec:
-    v = _xvars(6)
-    z = Poly.zero(6)
-    x = [Poly.variable(6, i) for i in range(6)]
-    e = [[z, x[0], x[1], x[2]],
-         [-x[0], z, x[3], x[4]],
-         [-x[1], -x[3], z, x[5]],
-         [-x[2], -x[4], -x[5], z]]
-    return FamilySpec(kind="skew", variables=v, name="generic-skew-4",
-                      n=4, entries=e,
-                      expected={"mu": 1, "tau_matrix_special": 0,
-                                "codim_minors": 1})
-
-
-def _v(names: List[str], i: int) -> Poly:
-    return Poly.variable(len(names), i)
-
-
 def _block_extend(entries: List[List[Poly]], n: int, nvars: int,
                   diag_block) -> List[List[Poly]]:
     """Embed a small matrix in the top-left corner of an n x n one, filling
@@ -532,41 +491,32 @@ def _block_extend(entries: List[List[Poly]], n: int, nvars: int,
     return grid
 
 
-def _build_normal_form_sym(params: dict) -> FamilySpec:
-    n = int(params.get("n", 2))
-    if n < 2:
-        raise ValueError("normal-form-sym needs n >= 2")
-    v = _xvars(3)
-    core = [[_v(v, 0), _v(v, 1)], [_v(v, 1), _v(v, 2)]]
-    e = _block_extend(core, n, 3, [[1]])
-    return FamilySpec(kind="symmetric", variables=v,
-                      name=f"normal-form-sym n={n}", n=n, entries=e,
-                      expected={"mu": 1, "codim_minors": 1})
+# kind -> (short name, core size, the constant diagonal block that pads a
+# normal form to size n; a skew block must itself be skew)
+_CORES = {"symmetric": ("sym", 2, [[1]]), "general": ("gen", 2, [[1]]),
+          "skew": ("skew", 4, [[0, 1], [-1, 0]])}
 
 
-def _build_normal_form_gen(params: dict) -> FamilySpec:
-    n = int(params.get("n", 2))
-    if n < 2:
-        raise ValueError("normal-form-gen needs n >= 2")
-    v = _xvars(4)
-    core = [[_v(v, 0), _v(v, 1)], [_v(v, 2), _v(v, 3)]]
-    e = _block_extend(core, n, 4, [[1]])
-    return FamilySpec(kind="general", variables=v,
-                      name=f"normal-form-gen n={n}", n=n, entries=e,
-                      expected={"mu": 1, "codim_minors": 1})
-
-
-def _build_normal_form_skew(params: dict) -> FamilySpec:
-    n = int(params.get("n", 4))
-    if n < 4 or n % 2 != 0:
-        raise ValueError("normal-form-skew needs even n >= 4")
-    spec4 = _build_generic_skew_4({})
-    # The constant block must itself be skew, so the identity is replaced
-    # by 2x2 blocks [[0, 1], [-1, 0]].
-    e = _block_extend(spec4.entries, n, 6, [[0, 1], [-1, 0]])
-    return FamilySpec(kind="skew", variables=spec4.variables,
-                      name=f"normal-form-skew n={n}", n=n, entries=e,
-                      expected={"mu": 1, "codim_minors": 1})
+def _build_core(kind: str, normal_form: bool, params: dict) -> FamilySpec:
+    """generic-<short>-<core>, the generic family of kind at its core size,
+    or normal-form-<short> n=N, that family padded to size N with copies of
+    the constant block of kind."""
+    short, core, pad = _CORES[kind]
+    fam = generic_family(kind, core)
+    entries = [list(r) for r in fam.entries.entries]
+    n = core
+    name = f"generic-{short}-{core}"
+    expected = {"mu": 1, "tau_matrix_special": 0, "codim_minors": 1}
+    if normal_form:
+        n = int(params.get("n", core))
+        if n < core or (n - core) % len(pad) != 0:
+            parity = "even " if len(pad) > 1 else ""
+            raise ValueError(f"normal-form-{short} needs {parity}n >= {core}")
+        entries = _block_extend(entries, n, fam.m, pad)
+        name = f"normal-form-{short} n={n}"
+        expected = {"mu": 1, "codim_minors": 1}
+    return FamilySpec(kind=kind, variables=_xvars(fam.m), name=name, n=n,
+                      entries=entries, expected=expected)
 
 
 def _build_diag_sym(params: dict) -> FamilySpec:
@@ -619,12 +569,12 @@ def _build_cross_ratio(params: dict) -> FamilySpec:
 
 # name -> (builder, the parameter keys it accepts)
 _CATALOG = {
-    "generic-sym-2": (_build_generic_sym_2, ()),
-    "generic-gen-2": (_build_generic_gen_2, ()),
-    "generic-skew-4": (_build_generic_skew_4, ()),
-    "normal-form-sym": (_build_normal_form_sym, ("n",)),
-    "normal-form-gen": (_build_normal_form_gen, ("n",)),
-    "normal-form-skew": (_build_normal_form_skew, ("n",)),
+    "generic-sym-2": (partial(_build_core, "symmetric", False), ()),
+    "generic-gen-2": (partial(_build_core, "general", False), ()),
+    "generic-skew-4": (partial(_build_core, "skew", False), ()),
+    "normal-form-sym": (partial(_build_core, "symmetric", True), ("n",)),
+    "normal-form-gen": (partial(_build_core, "general", True), ("n",)),
+    "normal-form-skew": (partial(_build_core, "skew", True), ("n",)),
     "diag-sym": (_build_diag_sym, ("a",)),
     "remark-4-8-iii": (_build_remark_4_8_iii, ()),
     "cross-ratio-example": (_build_cross_ratio, ()),

@@ -229,9 +229,7 @@ class CheckRecord(_Record):
         self.verdict, self.note = verdict, note
 
     def to_dict(self) -> dict:
-        return {"identity": self.identity, "lhs": _jsonable(self.lhs),
-                "rhs": _jsonable(self.rhs), "verdict": self.verdict,
-                "note": self.note}
+        return {f: _jsonable(getattr(self, f)) for f in self.FIELDS}
 
 
 class InvariantReport(_Record):
@@ -261,21 +259,9 @@ class InvariantReport(_Record):
         self.checks = [] if checks is None else checks
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "n": self.n,
-            "m": self.m,
-            "mu": _jsonable(self.mu),
-            "tau_function_right": _jsonable(self.tau_function_right),
-            "tau_function_contact": _jsonable(self.tau_function_contact),
-            "tau_matrix_special": _jsonable(self.tau_matrix_special),
-            "tau_matrix_general": _jsonable(self.tau_matrix_general),
-            "betti": _jsonable(self.betti),
-            "codim_minors": _jsonable(self.codim_minors),
-            "m0": self.m0,
-            "checks": [c.to_dict() for c in self.checks],
-        }
+        out = {f: _jsonable(getattr(self, f)) for f in self.FIELDS[:-1]}
+        out["checks"] = [c.to_dict() for c in self.checks]
+        return out
 
 
 def _jsonable(v):

@@ -11,7 +11,10 @@ Also here: adjugates, Pfaffians, the sub-Pfaffian matrix (the skew
 analogue of the adjugate, satisfying P* S = S P* = Pf(S) I), ideals of
 submaximal minors, and the fixed coordinate conventions for the spaces
 of symmetric, skew and trace-free matrices that the chain-map and
-tangent-space code relies on.
+tangent-space code relies on.  Each matrix object has one construction:
+cofactors and minors come from one minor memo of the matrix itself,
+sub-Pfaffians from one Pfaffian memo, and the generic family of a kind
+and size from unflatten.
 
 Coordinate conventions (all row-major):
   general n x n   entry basis E_ij, coordinates (i, j) for all i, j
@@ -162,9 +165,6 @@ class PolyMatrix:
 
     def entry(self, i: int, j: int) -> Poly:
         return self.entries[i][j]
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
 
     def column(self, j: int) -> tuple:
         return tuple(self.entries[i][j] for i in range(self.rows))
@@ -375,50 +375,30 @@ def pfaffian(m: PolyMatrix) -> Poly:
     return _pfaffians(m)(tuple(range(m.rows)))
 
 
-# The generic sub-pfaffian matrices are derived once per size in a ring of
-# n(n-1)/2 upper-entry variables, straight from one pfaffian memo, and
-# instantiated by substitution afterwards.
-_GENERIC_SUBPF: dict = {}
-
-
-def _generic_subpf(n: int) -> PolyMatrix:
-    """P*[i][j] = (-1)^(i+j) Pf(S without rows/cols i, j) for i < j, and
-    P*[j][i] = -P*[i][j], for the generic skew S of size n."""
-    got = _GENERIC_SUBPF.get(n)
-    if got is not None:
-        return got
-    s = generic_family("skew", n).entries
-    pf = _pfaffians(s)
-    ent = [[Poly.zero(s.nvars)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            sub = pf(tuple(k for k in range(n) if k != i and k != j))
-            ent[i][j] = sub if (i + j) % 2 == 0 else -sub
-            ent[j][i] = -ent[i][j]
-    out = PolyMatrix(ent, s.nvars)
-    # Defining property, checked once per size.
-    pfid = PolyMatrix.identity(n, s.nvars).scale(pf(tuple(range(n))))
-    if (out @ s) != pfid or (s @ out) != pfid:
-        raise AssertionError("sub-pfaffian identity failed in the generic case")
-    _GENERIC_SUBPF[n] = out
-    return out
-
-
 def sub_pfaffian_matrix(m: PolyMatrix) -> PolyMatrix:
     """The skew analogue P* of the adjugate: P* m = m P* = Pf(m) I.
 
-    Entries are signed sub-pfaffians of m: the generic-size matrix is built
-    once per size from one pfaffian memo, then instantiated by substitution.
+    P*[i][j] = (-1)^(i+j) Pf(m without rows/cols i, j) for i < j, and
+    P*[j][i] = -P*[i][j].  All sub-pfaffians share one pfaffian memo of m,
+    as the cofactors of adjugate share one minor memo; the defining
+    identity is checked on every result.
     """
     _check_skew(m)
     n = m.rows
     if n % 2 != 0:
         raise ValueError("sub-pfaffian matrix needs an even-size matrix")
-    generic = _generic_subpf(n)
-    coords = flatten("skew", m)
-    if not coords:
-        return PolyMatrix.identity(0, m.nvars)
-    return generic.apply_map(SubstitutionMap(coords))
+    pf = _pfaffians(m)
+    ent = [[Poly.zero(m.nvars)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            sub = pf(tuple(k for k in range(n) if k != i and k != j))
+            ent[i][j] = sub if (i + j) % 2 == 0 else -sub
+            ent[j][i] = -ent[i][j]
+    out = PolyMatrix._of(ent, m.nvars, n)
+    pfid = PolyMatrix.identity(n, m.nvars).scale(pf(tuple(range(n))))
+    if (out @ m) != pfid or (m @ out) != pfid:
+        raise AssertionError("sub-pfaffian identity failed")
+    return out
 
 
 # -- matrix families ----------------------------------------------------------
@@ -483,26 +463,22 @@ def generic_family(kind: str, n: int) -> MatrixFamily:
 def minors_ideal(fam: MatrixFamily, size: int) -> ModuleBasis:
     """The ideal of size x size minors (symmetric/general) or of
     size x size sub-pfaffians (skew, even size), as a rank-1 module basis
-    over the local order.  Size 0 gives the unit ideal."""
+    over the local order.  Size 0 gives the unit ideal.  All minors share
+    one minor memo of the family matrix, all sub-pfaffians one pfaffian
+    memo."""
     from itertools import combinations
-    e = fam.entries
     n = fam.n
     if not 0 <= size <= n:
         raise ValueError("minor size out of range")
-    gens: list = []
+    subsets = list(combinations(range(n), size))
     if fam.kind == "skew":
         if size % 2 != 0:
             raise ValueError("sub-pfaffians need an even size")
-        for rows in combinations(range(n), size):
-            sub = PolyMatrix([[e.entries[i][j] for j in rows] for i in rows],
-                             e.nvars, cols=size)
-            gens.append(pfaffian(sub))
+        pf = _pfaffians(fam.entries)
+        gens = [pf(rows) for rows in subsets]
     else:
-        for rows in combinations(range(n), size):
-            for cols in combinations(range(n), size):
-                sub = PolyMatrix([[e.entries[i][j] for j in cols] for i in rows],
-                                 e.nvars, cols=size)
-                gens.append(determinant(sub))
+        minor = _minors(fam.entries)
+        gens = [minor(rows, cols) for rows in subsets for cols in subsets]
     return ModuleBasis(1, [(g,) for g in gens], LOCAL)
 
 

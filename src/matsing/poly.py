@@ -283,10 +283,6 @@ class SubstitutionMap:
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("SubstitutionMap is immutable")
 
-    @classmethod
-    def identity(cls, nvars: int) -> "SubstitutionMap":
-        return cls([Poly.variable(nvars, i) for i in range(nvars)])
-
     @property
     def target_nvars(self) -> int:
         return len(self.images)

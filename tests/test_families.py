@@ -8,6 +8,7 @@ from matsing import (
     Poly,
     catalog,
     catalog_names,
+    generic_family,
     parse_family,
     parse_poly,
     print_family,
@@ -61,6 +62,16 @@ def test_parse_family_skew_upper():
     assert spec.n == 4
     ref = catalog("generic-skew-4")
     assert spec.entries == ref.entries
+    # The symmetric upper form includes the diagonal.
+    upper = parse_family("kind=symmetric; vars=x,y,z; "
+                         "upper=[[x,y,z^2],[x*y,0],[y+z]]")
+    full = parse_family("kind=symmetric; vars=x,y,z; "
+                        "matrix=[[x,y,z^2],[y,x*y,0],[z^2,0,y+z]]")
+    assert upper == full
+    assert upper.n == 3
+    skew = parse_family("kind=skew; vars=x,y; upper=[[x,0,y],[y^2,1],[x]]")
+    assert skew == parse_family("kind=skew; vars=x,y; matrix=[[0,x,0,y],"
+                                "[-x,0,y^2,1],[0,-y^2,0,x],[-y,-1,-x,0]]")
 
 
 def test_parse_family_vars_range():
@@ -156,10 +167,25 @@ def test_catalog_names_and_errors():
         catalog("diag-sym", a=())
     with pytest.raises(ValueError, match="does not take m; accepted: n"):
         catalog("normal-form-sym", m=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="normal-form-skew needs even n >= 4"):
         catalog("normal-form-skew", n=5)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="normal-form-skew needs even n >= 4"):
+        catalog("normal-form-skew", n=2)
+    with pytest.raises(ValueError, match="normal-form-sym needs n >= 2"):
         catalog("normal-form-sym", n=1)
+    with pytest.raises(ValueError, match="normal-form-gen needs n >= 2"):
+        catalog("normal-form-gen", n=0)
+
+
+def test_catalog_generic_entries_are_the_generic_families():
+    for name, kind, n in (("generic-sym-2", "symmetric", 2),
+                          ("generic-gen-2", "general", 2),
+                          ("generic-skew-4", "skew", 4)):
+        spec = catalog(name)
+        fam = generic_family(kind, n)
+        assert spec.entries == [list(r) for r in fam.entries.entries]
+        assert spec.variables == [f"x{i + 1}" for i in range(fam.m)]
+        assert spec.to_family() == fam
 
 
 def test_catalog_expected_metadata():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,12 +7,17 @@ from hypothesis import given, settings, strategies as st
 from matsing import (
     INFINITE,
     KINDS,
+    LOCAL,
     MatrixFamily,
+    ModuleBasis,
     Poly,
     PolyMatrix,
+    SubstitutionMap,
+    catalog,
     flatten,
     generic_family,
     minors_ideal,
+    parse_family,
     parse_poly,
     quotient_dimension,
     sl_coords,
@@ -19,8 +25,8 @@ from matsing import (
     sub_pfaffian_matrix,
     unflatten,
 )
-from matsing.matalg import (adjugate, determinant, gl_basis, pfaffian,
-                            skew_basis, sl_basis, sym_basis)
+from matsing.matalg import (_pfaffians, adjugate, determinant, gl_basis,
+                            pfaffian, skew_basis, sl_basis, sym_basis)
 
 from oracle import random_poly
 
@@ -118,6 +124,47 @@ def test_generic_sub_pfaffian_identity_at_size_eight():
     expect = PolyMatrix.identity(8, s.nvars).scale(pfaffian(s))
     assert comp @ s == expect
     assert s @ comp == expect
+
+
+# The skew pencils of perfbench/gen.py, then its slow-skew6.
+SKEW_TEXTS = [
+    "kind=skew; vars=x1..x4; upper=[[x1,x2,x3],[x4,-x2],[x1]]",
+    "kind=skew; vars=x1..x4; upper=[[x1,x2,x3],[x4,-x2],[x1+x2^2]]",
+    "kind=skew; vars=x,y,z; "
+    "upper=[[x,y,z,0,0],[z,0,y^2,0],[x,0,0],[1,0],[x^2+y^3]]",
+]
+
+
+def skew_inputs(rng):
+    """Skew matrices: the catalog skew entries, normal-form-skew n = 4, 6,
+    8, the skew pencils, slow-skew6 and seeded random draws."""
+    specs = [catalog("generic-skew-4")]
+    specs += [catalog("normal-form-skew", n=n) for n in (4, 6, 8)]
+    specs += [parse_family(t) for t in SKEW_TEXTS]
+    mats = [s.to_family().entries for s in specs]
+    return mats + [random_skew(rng, n, nv) for n in (2, 4, 6) for nv in (2, 3)]
+
+
+def generic_route_sub_pfaffians(m):
+    """P* of m as the generic sub-pfaffian matrix of m's size, built from
+    one pfaffian memo of the generic skew matrix and then substituted by
+    the skew coordinates of m."""
+    n = m.rows
+    s = generic_family("skew", n).entries
+    pf = _pfaffians(s)
+    ent = [[Poly.zero(s.nvars)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            sub = pf(tuple(k for k in range(n) if k != i and k != j))
+            ent[i][j] = sub if (i + j) % 2 == 0 else -sub
+            ent[j][i] = -ent[i][j]
+    return PolyMatrix(ent, s.nvars).apply_map(
+        SubstitutionMap(flatten("skew", m)))
+
+
+def test_sub_pfaffians_match_the_generic_route(rng):
+    for m in skew_inputs(rng):
+        assert sub_pfaffian_matrix(m) == generic_route_sub_pfaffians(m)
 
 
 def test_sub_pfaffian_two_by_two():
@@ -386,3 +433,41 @@ def test_minors_ideal_full_size_is_function():
     b = minors_ideal(fam, 2)
     assert len(b.generators) == 1
     assert b.generators[0][0] == fam.function()
+
+
+def submatrix_route_minors(fam, size):
+    """The generators of minors_ideal(fam, size) as the determinant or
+    pfaffian of each size x size submatrix, built as its own matrix."""
+    e = fam.entries.entries
+    subsets = list(combinations(range(fam.n), size))
+    if fam.kind == "skew":
+        return [pfaffian(PolyMatrix([[e[i][j] for j in rows] for i in rows],
+                                    fam.m, cols=size))
+                for rows in subsets]
+    return [determinant(PolyMatrix([[e[i][j] for j in cols] for i in rows],
+                                   fam.m, cols=size))
+            for rows in subsets for cols in subsets]
+
+
+def random_symmetric(rng, n, nvars):
+    m = random_matrix(rng, n, nvars)
+    return m + m.transpose()
+
+
+def test_minors_ideal_matches_the_submatrix_route(rng):
+    fams = [MatrixFamily("skew", m.rows, m.nvars, m) for m in skew_inputs(rng)]
+    for name, params in (("generic-sym-2", {}), ("generic-gen-2", {}),
+                         ("normal-form-sym", {"n": 3}),
+                         ("normal-form-gen", {"n": 3}),
+                         ("diag-sym", {"a": (1, 3, 2)})):
+        fams.append(catalog(name, **params).to_family())
+    for n in (1, 2, 3):
+        fams.append(MatrixFamily("general", n, 2, random_matrix(rng, n, 2)))
+        fams.append(MatrixFamily("symmetric", n, 2,
+                                 random_symmetric(rng, n, 2)))
+    for fam in fams:
+        for size in range(0, fam.n + 1, 2 if fam.kind == "skew" else 1):
+            ref = ModuleBasis(1, [(g,) for g in
+                                  submatrix_route_minors(fam, size)], LOCAL)
+            got = minors_ideal(fam, size)
+            assert got == ref and repr(got) == repr(ref), (fam, size)
