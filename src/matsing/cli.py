@@ -30,7 +30,7 @@ from .complexes import homology_profile, kind_complex, verify_complex
 from .families import FamilySpec, ParseError, catalog, catalog_names, \
     parse_family
 from .groebner import INFINITE, StepLimitExceeded, set_step_limit
-from .invariants import IDENTITIES, analyze, verify_identity
+from .invariants import IDENTITIES, _jsonable, analyze, verify_identity
 from .matalg import MatrixFamily
 
 EXIT_OK = 0
@@ -94,12 +94,14 @@ def _print_report(report, out) -> None:
         if v is not None:
             print(f"{f} = {_fmt(v)}", file=out)
     for c in report.checks:
-        line = f"check {c.identity:<11} {c.verdict}"
-        if c.lhs is not None or c.rhs is not None:
-            line += f"  lhs = {_fmt(c.lhs)}, rhs = {_fmt(c.rhs)}"
-        if c.note:
-            line += f"  ({c.note})"
-        print(line, file=out)
+        print(_check_line(f"check {c.identity:<11} {c.verdict}", c), file=out)
+
+
+def _check_line(head: str, c) -> str:
+    """head, then the sides and the note of the check record c."""
+    if c.lhs is not None or c.rhs is not None:
+        head += f"  lhs = {_fmt(c.lhs)}, rhs = {_fmt(c.rhs)}"
+    return head + (f"  ({c.note})" if c.note else "")
 
 
 def _cmd_analyze(args) -> int:
@@ -124,12 +126,8 @@ def _cmd_verify(args) -> int:
     if args.json:
         print(json.dumps(record.to_dict(), sort_keys=True, indent=2))
     else:
-        line = f"identity {record.identity}: {record.verdict}"
-        if record.lhs is not None or record.rhs is not None:
-            line += f"  lhs = {_fmt(record.lhs)}, rhs = {_fmt(record.rhs)}"
-        if record.note:
-            line += f"  ({record.note})"
-        print(line)
+        print(_check_line(f"identity {record.identity}: {record.verdict}",
+                          record))
     if record.verdict == "FAILS":
         return EXIT_FAILS
     if record.verdict == "NOT-APPLICABLE" and args.strict:
@@ -152,8 +150,7 @@ def _cmd_resolution(args) -> int:
             "n": fam.n,
             "ranks": list(c.ranks),
             "square_zero": square_zero,
-            "homology": None if homology is None
-            else [(h if h is not INFINITE else "infinite") for h in homology],
+            "homology": _jsonable(homology),
         }
         print(json.dumps(payload, sort_keys=True, indent=2))
     else:

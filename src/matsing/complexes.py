@@ -37,8 +37,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .groebner import _column_stack, _homology_colength
-from .matalg import (MatrixFamily, PolyMatrix, flatten, sl_coords, space_dim,
-                     unflatten)
+from .matalg import MatrixFamily, PolyMatrix, flatten, sl_coords, space_dim
 from .poly import Poly, SubstitutionMap, _Record, partial
 
 
@@ -284,45 +283,27 @@ def pullback(c: FreeComplex, f: SubstitutionMap) -> FreeComplex:
                        f.source_nvars)
 
 
-def _kind_size(kind: str, coord_count: int) -> int:
-    n = 0
-    while space_dim(kind, n) < coord_count:
-        n += 1
-    if space_dim(kind, n) != coord_count:
-        raise ValueError(f"{coord_count} is not the coordinate count of a "
-                         f"{kind} matrix space")
-    return n
-
-
-def phi_f(g: Poly, f: SubstitutionMap, l: FreeComplex, kind: str) -> ComplexMorphism:
-    """Comparison map from the Koszul complex of g into l through degree 2.
-
-    f is a matrix family in flattened coordinates, l the (pulled-back)
-    resolution of the same kind, and g the composite det/Pf function; the
+def phi_f(fam: MatrixFamily, l: FreeComplex) -> ComplexMorphism:
+    """Comparison map from the Koszul complex of g = det/Pf of fam into l,
+    the (pulled-back) resolution of the same kind, through degree 2; the
     three maps built here satisfy the chain-map identities by construction.
 
-    Degree 2 sends e_i ^ e_j (i < j, with d(e_i ^ e_j) = g_i e_j - g_j e_i)
-    to the commutator-type expressions in the partials of the family and of
-    its adjugate/sub-pfaffian companion; these are trace free because mixed
-    second partials of g commute.
+    Degree 1 is the jacobian of the family in the flattening coordinates of
+    its kind.  Degree 2 sends e_i ^ e_j (i < j, with d(e_i ^ e_j) =
+    g_i e_j - g_j e_i) to the commutator-type expressions in the partials
+    of the family and of its adjugate/sub-pfaffian companion; these are
+    trace free because mixed second partials of g commute.
     """
-    if kind not in ("symmetric", "skew", "general"):
-        raise ValueError(f"unknown kind {kind!r}")
-    from .matalg import adjugate, pfaffian, determinant, sub_pfaffian_matrix
-    m = f.source_nvars
-    n = _kind_size(kind, f.target_nvars)
-    s = unflatten(kind, f.images, n, m)
-    expected = pfaffian(s) if kind == "skew" else determinant(s)
-    if g != expected:
-        raise ValueError("g is not the det/Pf of the family")
+    from .matalg import adjugate, sub_pfaffian_matrix
+    kind, m, s = fam.kind, fam.m, fam.entries
     comp = sub_pfaffian_matrix(s) if kind == "skew" else adjugate(s)
-    ds = [s.map_entries(lambda p, i=i: partial(p, i)) for i in range(m)]
+    ds = [fam.partial(i) for i in range(m)]
     dcomp = [comp.map_entries(lambda p, i=i: partial(p, i)) for i in range(m)]
 
-    k = koszul(g)
+    k = koszul(fam.function())
     one = PolyMatrix([[Poly.constant(m, 1)]], m)
-    jac = PolyMatrix([[partial(f.images[r], i) for i in range(m)]
-                      for r in range(f.target_nvars)], m)
+    jac = PolyMatrix.from_columns(space_dim(kind, fam.n),
+                                  [flatten(kind, d) for d in ds], m)
     maps = [one, jac]
     if m >= 2 and l.length >= 2:
         half = Fraction(1, 2)

@@ -25,12 +25,13 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import partial
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .matalg import MatrixFamily, PolyMatrix, generic_family, unflatten
 from .poly import Poly, SubstitutionMap, _Record, format_poly
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+_SPACE = re.compile(r"(?:[ \t\r\n]|#[^\n]*)*")  # blanks and comments
 
 
 class ParseError(ValueError):
@@ -47,9 +48,14 @@ class ParseError(ValueError):
 # -- polynomial expressions -----------------------------------------------------
 
 class _Tokens:
-    def __init__(self, text: str, varnames: List[str]):
+    """A reader of text[start:end] that skips blanks and '#' comments and
+    reports errors at their line and column in the whole text."""
+
+    def __init__(self, text: str, varnames: List[str], start: int = 0,
+                 end: Optional[int] = None):
         self.text = text
-        self.pos = 0
+        self.pos = start
+        self.end = len(text) if end is None else end
         self.vars = {v: i for i, v in enumerate(varnames)}
         self.nvars = len(varnames)
 
@@ -60,12 +66,11 @@ class _Tokens:
         raise ParseError(msg, line, col)
 
     def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos] in " \t\r\n":
-            self.pos += 1
+        self.pos = _SPACE.match(self.text, self.pos, self.end).end()
 
     def peek(self) -> str:
         self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.text[self.pos] if self.pos < self.end else ""
 
     def take(self, ch: str) -> bool:
         if self.peek() == ch:
@@ -80,7 +85,7 @@ class _Tokens:
     def integer(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < self.end and self.text[self.pos].isdigit():
             self.pos += 1
         if start == self.pos:
             self.error("expected an integer")
@@ -88,11 +93,31 @@ class _Tokens:
 
     def ident(self) -> str:
         self.skip_ws()
-        m = _IDENT.match(self.text, self.pos)
+        m = _IDENT.match(self.text, self.pos, self.end)
         if not m:
             self.error("expected an identifier")
         self.pos = m.end()
         return m.group()
+
+    def list(self, item: Callable[[], object]) -> list:
+        """A bracketed, comma-separated list of item() values."""
+        self.expect("[")
+        out = []
+        while not self.take("]"):
+            if out:
+                self.expect(",")
+                if self.peek() == "]":
+                    self.error("trailing comma")
+            out.append(item())
+        return out
+
+
+def _read(t: _Tokens, item: Callable[[_Tokens], object]):
+    """item(t), which must read all of t up to its end."""
+    got = item(t)
+    if t.peek():
+        t.error("unexpected trailing input")
+    return got
 
 
 def _parse_expr(t: _Tokens) -> Poly:
@@ -151,12 +176,18 @@ def _parse_atom(t: _Tokens) -> Poly:
 
 def parse_poly(text: str, varnames: List[str]) -> Poly:
     """Parse one polynomial over the named variables."""
-    t = _Tokens(text, list(varnames))
-    p = _parse_expr(t)
-    t.skip_ws()
-    if t.pos != len(t.text):
-        t.error("unexpected trailing input")
-    return p
+    return _read(_Tokens(text, list(varnames)), _parse_expr)
+
+
+def _poly_list(t: _Tokens) -> List[Poly]:
+    return t.list(partial(_parse_expr, t))
+
+
+def _rows(t: _Tokens) -> List[List[Poly]]:
+    rows = t.list(partial(_poly_list, t))
+    if not rows:
+        t.error("empty matrix")
+    return rows
 
 
 # -- family files -----------------------------------------------------------------
@@ -182,7 +213,7 @@ class FamilySpec(_Record):
     def to_family(self) -> MatrixFamily:
         if self.kind == "section":
             raise ValueError("a section has no matrix family")
-        return MatrixFamily(self.kind, self.n, len(self.variables),
+        return MatrixFamily(self.kind,
                             PolyMatrix(self.entries, len(self.variables)))
 
     def to_section(self) -> Tuple[Poly, SubstitutionMap]:
@@ -194,14 +225,16 @@ class FamilySpec(_Record):
         return self.to_section() if self.kind == "section" else self.to_family()
 
 
-def _split_statements(text: str) -> List[Tuple[int, str]]:
+def _split_statements(text: str) -> List[Tuple[int, str, tuple]]:
     """Split on newlines/semicolons at bracket depth 0; strip comments.
-    Returns (line_number, statement) pairs."""
+    Returns (line_number, statement, span) triples, span the offsets in
+    text of the value (after the first '=') and of the statement's end."""
     out = []
     buf: List[str] = []
     depth = 0
     line = 1
     start_line = 1
+    value_at = None
     i = 0
     while i < len(text):
         ch = text[i]
@@ -220,17 +253,20 @@ def _split_statements(text: str) -> List[Tuple[int, str]]:
         if (ch == ";" or ch == "\n") and depth == 0:
             stmt = "".join(buf).strip()
             if stmt:
-                out.append((start_line, stmt))
+                out.append((start_line, stmt, (value_at, i)))
             buf = []
             start_line = line
+            value_at = None
         else:
+            if ch == "=" and value_at is None:
+                value_at = i + 1
             buf.append(ch)
         i += 1
     if depth != 0:
         raise ParseError("unbalanced bracket at end of input", line)
     stmt = "".join(buf).strip()
     if stmt:
-        out.append((start_line, stmt))
+        out.append((start_line, stmt, (value_at, i)))
     return out
 
 
@@ -251,65 +287,6 @@ def _parse_varlist(value: str, line: int) -> List[str]:
     return names
 
 
-def _parse_poly_list(value: str, varnames: List[str], line: int) -> List[Poly]:
-    value = value.strip()
-    if not (value.startswith("[") and value.endswith("]")):
-        raise ParseError("expected [ ... ]", line)
-    inner = value[1:-1]
-    parts = _split_top_level(inner, line)
-    return [parse_poly(p, varnames) for p in parts]
-
-
-def _split_top_level(text: str, line: int) -> List[str]:
-    parts = []
-    buf: List[str] = []
-    depth = 0
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == "," and depth == 0:
-            part = "".join(buf).strip()
-            if not part:
-                raise ParseError("empty list entry", line)
-            parts.append(part)
-            buf = []
-        else:
-            buf.append(ch)
-    last = "".join(buf).strip()
-    if last:
-        parts.append(last)
-    elif parts:
-        raise ParseError("trailing comma", line)
-    return parts
-
-
-def _parse_rows(value: str, varnames: List[str], line: int) -> List[List[Poly]]:
-    value = value.strip()
-    if not (value.startswith("[") and value.endswith("]")):
-        raise ParseError("expected [[...], ...]", line)
-    rows_text = _split_top_level(value[1:-1], line)
-    rows = []
-    for rt in rows_text:
-        if not (rt.startswith("[") and rt.endswith("]")):
-            raise ParseError("expected a [...] row", line)
-        rows.append([parse_poly(p, varnames)
-                     for p in _split_top_level(rt[1:-1], line)])
-    if not rows:
-        raise ParseError("empty matrix", line)
-    return rows
-
-
-def _parse_matrix(value: str, varnames: List[str], line: int) -> List[List[Poly]]:
-    rows = _parse_rows(value, varnames, line)
-    width = len(rows[0])
-    for r in rows:
-        if len(r) != width:
-            raise ParseError("ragged matrix rows", line)
-    return rows
-
-
 _KEYS = ("name", "kind", "n", "vars", "fvars", "matrix", "upper", "f", "map")
 _KINDS = ("symmetric", "skew", "general", "section")
 
@@ -318,8 +295,9 @@ def parse_family(text: str) -> FamilySpec:
     """Parse a family description; raises ParseError on any defect."""
     fields: dict = {}
     lines: dict = {}
+    spans: dict = {}
     expected: dict = {}
-    for line, stmt in _split_statements(text):
+    for line, stmt, span in _split_statements(text):
         if "=" not in stmt:
             raise ParseError("expected key = value", line)
         key, value = stmt.split("=", 1)
@@ -338,6 +316,11 @@ def parse_family(text: str) -> FamilySpec:
             raise ParseError(f"repeated key {key!r}", line)
         fields[key] = value
         lines[key] = line
+        spans[key] = span
+
+    def read(key, varnames, item):
+        # Read from the whole text, so that errors give its positions.
+        return _read(_Tokens(text, varnames, *spans[key]), item)
 
     if "kind" not in fields:
         raise ParseError("missing kind")
@@ -358,8 +341,8 @@ def parse_family(text: str) -> FamilySpec:
             if key not in fields:
                 raise ParseError(f"missing {key!r} for a section")
         fvars = _parse_varlist(fields["fvars"], lines["fvars"])
-        f = parse_poly(fields["f"], fvars)
-        images = _parse_poly_list(fields["map"], variables, lines["map"])
+        f = read("f", fvars, _parse_expr)
+        images = read("map", variables, _poly_list)
         if len(images) != len(fvars):
             raise ParseError(
                 f"map has {len(images)} components, fvars has {len(fvars)}",
@@ -375,12 +358,14 @@ def parse_family(text: str) -> FamilySpec:
     if ("matrix" in fields) == ("upper" in fields):
         raise ParseError("exactly one of matrix/upper is required")
     if "matrix" in fields:
-        entries = _parse_matrix(fields["matrix"], variables, lines["matrix"])
+        entries = read("matrix", variables, _rows)
         n = len(entries)
+        if any(len(r) != len(entries[0]) for r in entries):
+            raise ParseError("ragged matrix rows", lines["matrix"])
         if len(entries[0]) != n:
             raise ParseError("matrix is not square", lines["matrix"])
     else:
-        rows = _parse_rows(fields["upper"], variables, lines["upper"])
+        rows = read("upper", variables, _rows)
         entries = _fill_upper(kind, rows, len(variables), lines["upper"])
         n = len(entries)
     if "n" in fields:

@@ -51,10 +51,10 @@ boundary (unflatten_vector, Poly).
 Each ModuleBasis completes its standard basis once, in flat form, and
 caches it (_standard): colengths count the staircase of its leading terms
 straight from there, groebner_basis unflattens it (after tail reduction
-under a global order), and comparing two cached lead modules decides
-equality of a module and a submodule.  Under a global order groebner_basis
-returns the reduced basis: monic, and no term of any element is divisible
-by the leading term of another.
+under a global order) into a basis that caches it in turn, and comparing
+two cached lead modules decides equality of a module and a submodule.
+Under a global order groebner_basis returns the reduced basis: monic, and
+no term of any element is divisible by the leading term of another.
 
 A step counter guards all completion and division loops: badly posed
 inputs can be astronomically slow, so it raises StepLimitExceeded instead
@@ -135,8 +135,8 @@ class _Counter:
         self.limit = _STEP_LIMIT
         self.steps = 0
 
-    def tick(self, n: int = 1) -> None:
-        self.steps += n
+    def tick(self) -> None:
+        self.steps += 1
         if self.steps > self.limit:
             raise StepLimitExceeded(self.limit)
 
@@ -350,16 +350,12 @@ class ModuleBasis(_Record):
     """A generating set for a submodule of O^ambient_rank.
 
     generators are tuples of Poly, all of the same length ambient_rank.
-    is_reduced is True only for a fully tail-reduced basis under a global
-    order; local standard bases are lead-interreduced but keep their tails.
     """
 
-    FIELDS = ("ambient_rank", "generators", "order", "is_reduced",
-              "completed")
+    FIELDS = ("ambient_rank", "generators", "order")
 
     def __init__(self, ambient_rank: int, generators: list,
-                 order: MonomialOrder, is_reduced: bool = False,
-                 completed: bool = False):
+                 order: MonomialOrder):
         gens = []
         nv = None
         for g in generators:
@@ -378,20 +374,18 @@ class ModuleBasis(_Record):
             if any(p.terms for p in g):
                 gens.append(g)
         self.ambient_rank, self.order = ambient_rank, order
-        self.is_reduced, self.completed = is_reduced, completed
         self.generators = gens
         self.nvars = nv
         self._stacked = self._standard = None
 
     @classmethod
-    def _of(cls, ambient_rank: int, generators: list, order: MonomialOrder,
-            is_reduced: bool = False, completed: bool = False) -> ModuleBasis:
+    def _of(cls, ambient_rank: int, generators: list,
+            order: MonomialOrder) -> ModuleBasis:
         """A basis of vectors the library has just built: tuples of
         ambient_rank Polys in one ring.  Only zero vectors are dropped; the
         other checks of __init__ are skipped."""
         out = cls.__new__(cls)
         out.ambient_rank, out.order = ambient_rank, order
-        out.is_reduced, out.completed = is_reduced, completed
         out.generators = [g for g in generators if any(p.terms for p in g)]
         out.nvars = next((p.nvars for g in generators for p in g), None)
         out._stacked = out._standard = None
@@ -580,23 +574,25 @@ def _standard(basis: ModuleBasis) -> tuple:
     _Gens, sorted by decreasing module_key, and the steps its completion
     took.  Built once and cached on basis; a cache hit under a step limit
     smaller than those steps raises, as a fresh build under that limit
-    would.  A completed basis is taken as it is."""
+    would."""
     got = basis._standard
     if got is None:
         enc = _encoding(basis.nvars, basis.order)
-        flats = [flatten_vector(g, enc) for g in basis.generators]
-        counter = _Counter()
-        if basis.completed:
-            gens = [_normalized(flat, enc) for flat in flats]
-        else:
-            gens = _lead_interreduce(_complete(flats, enc,
-                                               basis.ambient_rank, counter),
-                                     enc)
-        gens.sort(key=lambda g: g.lt)
-        got = basis._standard = (gens, counter.steps)
+        got = basis._standard = _standard_of(
+            [flatten_vector(g, enc) for g in basis.generators],
+            basis.ambient_rank, enc)
     elif got[1] > step_limit():
         raise StepLimitExceeded(step_limit())
     return got
+
+
+def _standard_of(flats: list, rank: int, enc: _Encoding) -> tuple:
+    """(gens, steps) of _standard for the flats of O^rank, which become
+    the completion's own."""
+    counter = _Counter()
+    gens = _lead_interreduce(_complete(flats, enc, rank, counter), enc)
+    gens.sort(key=lambda g: g.lt)
+    return gens, counter.steps
 
 
 def _leads_divided_by(basis: ModuleBasis, by: ModuleBasis) -> bool:
@@ -683,10 +679,10 @@ def groebner_basis(basis: ModuleBasis) -> ModuleBasis:
     Local order: a lead-interreduced standard basis (tails kept, since tail
     reduction need not terminate in the local ring).  The completion is
     the one cached on basis (see _standard); a tail reduction counts its
-    steps on from it, against the same limit.
+    steps on from it, against the same limit.  The result caches itself as
+    its own standard basis, with those steps, so it is never completed
+    again.
     """
-    if basis.completed:
-        return basis
     order = basis.order
     enc = _encoding(basis.nvars, order)
     gens, steps = _standard(basis)
@@ -694,10 +690,12 @@ def groebner_basis(basis: ModuleBasis) -> ModuleBasis:
         counter = _Counter()
         counter.steps = steps
         gens = _tail_reduce(gens, enc, counter)
-    vectors = [unflatten_vector(g.flat, basis.ambient_rank, enc)
-               for g in gens]
-    return ModuleBasis._of(basis.ambient_rank, vectors, order,
-                           is_reduced=order.is_global, completed=True)
+        steps = counter.steps
+    out = ModuleBasis._of(basis.ambient_rank,
+                          [unflatten_vector(g.flat, basis.ambient_rank, enc)
+                           for g in gens], order)
+    out._standard = ([_normalized(g.flat, enc) for g in gens], steps)
+    return out
 
 
 def quotient_dimension(basis: ModuleBasis):
@@ -913,8 +911,7 @@ def _homology_colength(cycles: _Stack, boundaries: Optional[_Stack]):
     shift, low = enc.shift, enc.low
     local = [{(c, (-(key >> shift) << shift) + (key & low)): v
               for (c, key), v in flat.items()} for flat in relations]
-    gens = _lead_interreduce(_complete(local, enc, t, _Counter()), enc)
-    return _colength(gens, t, enc.nvars)
+    return _colength(_standard_of(local, t, enc)[0], t, enc.nvars)
 
 
 class MemberResult(_Record):

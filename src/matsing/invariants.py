@@ -648,8 +648,7 @@ def analyze(subject, name: str = "") -> InvariantReport:
 def tau_homological(fam: MatrixFamily):
     """Third route to tau: H_1 of the cone over the comparison map from the
     Koszul complex of det/Pf into the family's resolution."""
-    g = fam.function()
     l = kind_complex(fam)
-    phi = phi_f(g, fam.as_map(), l, fam.kind)
+    phi = phi_f(fam, l)
     c = cone(phi, min(2, l.length))
     return homology_dimension(c, 1)

@@ -194,7 +194,7 @@ class PolyMatrix:
             raise ValueError("shape mismatch")
         self._same_ring(other.nvars)
 
-    def _entrywise(self, fn: Callable[[Poly], Poly]) -> "PolyMatrix":
+    def map_entries(self, fn: Callable[[Poly], Poly]) -> "PolyMatrix":
         """fn applied to the nonzero entries; zero entries pass through."""
         return PolyMatrix._of([[fn(a) if a.terms else a for a in r]
                                for r in self.entries], self.nvars, self.cols)
@@ -216,14 +216,14 @@ class PolyMatrix:
             self.nvars, self.cols)
 
     def __neg__(self) -> "PolyMatrix":
-        return self._entrywise(Poly.__neg__)
+        return self.map_entries(Poly.__neg__)
 
     def scale(self, c) -> "PolyMatrix":
         """Every entry times c, a Poly or a rational number."""
         if isinstance(c, Poly):
             self._same_ring(c.nvars)
-            return self._entrywise(lambda a: _product(a, _scalar(a), c))
-        return self._entrywise(lambda a: _times(a, c))
+            return self.map_entries(lambda a: _product(a, _scalar(a), c))
+        return self.map_entries(lambda a: _times(a, c))
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
@@ -259,11 +259,6 @@ class PolyMatrix:
             if d.terms:
                 t = d if t is None else t + d
         return Poly.zero(self.nvars) if t is None else t
-
-    def map_entries(self, fn: Callable[[Poly], Poly],
-                    nvars: Optional[int] = None) -> "PolyMatrix":
-        return PolyMatrix([[fn(p) for p in r] for r in self.entries],
-                          nvars, cols=self.cols)
 
     def apply_map(self, f: SubstitutionMap) -> "PolyMatrix":
         """Entrywise substitution; the result lives in the source ring of f."""
@@ -407,24 +402,20 @@ class MatrixFamily(_Record):
     """A square matrix of polynomials with a declared symmetry kind.
 
     kind is one of 'symmetric', 'skew', 'general'; the structural
-    constraints are validated on construction.  m is the number of
-    parameters (ring variables); entries is the n x n matrix itself.
+    constraints are validated on construction.  entries is the n x n
+    matrix itself, and m its number of parameters (ring variables).
     """
 
-    FIELDS = ("kind", "n", "m", "entries")
+    FIELDS = ("kind", "entries")
 
-    def __init__(self, kind: str, n: int, m: int, entries: PolyMatrix):
+    def __init__(self, kind: str, entries: PolyMatrix):
         object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "m", m)
         object.__setattr__(self, "entries", entries)
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r}")
         e = self.entries
-        if not e.is_square() or e.rows != self.n:
-            raise ValueError("entry matrix size does not match n")
-        if e.nvars != self.m:
-            raise ValueError("entry ring does not match parameter count m")
+        if not e.is_square():
+            raise ValueError("a family needs a square matrix")
         if self.kind == "symmetric":
             for i in range(self.n):
                 for j in range(i + 1, self.n):
@@ -435,6 +426,14 @@ class MatrixFamily(_Record):
 
     def __setattr__(self, name, value):
         raise AttributeError("MatrixFamily is immutable")
+
+    @property
+    def n(self) -> int:
+        return self.entries.rows
+
+    @property
+    def m(self) -> int:
+        return self.entries.nvars
 
     def function(self) -> Poly:
         """det for symmetric/general families, Pf for skew ones."""
@@ -457,7 +456,7 @@ def generic_family(kind: str, n: int) -> MatrixFamily:
     variable, so the parameter count is the dimension of the matrix space."""
     nv = space_dim(kind, n)
     coords = [Poly.variable(nv, k) for k in range(nv)]
-    return MatrixFamily(kind, n, nv, unflatten(kind, coords, n, nv))
+    return MatrixFamily(kind, unflatten(kind, coords, n, nv))
 
 
 def minors_ideal(fam: MatrixFamily, size: int) -> ModuleBasis:

@@ -259,7 +259,7 @@ def test_acceptance_8_property_suites():
                 continue
             l = pullback(kind_complex(generic_family(kind, n)),
                          fam.as_map())
-            phi = phi_f(g, fam.as_map(), l, kind)
+            phi = phi_f(fam, l)
             assert verify_chain_map(phi), kind
             assert len(phi.maps) == 3
             checked += 1

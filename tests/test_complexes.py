@@ -64,7 +64,7 @@ def random_family(rng, kind, n, nvars, linear_bias=True):
                 p = entry()
                 grid[i][j] = p
                 grid[j][i] = -p
-    return MatrixFamily(kind, n, nvars, PolyMatrix(grid, nvars))
+    return MatrixFamily(kind, PolyMatrix(grid, nvars))
 
 
 def test_koszul_shapes_and_exactness():
@@ -166,19 +166,19 @@ def test_chain_map_three_kinds(rng):
             if g.is_zero():
                 continue
             l = pullback(kind_complex(generic_family(kind, n)), fam.as_map())
-            phi = phi_f(g, fam.as_map(), l, kind)
+            phi = phi_f(fam, l)
             assert verify_chain_map(phi), kind
 
 
 def test_chain_map_one_parameter_family():
     # One source variable: the Koszul complex stops at degree 1, phi has
     # no degree-2 component.
-    fam = MatrixFamily("symmetric", 2, 1, PolyMatrix(
+    fam = MatrixFamily("symmetric", PolyMatrix(
         [[parse_poly("x", ["x"]), Poly.zero(1)],
          [Poly.zero(1), parse_poly("x^2", ["x"])]], 1))
     l = pullback(jozefiak_complex(generic_family("symmetric", 2)),
                  fam.as_map())
-    phi = phi_f(fam.function(), fam.as_map(), l, "symmetric")
+    phi = phi_f(fam, l)
     assert len(phi.maps) == 2
     assert verify_chain_map(phi)
 
@@ -186,7 +186,7 @@ def test_chain_map_one_parameter_family():
 def test_cone_square_zero_and_h1():
     fam = generic_family("symmetric", 2)
     l = jozefiak_complex(fam)
-    phi = phi_f(fam.function(), fam.as_map(), l, "symmetric")
+    phi = phi_f(fam, l)
     c = cone(phi, 2)
     assert verify_complex(c)
     assert homology_dimension(c, 1) == 0
@@ -244,7 +244,7 @@ def test_complexes_are_immutable_records():
         "FreeComplex(ranks=(1, 3, 3, 1), differentials=(PolyMatrix(1x3 in 3 "
         "vars), PolyMatrix(3x3 in 3 vars), PolyMatrix(3x1 in 3 vars)), "
         "nvars=3)")
-    phi = phi_f(fam.function(), fam.as_map(), c, "symmetric")
+    phi = phi_f(fam, c)
     assert phi == ComplexMorphism(phi.source, phi.target, phi.maps)
     assert repr(phi).startswith("ComplexMorphism(source=FreeComplex(")
     for obj, name in [(c, "ranks"), (c, "_column_stacks"), (phi, "maps")]:
@@ -432,7 +432,7 @@ def test_homology_matches_membership_route_on_pencils(text):
     _assert_same_homology(l, text)
     if text in _PENCILS:
         # The cone behind tau_homological, whose H_1 is tau.
-        phi = phi_f(fam.function(), fam.as_map(), l, fam.kind)
+        phi = phi_f(fam, l)
         _assert_same_homology(cone(phi, 2), (text, "cone"))
 
 

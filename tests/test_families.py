@@ -131,6 +131,21 @@ def test_parse_family_errors():
             parse_family(text)
 
 
+def test_parse_errors_give_positions_in_the_file():
+    # The column is the one just after the offending token.
+    head = "# a family\nkind = symmetric\nvars = x, y\n"
+    with pytest.raises(ParseError) as err:
+        parse_family(head + "matrix = [[x, w], [w, y]]\n")
+    assert str(err.value) == "line 4, column 16: unknown variable 'w'"
+    with pytest.raises(ParseError, match="^line 5, column 14: trailing comma"):
+        parse_family(head + "upper = [[x, y],  # first row, w\n"
+                            "          [x,]]")
+    with pytest.raises(ParseError, match="^line 2, column 14: unexpected"):
+        parse_family("kind=section; vars=x; fvars=u\nf=u; map=[x] x")
+    # Comments inside a value are skipped.
+    assert parse_family(head + "matrix = [[x, 0],  # w\n [0, y]]").n == 2
+
+
 def test_print_family_round_trip_catalog():
     entries = [("generic-sym-2", {}), ("generic-gen-2", {}),
                ("generic-skew-4", {}), ("normal-form-sym", {"n": 3}),

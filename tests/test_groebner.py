@@ -38,8 +38,8 @@ def ideal(gens, order=LOCAL):
 def test_reduced_basis_of_univariate_pair():
     b = ideal([P("x^2 - 1", ["x"]), P("x^3 - 1", ["x"])], GLOBAL)
     g = groebner_basis(b)
-    assert g.is_reduced
     assert [v[0] for v in g.generators] == [P("x - 1", ["x"])]
+    assert groebner_basis(g) == g
 
 
 def test_quotient_dimension_differs_local_vs_global():
@@ -212,15 +212,28 @@ def test_standard_basis_is_completed_once(monkeypatch, order):
     basis = ideal([P("x^4 + y^3"), P("x*y^2 + x^3*y")], order)
     first = quotient_dimension(basis)
     assert quotient_dimension(basis) == first
-    groebner_basis(basis)
+    # The result caches the basis it returns: its colength completes
+    # nothing again, and the cache keeps the steps that built it (a tail
+    # reduction adds its own), for the budget rule.
+    sb = groebner_basis(basis)
+    assert quotient_dimension(sb) == first
     assert len(calls) == 1
+    assert sb._standard[1] >= basis._standard[1] > 0
+
+
+def test_module_basis_takes_no_claim_of_completion():
+    # <x + y, x> is no standard basis as given (both lead with x), yet its
+    # colength is 1: it is always read from a completion.
+    gens = [(P("x + y"),), (P("x"),)]
+    with pytest.raises(TypeError):
+        ModuleBasis(1, gens, LOCAL, completed=True)
+    assert quotient_dimension(ModuleBasis(1, gens, LOCAL)) == 1
 
 
 def test_module_basis_fields_equality_and_repr():
     gens = [P("x^2 + y^3"), P("x*y")]
     basis, fresh = ideal(gens), ideal(gens)
     assert basis.generators == [(g,) for g in gens]
-    assert not basis.is_reduced and not basis.completed
     quotient_dimension(basis)
     member(gens[0], basis)
     assert basis._standard is not None and basis._stacked is not None
@@ -229,13 +242,11 @@ def test_module_basis_fields_equality_and_repr():
     assert basis != ideal(gens, GLOBAL) and basis != ideal(gens[:1])
     assert basis != gens
     sb = groebner_basis(basis)
-    done = ModuleBasis(1, sb.generators, LOCAL, completed=True)
-    assert done.completed and done == sb
-    assert done == ModuleBasis._of(1, sb.generators, LOCAL, completed=True)
-    assert repr(ModuleBasis(1, [P("x*y")], LOCAL, completed=True)) == (
+    assert ModuleBasis(1, sb.generators, LOCAL) == sb
+    assert ModuleBasis._of(1, sb.generators, LOCAL) == sb
+    assert repr(ModuleBasis(1, [P("x*y")], LOCAL)) == (
         "ModuleBasis(ambient_rank=1, generators=[(Poly(x*y),)], "
-        "order=MonomialOrder('negdegrevlex-local'), is_reduced=False, "
-        "completed=True)")
+        "order=MonomialOrder('negdegrevlex-local'))")
     assert repr(member(gens[1], basis)) == (
         "MemberResult(contains=True, coefficients=(Poly(0), Poly(1)), "
         "unit=Poly(1), remainder=Poly(0))")
@@ -315,7 +326,7 @@ def test_groebner_basis_from_the_cache_matches_one_pass(order, rank):
         except StepLimitExceeded:
             continue
         assert got.generators == want
-        assert got.completed and got.is_reduced == order.is_global
+        assert groebner_basis(got) == got
         checked += 1
     assert checked >= 10, checked
 
@@ -492,8 +503,11 @@ def test_member_certificate_with_rational_generators(order):
 
 def test_quotient_dimension_walks_the_staircase():
     # Colength m + 1; a walk over the box of pure-power bounds took seconds
-    # from m = 16 on.
+    # from m = 16 on.  The monomials are a standard basis already, so the
+    # staircase count is timed on them alone, without a completion.
     import time
+    from matsing.groebner import (_colength, _encoding, _normalized,
+                                  flatten_vector)
     m = 24
     squares = []
     for i in range(m):
@@ -502,9 +516,10 @@ def test_quotient_dimension_walks_the_staircase():
             exp[i] += 1
             exp[j] += 1
             squares.append((Poly.monomial(m, exp),))
-    basis = ModuleBasis(1, squares, LOCAL, completed=True)
+    enc = _encoding(m, LOCAL)
+    gens = [_normalized(flatten_vector(g, enc), enc) for g in squares]
     t0 = time.perf_counter()
-    assert quotient_dimension(basis) == m + 1
+    assert _colength(gens, 1, m) == m + 1
     assert time.perf_counter() - t0 < 1.0
 
 

@@ -51,8 +51,7 @@ def P(text, names=("x", "y")):
 
 def sym_family(texts, names):
     entries = [[parse_poly(t, list(names)) for t in row] for row in texts]
-    return MatrixFamily("symmetric", len(entries), len(names),
-                        PolyMatrix(entries, len(names)))
+    return MatrixFamily("symmetric", PolyMatrix(entries, len(names)))
 
 
 def test_milnor_known_values():

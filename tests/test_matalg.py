@@ -385,23 +385,25 @@ def test_constant_bases_are_unflattened_unit_vectors():
 
 def test_family_validation():
     with pytest.raises(ValueError):
-        MatrixFamily("symmetric", 2, 2,
+        MatrixFamily("symmetric",
                      PolyMatrix([[P("x"), P("y")], [P("x"), P("y")]], 2))
     with pytest.raises(ValueError):
-        MatrixFamily("skew", 2, 2,
+        MatrixFamily("skew",
                      PolyMatrix([[P("x"), P("y")], [P("-y"), Poly.zero(2)]],
                                 2))
     with pytest.raises(ValueError):
-        MatrixFamily("nonsense", 2, 2,
-                      PolyMatrix([[P("x"), P("y")], [P("y"), P("x")]], 2))
+        MatrixFamily("nonsense",
+                     PolyMatrix([[P("x"), P("y")], [P("y"), P("x")]], 2))
+    with pytest.raises(ValueError, match="square"):
+        MatrixFamily("general", PolyMatrix([[P("x"), P("y")]], 2))
 
 
 def test_family_is_an_immutable_record():
     fam = generic_family("symmetric", 2)
-    assert fam == MatrixFamily(kind="symmetric", n=2, m=3,
-                               entries=fam.entries)
+    assert fam == MatrixFamily(kind="symmetric", entries=fam.entries)
+    assert (fam.n, fam.m) == (2, 3)
     assert fam != generic_family("general", 2)
-    assert repr(fam) == ("MatrixFamily(kind='symmetric', n=2, m=3, "
+    assert repr(fam) == ("MatrixFamily(kind='symmetric', "
                          "entries=PolyMatrix(2x2 in 3 vars))")
     with pytest.raises(AttributeError):
         fam.n = 3
@@ -455,16 +457,15 @@ def random_symmetric(rng, n, nvars):
 
 
 def test_minors_ideal_matches_the_submatrix_route(rng):
-    fams = [MatrixFamily("skew", m.rows, m.nvars, m) for m in skew_inputs(rng)]
+    fams = [MatrixFamily("skew", m) for m in skew_inputs(rng)]
     for name, params in (("generic-sym-2", {}), ("generic-gen-2", {}),
                          ("normal-form-sym", {"n": 3}),
                          ("normal-form-gen", {"n": 3}),
                          ("diag-sym", {"a": (1, 3, 2)})):
         fams.append(catalog(name, **params).to_family())
     for n in (1, 2, 3):
-        fams.append(MatrixFamily("general", n, 2, random_matrix(rng, n, 2)))
-        fams.append(MatrixFamily("symmetric", n, 2,
-                                 random_symmetric(rng, n, 2)))
+        fams.append(MatrixFamily("general", random_matrix(rng, n, 2)))
+        fams.append(MatrixFamily("symmetric", random_symmetric(rng, n, 2)))
     for fam in fams:
         for size in range(0, fam.n + 1, 2 if fam.kind == "skew" else 1):
             ref = ModuleBasis(1, [(g,) for g in
