@@ -18,6 +18,10 @@ Built here:
     family into the pulled-back resolution, through degree 2.
   * Mapping cones, and homology dimensions over the local ring at 0.
 
+The resolutions and the Lie-algebra images never multiply out a product
+with a basis matrix B: B S and S B place rows and columns of S by the
+entries of B (matalg._placed).
+
 Homology in degree k is computed as a presentation H_k = O^t / R.  Each
 differential d_k gets one GLOBAL stacked completion of its columns (see
 groebner._Stack), cached on the complex, which serves twice: its relations
@@ -37,7 +41,10 @@ from itertools import combinations
 from typing import Sequence
 
 from .groebner import _column_stack, _homology_colength
-from .matalg import MatrixFamily, PolyMatrix, flatten, sl_coords, space_dim
+from .matalg import (MatrixFamily, PolyMatrix, _coords, _lie_images,
+                     _placed, _sl_coords, _sparse_basis, _trace_times,
+                     adjugate, flatten, sl_coords, space_dim,
+                     sub_pfaffian_matrix)
 from .poly import Poly, SubstitutionMap, _Record, partial
 
 
@@ -154,18 +161,16 @@ def jozefiak_complex(fam: MatrixFamily) -> FreeComplex:
     """
     if fam.kind != "symmetric":
         raise ValueError("symmetric family required")
-    from .matalg import adjugate, skew_basis, sl_basis, sym_basis
     n, nv = fam.n, fam.m
     s = fam.entries
     a = adjugate(s)
     ranks = (1, space_dim("symmetric", n), n * n - 1, space_dim("skew", n))
-    d1_cols = [[(a @ b).trace()] for b in sym_basis(n, nv)]
-    d1 = PolyMatrix.from_columns(1, d1_cols, nv)
-    d2_cols = [flatten("symmetric", s @ b + b.transpose() @ s)
-               for b in sl_basis(n, nv)]
-    d2 = PolyMatrix.from_columns(ranks[1], d2_cols, nv)
-    d3_cols = [sl_coords(b @ s) for b in skew_basis(n, nv)]
-    d3 = PolyMatrix.from_columns(ranks[2], d3_cols, nv)
+    d1 = PolyMatrix.from_columns(
+        1, [[_trace_times(a, b)] for b in _sparse_basis("symmetric", n)], nv)
+    d2 = PolyMatrix.from_columns(ranks[1], _lie_images(fam, "special"), nv)
+    d3 = PolyMatrix.from_columns(
+        ranks[2], [_sl_coords(_placed(b, s, True), n, nv)
+                   for b in _sparse_basis("skew", n)], nv)
     return FreeComplex(ranks, (d1, d2, d3), nv)
 
 
@@ -185,7 +190,6 @@ def jp_complex(fam: MatrixFamily) -> FreeComplex:
         raise ValueError("skew family required")
     if fam.n % 2 != 0:
         raise ValueError("even size required")
-    from .matalg import skew_basis, sl_basis, sub_pfaffian_matrix, sym_basis
     n, nv = fam.n, fam.m
     s = fam.entries
     p = sub_pfaffian_matrix(s)
@@ -194,33 +198,23 @@ def jp_complex(fam: MatrixFamily) -> FreeComplex:
     sl = n * n - 1
     ranks = (1, sk, sl, 2 * sy, sl, sk, 1)
     half = Fraction(1, 2)
-    skb = skew_basis(n, nv)
-    slb = sl_basis(n, nv)
-    syb = sym_basis(n, nv)
-    ident = PolyMatrix.identity(n, nv)
+    skb, slb = _sparse_basis("skew", n), _sparse_basis("sl", n)
+    syb = _sparse_basis("symmetric", n)
 
     d1 = PolyMatrix.from_columns(
-        1, [[(p @ b).trace() * half] for b in skb], nv)
-    d2 = PolyMatrix.from_columns(
-        sk, [flatten("skew", s @ b + b.transpose() @ s) for b in slb], nv)
-    d3_cols = [sl_coords(p @ w) for w in syb]
-    d3_cols += [sl_coords(-(x @ s)) for x in syb]
+        1, [[_trace_times(p, b) * half] for b in skb], nv)
+    d2 = PolyMatrix.from_columns(sk, _lie_images(fam, "special"), nv)
+    d3_cols = [_sl_coords(_placed(w, p, False), n, nv) for w in syb]
+    d3_cols += [[-c for c in _sl_coords(_placed(x, s, True), n, nv)]
+                for x in syb]
     d3 = PolyMatrix.from_columns(sl, d3_cols, nv)
-    d4_cols = []
-    for y in slb:
-        sy_part = s @ y
-        sy_part = sy_part + sy_part.transpose()
-        yp = y @ p
-        yp = yp + yp.transpose()
-        d4_cols.append(flatten("symmetric", sy_part)
-                       + flatten("symmetric", yp))
-    d4 = PolyMatrix.from_columns(2 * sy, d4_cols, nv)
-    d5_cols = []
-    for z in skb:
-        zs = z @ s
-        corr = ident.scale(zs.trace() * Fraction(1, n))
-        d5_cols.append(sl_coords(zs - corr))
-    d5 = PolyMatrix.from_columns(sl, d5_cols, nv)
+    d4 = PolyMatrix.from_columns(
+        2 * sy, [_coords("symmetric", _placed(y, s, False), n, nv, 1)
+                 + _coords("symmetric", _placed(y, p, True), n, nv, 1)
+                 for y in slb], nv)
+    d5 = PolyMatrix.from_columns(
+        sl, [_sl_coords(_placed(z, s, True), n, nv, centred=True)
+             for z in skb], nv)
     d6 = PolyMatrix.from_columns(sk, [flatten("skew", p)], nv)
     return FreeComplex(ranks, (d1, d2, d3, d4, d5, d6), nv)
 
@@ -236,30 +230,23 @@ def gn_complex(fam: MatrixFamily) -> FreeComplex:
     """
     if fam.kind != "general":
         raise ValueError("general family required")
-    from .matalg import adjugate, gl_basis, sl_basis
     n, nv = fam.n, fam.m
     m = fam.entries
     a = adjugate(m)
     gl = n * n
     sl = n * n - 1
     ranks = (1, gl, 2 * sl, gl, 1)
-    glb = gl_basis(n, nv)
-    slb = sl_basis(n, nv)
-    ident = PolyMatrix.identity(n, nv)
+    glb, slb = _sparse_basis("general", n), _sparse_basis("sl", n)
 
-    d1 = PolyMatrix.from_columns(1, [[(a @ b).trace()] for b in glb], nv)
-    d2_cols = [flatten("general", m @ x) for x in slb]
-    d2_cols += [flatten("general", -(y @ m)) for y in slb]
+    d1 = PolyMatrix.from_columns(1, [[_trace_times(a, b)] for b in glb], nv)
+    d2_cols = [_coords("general", _placed(x, m, False), n, nv) for x in slb]
+    d2_cols += [[-c for c in _coords("general", _placed(y, m, True), n, nv)]
+                for y in slb]
     d2 = PolyMatrix.from_columns(gl, d2_cols, nv)
-    d3_cols = []
-    inv_n = Fraction(1, n)
-    for z in glb:
-        zm = z @ m
-        mz = m @ z
-        left = zm - ident.scale(zm.trace() * inv_n)
-        right = mz - ident.scale(mz.trace() * inv_n)
-        d3_cols.append(sl_coords(left) + sl_coords(right))
-    d3 = PolyMatrix.from_columns(2 * sl, d3_cols, nv)
+    d3 = PolyMatrix.from_columns(
+        2 * sl, [_sl_coords(_placed(z, m, True), n, nv, centred=True)
+                 + _sl_coords(_placed(z, m, False), n, nv, centred=True)
+                 for z in glb], nv)
     d4 = PolyMatrix.from_columns(gl, [flatten("general", a)], nv)
     return FreeComplex(ranks, (d1, d2, d3, d4), nv)
 
@@ -294,7 +281,6 @@ def phi_f(fam: MatrixFamily, l: FreeComplex) -> ComplexMorphism:
     of the family and of its adjugate/sub-pfaffian companion; these are
     trace free because mixed second partials of g commute.
     """
-    from .matalg import adjugate, sub_pfaffian_matrix
     kind, m, s = fam.kind, fam.m, fam.entries
     comp = sub_pfaffian_matrix(s) if kind == "skew" else adjugate(s)
     ds = [fam.partial(i) for i in range(m)]

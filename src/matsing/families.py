@@ -194,21 +194,25 @@ def _rows(t: _Tokens) -> List[List[Poly]]:
 
 class FamilySpec(_Record):
     """A parsed family description plus carried metadata.  expected
-    defaults to a fresh empty dict."""
+    defaults to a fresh empty dict.  n, the matrix size, is read from
+    entries (None for a section)."""
 
     FIELDS = ("kind", "variables", "name", "n", "entries", "fvars", "f",
               "map_images", "expected")
 
     def __init__(self, kind: str, variables: List[str], name: str = "",
-                 n: Optional[int] = None,
                  entries: Optional[List[List[Poly]]] = None,
                  fvars: Optional[List[str]] = None, f: Optional[Poly] = None,
                  map_images: Optional[List[Poly]] = None,
                  expected: Optional[dict] = None):
-        self.kind, self.variables, self.name, self.n = kind, variables, name, n
+        self.kind, self.variables, self.name = kind, variables, name
         self.entries, self.fvars, self.f = entries, fvars, f
         self.map_images = map_images
         self.expected = {} if expected is None else expected
+
+    @property
+    def n(self) -> Optional[int]:
+        return None if self.entries is None else len(self.entries)
 
     def to_family(self) -> MatrixFamily:
         if self.kind == "section":
@@ -389,7 +393,7 @@ def parse_family(text: str) -> FamilySpec:
                     raise ParseError("skew symmetry violated at row "
                                      f"{i + 1}, column {j + 1}",
                                      lines.get("matrix"))
-    return FamilySpec(kind=kind, variables=variables, name=name, n=n,
+    return FamilySpec(kind=kind, variables=variables, name=name,
                       entries=entries, expected=expected)
 
 
@@ -489,7 +493,6 @@ def _build_core(kind: str, normal_form: bool, params: dict) -> FamilySpec:
     short, core, pad = _CORES[kind]
     fam = generic_family(kind, core)
     entries = [list(r) for r in fam.entries.entries]
-    n = core
     name = f"generic-{short}-{core}"
     expected = {"mu": 1, "tau_matrix_special": 0, "codim_minors": 1}
     if normal_form:
@@ -500,7 +503,7 @@ def _build_core(kind: str, normal_form: bool, params: dict) -> FamilySpec:
         entries = _block_extend(entries, n, fam.m, pad)
         name = f"normal-form-{short} n={n}"
         expected = {"mu": 1, "codim_minors": 1}
-    return FamilySpec(kind=kind, variables=_xvars(fam.m), name=name, n=n,
+    return FamilySpec(kind=kind, variables=_xvars(fam.m), name=name,
                       entries=entries, expected=expected)
 
 
@@ -526,7 +529,7 @@ def _build_diag_sym(params: dict) -> FamilySpec:
                         sum((n - i) * srt[i] for i in range(n)) - 1}
     label = ",".join(str(x) for x in a)
     return FamilySpec(kind="symmetric", variables=["x"],
-                      name=f"diag-sym a=({label})", n=n, entries=e,
+                      name=f"diag-sym a=({label})", entries=e,
                       expected=expected)
 
 

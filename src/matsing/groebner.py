@@ -376,7 +376,7 @@ class ModuleBasis(_Record):
         self.ambient_rank, self.order = ambient_rank, order
         self.generators = gens
         self.nvars = nv
-        self._stacked = self._standard = None
+        self._stacked = self._standard = self._completion = None
 
     @classmethod
     def _of(cls, ambient_rank: int, generators: list,
@@ -388,7 +388,7 @@ class ModuleBasis(_Record):
         out.ambient_rank, out.order = ambient_rank, order
         out.generators = [g for g in generators if any(p.terms for p in g)]
         out.nvars = next((p.nvars for g in generators for p in g), None)
-        out._stacked = out._standard = None
+        out._stacked = out._standard = out._completion = None
         return out
 
 
@@ -472,12 +472,15 @@ def _spair(gi: _Gen, gj: _Gen, lcm: int) -> Flat:
 
 class _Completion:
     """Buchberger completion: after run() returns, gens is a standard basis
-    (not interreduced) of everything added before it.
+    (not interreduced) of everything added before it, and more elements
+    may be added and run again (see _extended).
 
-    Under a local order this is homogeneous Buchberger in t and x: a pair
-    is keyed by its homogenised degree (sugar), |lcm| + the larger ecart,
-    under which its remainder is divided and stored, and the chain and
-    coprime criteria see the t-powers of the leading terms.
+    A pair is keyed by its sugar, |lcm| + the larger ecart, under either
+    order (under position-over-term |lcm| alone can understate the degree
+    of the s-vector; Giovini et al., "One sugar cube, please", ISSAC 1991).
+    Under a local order this is homogeneous Buchberger in t and x: the
+    remainder is divided and stored at the sugar, and the chain and coprime
+    criteria see the t-powers of the leading terms.
 
     paired_rank: if given, only elements whose leading component is below
     it are paired.  The others are still kept and used as reducers, so gens
@@ -499,7 +502,7 @@ class _Completion:
         self.treated: set = set()
 
     def add(self, flat: Flat, deg: Optional[int] = None) -> None:
-        gens, local = self.gens, self.local
+        gens = self.gens
         g = _normalized(flat, self.enc, deg)
         k = len(gens)
         gens.append(g)
@@ -517,8 +520,8 @@ class _Completion:
                 # Under a global order ideal elements have ecart 0.
                 self.treated.add((i, k))
                 continue
-            t = max(gi.ecart, g.ecart) if local else 0
-            heappush(self.pairs, (d + t, comp, lcm, i, k))
+            heappush(self.pairs,
+                     (d + max(gi.ecart, g.ecart), comp, lcm, i, k))
 
     def add_standard(self, flats: list) -> None:
         """Add elements that form a standard basis of their own module, before
@@ -528,7 +531,18 @@ class _Completion:
         self.gens = [_normalized(flat, self.enc) for flat in flats]
         self.treated.update(combinations(range(len(flats)), 2))
 
-    def run(self) -> None:
+    def standard(self) -> tuple:
+        """(gens, steps) after run(): the lead-interreduced elements, sorted
+        by decreasing module_key, and the steps the run took."""
+        gens = _lead_interreduce(self.gens, self.enc)
+        gens.sort(key=lambda g: g.lt)
+        return gens, self.counter.steps
+
+    def run(self, flats: Sequence[Flat] = ()) -> None:
+        """Add the nonzero flats, then complete."""
+        for flat in flats:
+            if flat:
+                self.add(flat)
         gens, pairs, treated = self.gens, self.pairs, self.treated
         enc, local = self.enc, self.local
         high = enc.high
@@ -558,41 +572,47 @@ class _Completion:
 
 
 def _complete(flats: list, enc: _Encoding, ambient_rank: int,
-              counter: _Counter) -> list:
-    """Buchberger completion; returns the list of _Gen (not interreduced).
-    The flats become the completion's own: the caller must not reuse them."""
+              counter: _Counter) -> _Completion:
+    """The finished Buchberger completion of the flats, which become its
+    own: the caller must not reuse them."""
     completion = _Completion(enc, ambient_rank, counter)
-    for flat in flats:
-        if flat:
-            completion.add(flat)
-    completion.run()
-    return completion.gens
+    completion.run(flats)
+    return completion
 
 
 def _standard(basis: ModuleBasis) -> tuple:
     """(gens, steps): the lead-interreduced standard basis of basis as flat
     _Gens, sorted by decreasing module_key, and the steps its completion
-    took.  Built once and cached on basis; a cache hit under a step limit
-    smaller than those steps raises, as a fresh build under that limit
-    would."""
+    took.  Built once and cached on basis, with the completion itself (see
+    _extended); a cache hit under a step limit smaller than those steps
+    raises, as a fresh build under that limit would."""
     got = basis._standard
     if got is None:
         enc = _encoding(basis.nvars, basis.order)
-        got = basis._standard = _standard_of(
-            [flatten_vector(g, enc) for g in basis.generators],
-            basis.ambient_rank, enc)
+        completion = basis._completion = _complete(
+            [flatten_vector(g, enc) for g in basis.generators], enc,
+            basis.ambient_rank, _Counter())
+        got = basis._standard = completion.standard()
     elif got[1] > step_limit():
         raise StepLimitExceeded(step_limit())
     return got
 
 
-def _standard_of(flats: list, rank: int, enc: _Encoding) -> tuple:
-    """(gens, steps) of _standard for the flats of O^rank, which become
-    the completion's own."""
-    counter = _Counter()
-    gens = _lead_interreduce(_complete(flats, enc, rank, counter), enc)
-    gens.sort(key=lambda g: g.lt)
-    return gens, counter.steps
+def _extended(basis: ModuleBasis, vectors: list) -> ModuleBasis:
+    """basis with vectors appended to its generators, its standard basis
+    made by resuming a copy of the completion of basis with them (Buchberger
+    is incremental).  The resumed run counts its own steps against the
+    limit; the cache keeps the larger of those and the steps of basis."""
+    steps, done = _standard(basis)[1], basis._completion
+    out = ModuleBasis._of(basis.ambient_rank,
+                          basis.generators + list(vectors), basis.order)
+    completion = out._completion = _Completion(done.enc, done.ambient_rank,
+                                               _Counter())
+    completion.gens, completion.treated = list(done.gens), set(done.treated)
+    completion.run([flatten_vector(v, done.enc) for v in vectors])
+    gens, own = completion.standard()
+    out._standard = (gens, max(steps, own))
+    return out
 
 
 def _leads_divided_by(basis: ModuleBasis, by: ModuleBasis) -> bool:
@@ -695,6 +715,7 @@ def groebner_basis(basis: ModuleBasis) -> ModuleBasis:
                           [unflatten_vector(g.flat, basis.ambient_rank, enc)
                            for g in gens], order)
     out._standard = ([_normalized(g.flat, enc) for g in gens], steps)
+    out._completion = basis._completion  # of the same module
     return out
 
 
@@ -911,7 +932,8 @@ def _homology_colength(cycles: _Stack, boundaries: Optional[_Stack]):
     shift, low = enc.shift, enc.low
     local = [{(c, (-(key >> shift) << shift) + (key & low)): v
               for (c, key), v in flat.items()} for flat in relations]
-    return _colength(_standard_of(local, t, enc)[0], t, enc.nvars)
+    return _colength(_complete(local, enc, t, _Counter()).standard()[0], t,
+                     enc.nvars)
 
 
 class MemberResult(_Record):

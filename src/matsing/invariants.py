@@ -14,6 +14,10 @@ reachable along independent routes:
     analysis path serves families and sections, and the fields of each
     target function are computed once per process.
 
+In one analysis each 'general' module is its 'special' one plus one vector
+(S, or the map as the pulled-back Euler field), and its standard basis
+resumes the completion of the special one (see _Analysis).
+
 The identity checkers at the bottom re-derive the relations between these
 numbers (difference formulas against Milnor numbers, Betti number
 symmetries, closed forms for diagonal families) and report HOLDS, FAILS or
@@ -25,26 +29,22 @@ from __future__ import annotations
 
 from functools import cache, cached_property
 from fractions import Fraction
-from typing import List, Optional, Union
+from typing import List, Optional
 
 from .complexes import (FreeComplex, cone, homology_dimension,
                         homology_profile, kind_complex, koszul, phi_f,
                         pullback)
 from .groebner import (GLOBAL, INFINITE, LOCAL, ModuleBasis,
-                       _contained, _leads_divided_by, quotient_dimension,
-                       step_limit, syzygies)
-from .matalg import (MatrixFamily, PolyMatrix, flatten, generic_family,
-                     gl_basis, sl_basis, space_dim)
+                       _contained, _extended, _leads_divided_by,
+                       quotient_dimension, step_limit, syzygies)
+from .matalg import (MatrixFamily, PolyMatrix, _lie_images, flatten,
+                     generic_family, space_dim)
 from .poly import Poly, SubstitutionMap, _Record, partial, substitute
-
-Dim = Union[int, type(INFINITE)]
 
 M0 = {"symmetric": 3, "general": 4, "skew": 6}
 
 IDENTITIES = ("eqeq", "betas", "imax", "submax", "gorenstein", "ck",
               "gorp", "diag")
-
-VERDICTS = ("HOLDS", "FAILS", "NOT-APPLICABLE")
 
 
 def _finite(x) -> bool:
@@ -110,13 +110,17 @@ def der_log_V(f: Poly) -> ModuleBasis:
     key = ("V", f, step_limit())
     if key not in _LOG_FIELDS:
         n = f.nvars
-        if f.total_degree() > 0 and len({sum(e) for e in f.terms}) == 1:
+        if _homogeneous(f):
             euler = tuple(Poly.variable(n, i) for i in range(n))
             got = ModuleBasis(n, der_log_f(f).generators + [euler], GLOBAL)
         else:
             got = _syzygy_fields([partial(f, i) for i in range(n)] + [f], n)
         _LOG_FIELDS[key] = got
     return _LOG_FIELDS[key]
+
+
+def _homogeneous(f: Poly) -> bool:  # der_log_V(f) takes the Euler route
+    return f.total_degree() > 0 and len({sum(e) for e in f.terms}) == 1
 
 
 def pulled_field_module(fmap: SubstitutionMap,
@@ -144,25 +148,6 @@ def t1_kv(f: Poly, fmap: SubstitutionMap):
 
 
 # -- tangent spaces of matrix families -----------------------------------------
-
-def _lie_images(fam: MatrixFamily, flavour: str) -> list:
-    """Flattened images of the Lie-algebra action on the family matrix."""
-    if flavour not in ("special", "general"):
-        raise ValueError(f"unknown flavour {flavour!r}")
-    n, nv = fam.n, fam.m
-    basis = sl_basis(n, nv) if flavour == "special" else gl_basis(n, nv)
-    s = fam.entries
-    out = []
-    if fam.kind == "general":
-        for a in basis:
-            out.append(tuple(flatten("general", a @ s)))
-        for b in basis:
-            out.append(tuple(flatten("general", s @ b)))
-    else:
-        for a in basis:
-            out.append(tuple(flatten(fam.kind, a.transpose() @ s + s @ a)))
-    return out
-
 
 def tau_matrix(fam: MatrixFamily, flavour: str = "special"):
     """Codimension of the tangent space to the group orbit of the family.
@@ -350,7 +335,11 @@ class _Analysis:
 
     @cached_property
     def pulled_V(self) -> ModuleBasis:
-        """Jacobian columns plus the pulled-back fields tangent to {f = 0}."""
+        """Jacobian columns plus the pulled-back fields tangent to {f = 0};
+        for homogeneous f, pulled_f resumed with the pulled-back Euler
+        field, which is the map itself."""
+        if _homogeneous(self.f):
+            return _extended(self.pulled_f, [tuple(self.fmap.images)])
         return pulled_field_module(self.fmap, der_log_V(self.f))
 
     @cached_property
@@ -368,8 +357,10 @@ class _Analysis:
 
     @cached_property
     def tangent_general(self) -> ModuleBasis:
-        """Tangent space of the full gl action (families only)."""
-        return tangent_module(self.fam, "general")
+        """Tangent space of the full gl action (families only): gl = sl + QI
+        and I sends S to 2S or S, so tangent_special resumed with S."""
+        return _extended(self.tangent_special,
+                         [tuple(flatten(self.kind, self.fam.entries))])
 
     @cached_property
     def tau_special(self):

@@ -13,8 +13,9 @@ submaximal minors, and the fixed coordinate conventions for the spaces
 of symmetric, skew and trace-free matrices that the chain-map and
 tangent-space code relies on.  Each matrix object has one construction:
 cofactors and minors come from one minor memo of the matrix itself,
-sub-Pfaffians from one Pfaffian memo, and the generic family of a kind
-and size from unflatten.
+sub-Pfaffians from one Pfaffian memo, the generic family of a kind and
+size from unflatten, and every basis, coordinate map and product with a
+basis matrix from one sparse form of the bases (_sparse_basis).
 
 Coordinate conventions (all row-major):
   general n x n   entry basis E_ij, coordinates (i, j) for all i, j
@@ -28,6 +29,9 @@ Coordinate conventions (all row-major):
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import cache
+from itertools import accumulate
 from typing import Callable, List, Optional, Sequence
 
 from .groebner import LOCAL, ModuleBasis
@@ -484,110 +488,153 @@ def minors_ideal(fam: MatrixFamily, size: int) -> ModuleBasis:
 # -- coordinate conventions ----------------------------------------------------
 
 def space_dim(kind: str, n: int) -> int:
-    if kind == "symmetric":
-        return n * (n + 1) // 2
-    if kind == "skew":
-        return n * (n - 1) // 2
-    if kind == "general":
-        return n * n
-    raise ValueError(f"unknown kind {kind!r}")
+    return len(_sparse_basis(kind, n))
 
 
 def flatten(kind: str, m: PolyMatrix) -> List[Poly]:
     """Coordinates of a matrix in the fixed basis of its kind's space."""
-    n = m.rows
-    if kind == "general":
-        return [m.entries[i][j] for i in range(n) for j in range(n)]
-    if kind == "symmetric":
-        return [m.entries[i][j] for i in range(n) for j in range(i, n)]
-    if kind == "skew":
-        return [m.entries[i][j] for i in range(n) for j in range(i + 1, n)]
-    raise ValueError(f"unknown kind {kind!r}")
+    ent = m.entries
+    return [ent[b[0][0]][b[0][1]] for b in _sparse_basis(kind, m.rows)]
 
 
 def unflatten(kind: str, coords: Sequence[Poly], n: int,
               nvars: int) -> PolyMatrix:
+    """The matrix with the given coordinates in the basis of kind's space."""
+    coords = list(coords)
+    basis = _sparse_basis(kind, n)
+    if len(coords) != len(basis):
+        raise ValueError(f"{len(coords)} coordinates for a space of "
+                         f"dimension {len(basis)}")
     z = Poly.zero(nvars)
     ent = [[z] * n for _ in range(n)]
-    it = iter(coords)
-    if kind == "general":
-        for i in range(n):
-            for j in range(n):
-                ent[i][j] = next(it)
-    elif kind == "symmetric":
-        for i in range(n):
-            for j in range(i, n):
-                p = next(it)
-                ent[i][j] = p
-                ent[j][i] = p
-    elif kind == "skew":
-        for i in range(n):
-            for j in range(i + 1, n):
-                p = next(it)
-                ent[i][j] = p
-                ent[j][i] = -p
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    leftovers = sum(1 for _ in it)
-    if leftovers:
-        raise ValueError("too many coordinates")
+    for p, b in zip(coords, basis):
+        for i, j, c in b:
+            ent[i][j] = _times(p, c)
     return PolyMatrix(ent, nvars)
+
+
+# -- the Lie-algebra bases, as placements of rows and columns -----------------
+
+@cache
+def _sparse_basis(kind: str, n: int) -> tuple:
+    """The basis of kind's space in its coordinate order, or for kind 'sl'
+    the trace-free one, each matrix as the tuple of its nonzero entries
+    (i, j, c); flatten reads each coordinate at the first entry."""
+    if kind == "general":
+        return tuple(((i, j, 1),) for i in range(n) for j in range(n))
+    if kind == "symmetric":
+        return tuple(((i, j, 1),) if i == j else ((i, j, 1), (j, i, 1))
+                     for i in range(n) for j in range(i, n))
+    if kind == "skew":
+        return tuple(((i, j, 1), (j, i, -1))
+                     for i in range(n) for j in range(i + 1, n))
+    if kind == "sl":
+        return tuple([((i, j, 1),) for i in range(n) for j in range(n)
+                      if i != j]
+                     + [((i, i, 1), (i + 1, i + 1, -1))
+                        for i in range(n - 1)])
+    raise ValueError(f"unknown kind {kind!r}")
+
+
+def _placed(b: tuple, m: PolyMatrix, left: bool) -> dict:
+    """B m (left) or m B for a basis matrix B of _sparse_basis, as a sparse
+    matrix (row, col) -> Poly, with no product multiplied out: for each
+    entry (i, j, c) of B, B m takes row j of m times c into row i, and m B
+    takes column i into column j."""
+    out: dict = {}
+    for i, j, c in b:
+        line = m.entries[j] if left else [r[i] for r in m.entries]
+        for k, p in enumerate(line):
+            if p.terms:
+                key = (i, k) if left else (k, j)
+                q, s = _times(p, c), out.get(key)
+                out[key] = q if s is None else s + q
+    return out
+
+
+def _trace_times(m: PolyMatrix, b: tuple) -> Poly:
+    """trace(m B) for a basis matrix B of _sparse_basis."""
+    (i, j, c), *rest = b
+    return sum((_times(m.entries[l][k], e) for k, l, e in rest),
+               _times(m.entries[j][i], c))
+
+
+def _coords(kind: str, d: dict, n: int, nvars: int, twin: int = 0) -> list:
+    """Coordinates of d + twin d^T in the basis of kind's space, for a
+    sparse matrix d that is kind's own once twin d^T is added."""
+    z = Poly.zero(nvars)
+    out = []
+    for (i, j, _), *_ in _sparse_basis(kind, n):
+        p, q = d.get((i, j), z), twin and d.get((j, i))
+        out.append((p + q if twin == 1 else p - q) if q else p)
+    return out
+
+
+def _sl_coords(d: dict, n: int, nvars: int, centred: bool = False) -> list:
+    """sl_coords of a sparse matrix d, or with centred of d - trace(d)/n I.
+    Raises if the trace is not identically zero."""
+    z = Poly.zero(nvars)
+    diag = [d.get((i, i), z) for i in range(n)]
+    if centred:
+        t = sum(diag, z) * Fraction(1, n)
+        diag = [p - t for p in diag]
+    sums = list(accumulate(diag))
+    if sums and not sums[-1].is_zero():
+        raise ValueError("matrix has nonzero trace")
+    return ([d.get((i, j), z) for i in range(n) for j in range(n) if i != j]
+            + sums[:-1])
 
 
 def sl_coords(m: PolyMatrix) -> List[Poly]:
     """Coordinates of a trace-free matrix: off-diagonal entries row-major,
     then the n-1 leading partial sums of the diagonal.  Raises if the trace
     is not identically zero."""
-    if not m.trace().is_zero():
-        raise ValueError("matrix has nonzero trace")
-    n = m.rows
-    out = [m.entries[i][j] for i in range(n) for j in range(n) if i != j]
-    acc = Poly.zero(m.nvars)
-    for i in range(n - 1):
-        acc = acc + m.entries[i][i]
-        out.append(acc)
-    return out
+    return _sl_coords({(i, j): p for i, r in enumerate(m.entries)
+                       for j, p in enumerate(r)}, m.rows, m.nvars)
 
 
-def _unit_basis(kind: str, n: int, nvars: int) -> List[PolyMatrix]:
-    """The matrices whose coordinates are the unit vectors, in the
-    flattening order of kind."""
-    one = Poly.constant(nvars, 1)
+def _lie_images(fam: MatrixFamily, flavour: str) -> list:
+    """Flattened images of the Lie-algebra action on the family matrix S,
+    over the basis of sl (flavour 'special') or of gl ('general'):
+    A^t S + S A for symmetric and skew S, which is S A plus or minus its
+    transpose, and for general S first every A S, then every S B."""
+    if flavour not in ("special", "general"):
+        raise ValueError(f"unknown flavour {flavour!r}")
+    kind, n, nv, s = fam.kind, fam.n, fam.m, fam.entries
+    basis = _sparse_basis("sl" if flavour == "special" else "general", n)
+    if kind == "general":
+        return [tuple(_coords(kind, _placed(b, s, left), n, nv))
+                for left in (True, False) for b in basis]
+    twin = 1 if kind == "symmetric" else -1
+    return [tuple(_coords(kind, _placed(a, s, False), n, nv, twin))
+            for a in basis]
+
+
+def _dense(kind: str, n: int, nvars: int) -> List[PolyMatrix]:
+    """The matrices of _sparse_basis(kind, n) written out."""
     z = Poly.zero(nvars)
-    d = space_dim(kind, n)
-    return [unflatten(kind, [one if i == k else z for i in range(d)], n,
-                      nvars)
-            for k in range(d)]
+    out = []
+    for b in _sparse_basis(kind, n):
+        ent = [[z] * n for _ in range(n)]
+        for i, j, c in b:
+            ent[i][j] = Poly.constant(nvars, c)
+        out.append(PolyMatrix._of(ent, nvars, n))
+    return out
 
 
 def sym_basis(n: int, nvars: int) -> List[PolyMatrix]:
     """Constant basis matrices matching the symmetric flattening order."""
-    return _unit_basis("symmetric", n, nvars)
+    return _dense("symmetric", n, nvars)
 
 
 def skew_basis(n: int, nvars: int) -> List[PolyMatrix]:
-    return _unit_basis("skew", n, nvars)
+    return _dense("skew", n, nvars)
 
 
 def gl_basis(n: int, nvars: int) -> List[PolyMatrix]:
-    return _unit_basis("general", n, nvars)
+    return _dense("general", n, nvars)
 
 
 def sl_basis(n: int, nvars: int) -> List[PolyMatrix]:
     """Off-diagonal units row-major, then E_ii - E_(i+1)(i+1)."""
-    out = []
-    one = Poly.constant(nvars, 1)
-    z = Poly.zero(nvars)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            ent = [[z] * n for _ in range(n)]
-            ent[i][j] = one
-            out.append(PolyMatrix._of(ent, nvars, n))
-    for i in range(n - 1):
-        ent = [[z] * n for _ in range(n)]
-        ent[i][i] = one
-        ent[i + 1][i + 1] = -one
-        out.append(PolyMatrix._of(ent, nvars, n))
-    return out
+    return _dense("sl", n, nvars)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Tuple, Union
+from typing import Iterator, Mapping, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction]
 ExpVec = Tuple[int, ...]

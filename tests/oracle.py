@@ -162,3 +162,102 @@ def random_finite_colength_module(rng: random.Random, nvars, rank):
             for vec in gens:
                 vec[i] = vec[i] + vec[k] * c
     return [tuple(vec) for vec in gens]
+
+
+# -- product-built resolutions and Lie images ----------------------------------
+#
+# The library places rows and columns of the family matrix S by the entries
+# of each basis matrix.  These references multiply out the PolyMatrix
+# products of the written-out basis matrices instead.
+
+def lie_images_by_products(fam, flavour):
+    """Flattened images of sl (special) or gl (general) acting on S."""
+    from matsing.matalg import flatten, gl_basis, sl_basis
+    basis = (sl_basis if flavour == "special" else gl_basis)(fam.n, fam.m)
+    s = fam.entries
+    if fam.kind == "general":
+        return ([tuple(flatten("general", a @ s)) for a in basis]
+                + [tuple(flatten("general", s @ b)) for b in basis])
+    return [tuple(flatten(fam.kind, a.transpose() @ s + s @ a))
+            for a in basis]
+
+
+def _jozefiak_by_products(fam):
+    from matsing import FreeComplex, PolyMatrix
+    from matsing.matalg import (adjugate, flatten, skew_basis, sl_basis,
+                                sl_coords, space_dim, sym_basis)
+    n, nv, s = fam.n, fam.m, fam.entries
+    a = adjugate(s)
+    ranks = (1, space_dim("symmetric", n), n * n - 1, space_dim("skew", n))
+    d1 = PolyMatrix.from_columns(
+        1, [[(a @ b).trace()] for b in sym_basis(n, nv)], nv)
+    d2 = PolyMatrix.from_columns(
+        ranks[1], [flatten("symmetric", s @ b + b.transpose() @ s)
+                   for b in sl_basis(n, nv)], nv)
+    d3 = PolyMatrix.from_columns(
+        ranks[2], [sl_coords(b @ s) for b in skew_basis(n, nv)], nv)
+    return FreeComplex(ranks, (d1, d2, d3), nv)
+
+
+def _jp_by_products(fam):
+    from matsing import FreeComplex, PolyMatrix
+    from matsing.matalg import (flatten, skew_basis, sl_basis, sl_coords,
+                                space_dim, sub_pfaffian_matrix, sym_basis)
+    n, nv, s = fam.n, fam.m, fam.entries
+    p = sub_pfaffian_matrix(s)
+    sk, sy, sl = space_dim("skew", n), space_dim("symmetric", n), n * n - 1
+    half = Fraction(1, 2)
+    skb, slb, syb = skew_basis(n, nv), sl_basis(n, nv), sym_basis(n, nv)
+    ident = PolyMatrix.identity(n, nv)
+    d1 = PolyMatrix.from_columns(
+        1, [[(p @ b).trace() * half] for b in skb], nv)
+    d2 = PolyMatrix.from_columns(
+        sk, [flatten("skew", s @ b + b.transpose() @ s) for b in slb], nv)
+    d3 = PolyMatrix.from_columns(
+        sl, [sl_coords(p @ w) for w in syb]
+        + [sl_coords(-(x @ s)) for x in syb], nv)
+    d4_cols = []
+    for y in slb:
+        sy_part, yp = s @ y, y @ p
+        d4_cols.append(flatten("symmetric", sy_part + sy_part.transpose())
+                       + flatten("symmetric", yp + yp.transpose()))
+    d4 = PolyMatrix.from_columns(2 * sy, d4_cols, nv)
+    d5_cols = []
+    for z in skb:
+        zs = z @ s
+        d5_cols.append(sl_coords(zs - ident.scale(zs.trace()
+                                                  * Fraction(1, n))))
+    d5 = PolyMatrix.from_columns(sl, d5_cols, nv)
+    d6 = PolyMatrix.from_columns(sk, [flatten("skew", p)], nv)
+    return FreeComplex((1, sk, sl, 2 * sy, sl, sk, 1),
+                       (d1, d2, d3, d4, d5, d6), nv)
+
+
+def _gn_by_products(fam):
+    from matsing import FreeComplex, PolyMatrix
+    from matsing.matalg import adjugate, flatten, gl_basis, sl_basis, sl_coords
+    n, nv, m = fam.n, fam.m, fam.entries
+    a = adjugate(m)
+    gl, sl = n * n, n * n - 1
+    glb, slb = gl_basis(n, nv), sl_basis(n, nv)
+    ident = PolyMatrix.identity(n, nv)
+    d1 = PolyMatrix.from_columns(1, [[(a @ b).trace()] for b in glb], nv)
+    d2 = PolyMatrix.from_columns(
+        gl, [flatten("general", m @ x) for x in slb]
+        + [flatten("general", -(y @ m)) for y in slb], nv)
+    d3_cols = []
+    for z in glb:
+        zm, mz = z @ m, m @ z
+        d3_cols.append(
+            sl_coords(zm - ident.scale(zm.trace() * Fraction(1, n)))
+            + sl_coords(mz - ident.scale(mz.trace() * Fraction(1, n))))
+    d3 = PolyMatrix.from_columns(2 * sl, d3_cols, nv)
+    d4 = PolyMatrix.from_columns(gl, [flatten("general", a)], nv)
+    return FreeComplex((1, gl, 2 * sl, gl, 1), (d1, d2, d3, d4), nv)
+
+
+def kind_complex_by_products(fam):
+    """The kind resolution of a family, by PolyMatrix products."""
+    return {"symmetric": _jozefiak_by_products, "skew": _jp_by_products,
+            "general": _gn_by_products}[fam.kind](fam)
+

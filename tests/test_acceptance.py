@@ -4,14 +4,8 @@ identities; there are no tolerances anywhere."""
 
 import random
 
-import pytest
-
 from matsing import (
-    INFINITE,
-    MatrixFamily,
-    Poly,
     PolyMatrix,
-    SubstitutionMap,
     analyze,
     betti_numbers,
     catalog,
@@ -27,8 +21,6 @@ from matsing import (
     phi_f,
     pullback,
     quotient_dimension,
-    t1_kf,
-    t1_kv,
     tau_homological,
     tau_matrix,
     verify_chain_map,
@@ -37,10 +29,9 @@ from matsing import (
 from matsing.groebner import LOCAL, ModuleBasis
 from matsing.matalg import adjugate, determinant, pfaffian, \
     sub_pfaffian_matrix
-from matsing.poly import substitute, translate
+from matsing.poly import translate
 
-from oracle import jet_quotient_dimension, random_finite_colength_ideal, \
-    random_poly
+from oracle import jet_quotient_dimension, random_finite_colength_ideal
 from test_complexes import random_family
 
 

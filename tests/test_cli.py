@@ -297,9 +297,9 @@ def test_eqeq_on_known_slow_skew_inputs(tmp_path, capsys, text, budget,
 
 
 def test_resolution_check_on_slow_skew6_under_a_budget(tmp_path, capsys):
-    # slow-skew6 of perfbench/gen.py KNOWN_SLOW.  Its largest computation,
-    # the modulo relations of H_2, takes 2683 steps; the budget makes a
-    # regression fail fast instead of hanging.
+    # slow-skew6 of perfbench/gen.py KNOWN_SLOW.  Its largest computation
+    # takes 819 steps; the budget makes a regression fail fast instead of
+    # hanging.
     p = tmp_path / "fam.txt"
     p.write_text("kind=skew; vars=x,y,z; "
                  "upper=[[x,y,z,0,0],[z,0,y^2,0],[x,0,0],[1,0],[x^2+y^3]]\n")
@@ -331,7 +331,7 @@ def test_eqeq_on_slow_sym_under_a_small_budget(tmp_path, capsys):
 def test_slow_gen_verifies_under_a_budget(tmp_path, capsys, theorem, dims):
     # slow-gen of perfbench/gen.py KNOWN_SLOW: mu = tau = 4 and Betti
     # numbers [2, 2, 0, 0, 0], so tau = mu - b0 + b1.  Its largest single
-    # computation takes 1134 steps.
+    # computation takes 1152 steps.
     p = tmp_path / "fam.txt"
     p.write_text("kind=general; vars=x,y,z; "
                  "matrix=[[x,y^2+z^3],[z^2+x*y,y+x^3]]\n")

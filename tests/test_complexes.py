@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -34,7 +33,8 @@ from matsing.invariants import _lie_images, function_presentation
 from matsing.poly import SubstitutionMap, substitute
 
 from conftest import budget
-from oracle import random_poly
+from oracle import (kind_complex_by_products, lie_images_by_products,
+                    random_poly)
 
 
 def P(text, names=("x", "y")):
@@ -155,6 +155,39 @@ def test_normal_forms_are_pullbacks_of_the_generic_objects(name, n):
         pulled = [tuple(substitute(p, fmap) for p in v)
                   for v in _lie_images(generic, flavour)]
         assert _lie_images(fam, flavour) == pulled, flavour
+
+
+def _placement_cases():
+    """Catalog entries and seeded draws of symmetric and general n = 2..4
+    and skew n = 4, 6."""
+    for name, params in (("generic-sym-2", {}), ("generic-gen-2", {}),
+                         ("generic-skew-4", {}), ("diag-sym", {"a": (2, 3, 1)})):
+        yield (name, params), catalog(name, **params).to_family()
+    for name, sizes in (("normal-form-sym", (2, 3, 4)),
+                        ("normal-form-gen", (2, 3, 4)),
+                        ("normal-form-skew", (4, 6))):
+        for n in sizes:
+            yield (name, n), catalog(name, n=n).to_family()
+    for text in _PENCILS:
+        yield text, parse_family(text).to_family()
+    rng = random.Random(2021)
+    for kind, sizes in (("symmetric", (2, 3, 4)), ("general", (2, 3, 4)),
+                        ("skew", (4, 6))):
+        for n in sizes:
+            for _ in range(3):
+                yield (kind, n), random_family(rng, kind, n,
+                                               rng.choice((1, 2, 3)))
+
+
+def test_placed_resolutions_and_lie_images_match_the_products():
+    # The library places rows and columns of S by the entries of each basis
+    # matrix; the references multiply the written-out basis matrices.  The
+    # Polys are canonical, so equal matrices mean equal entries.
+    for label, fam in _placement_cases():
+        assert kind_complex(fam) == kind_complex_by_products(fam), label
+        for flavour in ("special", "general"):
+            assert _lie_images(fam, flavour) \
+                == lie_images_by_products(fam, flavour), (label, flavour)
 
 
 def test_chain_map_three_kinds(rng):
@@ -518,3 +551,20 @@ def test_euler_characteristic_vanishes_below_the_codimension():
         assert INFINITE not in profile, (label, profile)
         assert sum((-1) ** k * h for k, h in enumerate(profile)) == 0, \
             (label, profile)
+
+
+def test_sugar_finishes_the_symmetric_3x3_draw_1401():
+    # Before pairs were keyed by their sugar under the global order too, the
+    # global stack of the columns of d_2 of this draw grew 17,000-bit
+    # coefficients and did not finish in minutes.  Its homology is checked
+    # against the Poly route and against the Euler characteristic (m = 2 is
+    # below the codimension 3, so the alternating sum vanishes).  Its largest
+    # computation takes 941 steps; the budget makes a regression fail fast.
+    fam = random_family(random.Random(1401), "symmetric", 3, 2)
+    c = kind_complex(fam)
+    with budget(1000):
+        profile = homology_profile(c)
+        assert profile[1:] == [_homology_by_poly_modulo(c, k)
+                               for k in range(1, c.length + 1)]
+    assert profile == [3, 3, 0, 0]
+    assert sum((-1) ** k * h for k, h in enumerate(profile)) == 0

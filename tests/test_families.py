@@ -5,7 +5,6 @@ import pytest
 from matsing import (
     FamilySpec,
     ParseError,
-    Poly,
     catalog,
     catalog_names,
     generic_family,
@@ -170,6 +169,22 @@ def test_family_spec_defaults_are_fresh():
     assert repr(b) == ("FamilySpec(kind='symmetric', variables=['x'], "
                        "name='', n=None, entries=None, fvars=None, f=None, "
                        "map_images=None, expected={})")
+
+
+def test_family_spec_reads_n_from_its_entries():
+    # n is no separate field that could disagree with the matrix: it is
+    # read from entries, so print_family writes the size the matrix has,
+    # and the parser still rejects a stated n that does not match.
+    x = parse_poly("x", ["x"])
+    spec = FamilySpec("symmetric", ["x"], entries=[[x]])
+    assert spec.n == 1
+    with pytest.raises(TypeError):
+        FamilySpec("symmetric", ["x"], n=5, entries=[[x]])
+    text = print_family(spec)
+    assert "n = 1" in text and parse_family(text) == spec
+    with pytest.raises(ParseError, match="n = 5 does not match the matrix "
+                                         "size 1"):
+        parse_family(text.replace("n = 1", "n = 5"))
 
 
 def test_catalog_names_and_errors():

@@ -295,7 +295,7 @@ def _groebner_basis_in_one_pass(basis):
     enc = _encoding(basis.nvars, order)
     gens = _lead_interreduce(_complete(
         [flatten_vector(g, enc) for g in basis.generators], enc,
-        basis.ambient_rank, counter), enc)
+        basis.ambient_rank, counter).gens, enc)
     if order.is_global:
         gens = _tail_reduce(gens, enc, counter)
     gens.sort(key=lambda g: order.module_key(g.lt[0], g.exp), reverse=True)
@@ -383,6 +383,63 @@ def test_local_colength_of_modules_matches_jet_oracle(rank):
         with budget(2000):
             got = quotient_dimension(ModuleBasis(rank, gens, LOCAL))
         assert got == expected, (seed, gens)
+
+
+@pytest.mark.parametrize("order", [GLOBAL, LOCAL])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_extended_basis_matches_a_fresh_completion(order, rank):
+    # Resuming the completion of the first k generators with the others
+    # gives a standard basis of the whole module: its lead module equals
+    # that of a fresh completion (divisibility both ways), and the basis it
+    # resumed keeps its own cache and completion as they were.
+    import random
+    from matsing.groebner import _extended, _leads_divided_by, _standard
+    for seed in range(10):
+        rng = random.Random(1000 * rank + seed)
+        gens = random_finite_colength_module(rng, rng.choice((2, 3)), rank)
+        k = rng.randint(1, len(gens) - 1)
+        with budget(3000):
+            basis = ModuleBasis(rank, gens[:k], order)
+            before = _standard(basis)
+            done = (len(basis._completion.gens),
+                    set(basis._completion.treated))
+            ext = _extended(basis, gens[k:])
+            fresh = ModuleBasis(rank, gens, order)
+            assert ext.generators == fresh.generators
+            assert quotient_dimension(ext) == quotient_dimension(fresh)
+            assert _leads_divided_by(ext, fresh), seed
+            assert _leads_divided_by(fresh, ext), seed
+        assert _standard(basis) is before
+        assert (len(basis._completion.gens),
+                basis._completion.treated) == done
+        assert ext._standard[1] >= before[1]
+
+
+def test_extended_basis_keeps_the_step_budget():
+    # The resumed run counts its own steps; the cache keeps the larger of
+    # those and the steps of the basis it resumed, so a budget below either
+    # raises, as a fresh build under it would.
+    from matsing.groebner import _extended, _standard
+    basis = ideal([P("x^4 + y^3"), P("x*y^2 + x^3*y")])
+    seed = _standard(basis)[1]
+    with budget(seed - 1), pytest.raises(StepLimitExceeded):
+        _extended(basis, [(P("x^3"),)])
+    ext = _extended(basis, [(P("x^3"),)])
+    assert ext._standard[1] >= seed
+    assert quotient_dimension(ext) == quotient_dimension(
+        ideal([P("x^4 + y^3"), P("x*y^2 + x^3*y"), P("x^3")]))
+    with budget(ext._standard[1] - 1), pytest.raises(StepLimitExceeded):
+        quotient_dimension(ext)
+    # A resumed run cut off by the limit leaves the basis it resumed as it
+    # was, so a later one under a larger limit gives the full answer.
+    more = [(P("x*y^2 + x^3*y"),), (P("x^2*y^2 + y^5"),)]
+    small = ideal([P("x^4 + y^3")])
+    assert _standard(small)[1] < 3
+    with budget(3), pytest.raises(StepLimitExceeded):
+        _extended(small, more)
+    assert small._completion.pairs == []
+    assert quotient_dimension(_extended(small, more)) == quotient_dimension(
+        ideal([P("x^4 + y^3")] + [v for v, in more]))
 
 
 def test_contained_needs_containment_not_just_equal_colength():
@@ -592,7 +649,7 @@ def test_syzygies_generate_the_syzygy_module(order, rank):
     # The syzygies come from a completion that pairs only elements with a
     # nonzero upper block, so they are a generating set, not a standard
     # basis; compare their span with that of a full completion.  The
-    # largest full completion takes 2139 steps; the budget makes a
+    # largest full completion takes 1696 steps; the budget makes a
     # regression fail fast.
     import random
     rng = random.Random(rank)

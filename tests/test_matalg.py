@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matsing import (
-    INFINITE,
     KINDS,
     LOCAL,
     MatrixFamily,
