@@ -11,10 +11,8 @@ them.
 from .poly import (
     Poly,
     SubstitutionMap,
-    add,
     default_names,
     format_poly,
-    mul,
     partial,
     substitute,
     translate,

@@ -39,14 +39,15 @@ and at each s-vector, and past it a ValueError is raised, never a wrong
 answer given.
 
 Arithmetic inside the module is on ints.  A flat made from Polys holds
-their Fractions, but division and basis normalisation clear denominators
-on entry (_integral), so basis elements are kept with int coefficients of
-content 1 and division runs fraction-free: instead of h - (lc/lc_g) x^s g
-it forms a*h - b*x^s*g with a/b = lc_g/lc in lowest terms.  That does the
-same reductions in the same order as Fraction division, with each
-intermediate result scaled by a known nonzero integer, which a certificate
-divides out once at the end.  Results cross back to Fraction at the Poly
-boundary (unflatten_vector, Poly).
+their coefficients as they are: ints, and Fractions only where a Poly
+has a denominator.  Division and basis normalisation clear those on entry
+(_integral, a no-op on an all-int flat), so basis elements are kept with
+int coefficients of content 1 and division runs fraction-free: instead of
+h - (lc/lc_g) x^s g it forms a*h - b*x^s*g with a/b = lc_g/lc in lowest
+terms.  That does the same reductions in the same order as Fraction
+division, with each intermediate result scaled by a known nonzero integer,
+which a certificate divides out once at the end (_scalar gives an int
+where that division is exact).
 
 Each ModuleBasis completes its standard basis once, in flat form, and
 caches it (_standard): colengths count the staircase of its leading terms
@@ -75,7 +76,8 @@ from math import gcd, lcm
 from struct import Struct
 from typing import Optional, Sequence, Tuple
 
-from .poly import ExpVec, Poly, Scalar, _Record, exp_divides, exp_lcm
+from .poly import (ExpVec, Poly, Scalar, _Record, _scalar, exp_divides,
+                   exp_lcm)
 
 Vector = Tuple[Poly, ...]
 FlatKey = Tuple[int, int]  # (component, packed monomial)
@@ -260,7 +262,7 @@ def unflatten_vector(flat: Flat, rank: int, enc: _Encoding) -> Vector:
     per_comp: list[dict] = [dict() for _ in range(rank)]
     unpack = enc.unpack
     for (comp, key), coeff in flat.items():
-        per_comp[comp][unpack(key)] = Fraction(coeff)
+        per_comp[comp][unpack(key)] = coeff
     return tuple(Poly._of(enc.nvars, t) for t in per_comp)
 
 
@@ -688,7 +690,8 @@ def _tail_reduce(gens: list, enc: _Encoding, counter: _Counter) -> list:
         if not h:
             continue
         lc = h[g.lt]
-        out.append(_Gen({k: Fraction(c, lc) for k, c in h.items()}, enc))
+        out.append(_Gen({k: _scalar(Fraction(c, lc)) for k, c in h.items()},
+                        enc))
     return out
 
 
@@ -989,8 +992,9 @@ def member(vec, basis: ModuleBasis) -> MemberResult:
     enc, r = _encoding(nv, GLOBAL), basis.ambient_rank
     h, scale = _normal_form(flatten_vector(vec, enc), _stacked(basis).upper(),
                             enc, _Counter())
-    upper = {k: Fraction(c, scale) for k, c in h.items() if k[0] < r}
-    lower = {(k[0] - r, k[1]): Fraction(-c, scale)
+    upper = {k: _scalar(Fraction(c, scale))
+             for k, c in h.items() if k[0] < r}
+    lower = {(k[0] - r, k[1]): _scalar(Fraction(-c, scale))
              for k, c in h.items() if k[0] >= r}
     remainder = unflatten_vector(upper, r, enc)
     return MemberResult(not upper,

@@ -193,7 +193,7 @@ def corank_at_origin(fam: MatrixFamily) -> int:
         rows[rank], rows[i0] = rows[i0], rows[rank]
         for i in range(fam.n):
             if i != rank and rows[i][j0] != 0:
-                c = rows[i][j0] / rows[rank][j0]
+                c = Fraction(rows[i][j0], rows[rank][j0])
                 rows[i] = [a - c * b for a, b in zip(rows[i], rows[rank])]
         cols.remove(j0)
         rank += 1

@@ -1,17 +1,20 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
 A polynomial in m variables is stored as a mapping from exponent vectors
-(length-m tuples of nonnegative ints) to nonzero Fraction coefficients.
+(length-m tuples of nonnegative ints) to nonzero rational coefficients.
 The zero polynomial is the empty mapping.  All operations return canonical
-results: no zero coefficient is ever stored, and two polynomials are equal
-iff their term mappings are equal.
+results: no zero coefficient is ever stored, an integral coefficient is an
+int and any other a Fraction (so of denominator > 1), and two polynomials
+are equal iff their term mappings are equal.
 
-  x0^2 * x1 + 3  ->  {(2, 1): Fraction(1), (0, 0): Fraction(3)}
+  x0^2 * x1 + 1/2  ->  {(2, 1): 1, (0, 0): Fraction(1, 2)}
 
 Coefficients are rational (arbitrary precision).  Every dimension and rank
 computed downstream is insensitive to enlarging the coefficient field, and
 several chain-map formulas carry 1/2 factors, so exact rationals are the
-right base ring.
+right base ring.  Most coefficients are integers and stay ints, since int
+arithmetic is far cheaper than Fraction arithmetic (Singular's longrat
+keeps small integers immediate for the same reason).
 """
 
 from __future__ import annotations
@@ -23,7 +26,23 @@ from typing import Iterator, Mapping, Sequence, Tuple, Union
 Scalar = Union[int, Fraction]
 ExpVec = Tuple[int, ...]
 
-_ZERO = Fraction(0)
+
+def _scalar(c) -> Scalar:
+    """The canonical coefficient of the rational c: an int if c is
+    integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+def _canonical(terms: dict) -> dict:
+    """terms with every Fraction of denominator 1 made an int, in place;
+    values are replaced, never added or removed."""
+    for e, c in terms.items():
+        if type(c) is Fraction and c.denominator == 1:
+            terms[e] = c.numerator
+    return terms
 
 
 def exp_divides(a: ExpVec, b: ExpVec) -> bool:
@@ -67,7 +86,7 @@ class Poly:
     def __init__(self, nvars: int, terms: Mapping[ExpVec, Scalar] | None = None):
         if nvars < 0:
             raise ValueError("nvars must be nonnegative")
-        clean: dict[ExpVec, Fraction] = {}
+        clean: dict[ExpVec, Scalar] = {}
         if terms:
             for exp, coeff in terms.items():
                 if len(exp) != nvars:
@@ -75,8 +94,8 @@ class Poly:
                         f"exponent vector {exp} has length {len(exp)}, expected {nvars}")
                 if any(e < 0 for e in exp):
                     raise ValueError(f"negative exponent in {exp}")
-                c = Fraction(coeff)
-                if c != 0:
+                c = _scalar(coeff)
+                if c:
                     clean[tuple(exp)] = c
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "terms", clean)
@@ -85,7 +104,8 @@ class Poly:
     def _of(cls, nvars: int, terms: dict) -> "Poly":
         """Wrap a term dict without checks: internal use only.  The caller
         guarantees canonical terms: exponent tuples of length nvars and
-        nonzero Fraction coefficients, in a dict nobody mutates later."""
+        nonzero coefficients, each an int or a Fraction of denominator > 1,
+        in a dict nobody mutates later."""
         result = object.__new__(cls)
         object.__setattr__(result, "nvars", nvars)
         object.__setattr__(result, "terms", terms)
@@ -102,7 +122,7 @@ class Poly:
 
     @classmethod
     def constant(cls, nvars: int, value: Scalar) -> "Poly":
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Poly":
@@ -110,11 +130,11 @@ class Poly:
             raise ValueError(f"variable index {index} out of range for {nvars} variables")
         exp = [0] * nvars
         exp[index] = 1
-        return cls(nvars, {tuple(exp): Fraction(1)})
+        return cls(nvars, {tuple(exp): 1})
 
     @classmethod
     def monomial(cls, nvars: int, exp: Sequence[int], coeff: Scalar = 1) -> "Poly":
-        return cls(nvars, {tuple(exp): Fraction(coeff)})
+        return cls(nvars, {tuple(exp): coeff})
 
     # -- predicates and views ----------------------------------------------
 
@@ -141,15 +161,15 @@ class Poly:
         return max(sum(e) for e in self.terms)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, _ZERO)
+        return Fraction(self.terms.get((0,) * self.nvars, 0))
 
     def is_constant(self) -> bool:
         return all(sum(e) == 0 for e in self.terms)
 
     def coefficient(self, exp: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exp), _ZERO)
+        return Fraction(self.terms.get(tuple(exp), 0))
 
-    def __iter__(self) -> Iterator[tuple[ExpVec, Fraction]]:
+    def __iter__(self) -> Iterator[tuple[ExpVec, Scalar]]:
         return iter(self.terms.items())
 
     # -- arithmetic ---------------------------------------------------------
@@ -167,12 +187,12 @@ class Poly:
         self._check_compatible(other)
         out = dict(self.terms)
         for exp, coeff in other.terms.items():
-            s = out.get(exp, _ZERO) + coeff
+            s = out.get(exp, 0) + coeff
             if s:
                 out[exp] = s
             elif exp in out:
                 del out[exp]
-        return Poly._of(self.nvars, out)
+        return Poly._of(self.nvars, _canonical(out))
 
     __radd__ = __add__
 
@@ -191,24 +211,24 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            if c == 0:
+            c = _scalar(other)
+            if not c:
                 return Poly.zero(self.nvars)
-            return Poly._of(self.nvars,
-                            {e: k * c for e, k in self.terms.items()})
+            return Poly._of(self.nvars, _canonical(
+                {e: k * c for e, k in self.terms.items()}))
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_compatible(other)
-        out: dict[ExpVec, Fraction] = {}
+        out: dict[ExpVec, Scalar] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
                 exp = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(exp, _ZERO) + ca * cb
+                s = out.get(exp, 0) + ca * cb
                 if s:
                     out[exp] = s
                 elif exp in out:
                     del out[exp]
-        return Poly._of(self.nvars, out)
+        return Poly._of(self.nvars, _canonical(out))
 
     __rmul__ = __mul__
 
@@ -229,7 +249,7 @@ class Poly:
         vals = [Fraction(v) for v in point]
         if len(vals) != self.nvars:
             raise ValueError("point arity mismatch")
-        total = _ZERO
+        total = Fraction(0)
         for exp, coeff in self.terms.items():
             term = coeff
             for e, v in zip(exp, vals):
@@ -308,16 +328,6 @@ class SubstitutionMap:
 
 # -- the module-level operations -------------------------------------------
 
-def add(p: Poly, q: Poly) -> Poly:
-    """Canonical sum of two polynomials in the same ring."""
-    return p + q
-
-
-def mul(p: Poly, q: Poly) -> Poly:
-    """Canonical product of two polynomials in the same ring."""
-    return p * q
-
-
 def _monomial_image(f: SubstitutionMap, exp: ExpVec) -> Poly:
     """The image of the monomial x^exp under f, memoised on f.
 
@@ -346,22 +356,22 @@ def substitute(p: Poly, f: SubstitutionMap) -> Poly:
         raise ValueError(
             f"arity mismatch: polynomial in {p.nvars} variables, map has "
             f"{f.target_nvars} images")
-    out: dict[ExpVec, Fraction] = {}
+    out: dict[ExpVec, Scalar] = {}
     for exp, coeff in sorted(p.terms.items()):
         for e, c in _monomial_image(f, exp).terms.items():
-            s = out.get(e, _ZERO) + coeff * c
+            s = out.get(e, 0) + coeff * c
             if s:
                 out[e] = s
             else:
                 out.pop(e, None)
-    return Poly._of(f.source_nvars, out)
+    return Poly._of(f.source_nvars, _canonical(out))
 
 
 def partial(p: Poly, i: int) -> Poly:
     """Formal partial derivative of p with respect to variable i."""
     if not 0 <= i < p.nvars:
         raise ValueError(f"variable index {i} out of range for {p.nvars} variables")
-    out: dict[ExpVec, Fraction] = {}
+    out: dict[ExpVec, Scalar] = {}
     for exp, coeff in p.terms.items():
         e = exp[i]
         if e == 0:
@@ -369,7 +379,7 @@ def partial(p: Poly, i: int) -> Poly:
         new = list(exp)
         new[i] = e - 1
         out[tuple(new)] = coeff * e
-    return Poly._of(p.nvars, out)
+    return Poly._of(p.nvars, _canonical(out))
 
 
 def translate(p: Poly, a: Sequence[Scalar]) -> Poly:

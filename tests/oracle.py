@@ -10,7 +10,28 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 import random
 
-from matsing import Poly
+from matsing import Poly, PolyMatrix
+
+
+def is_canonical(p):
+    """Each coefficient of p is a nonzero int or a Fraction of
+    denominator > 1, the canonical scalars of a Poly."""
+    return all(type(c) is int and c != 0
+               or type(c) is Fraction and c.denominator > 1
+               for c in p.terms.values())
+
+
+def transpose(m):
+    """The transpose of a PolyMatrix; a matrix with no rows keeps its
+    columns as rows."""
+    return PolyMatrix.from_columns(m.cols, m.entries, m.nvars)
+
+
+def trace(m):
+    """The sum of the diagonal entries of a square PolyMatrix."""
+    if m.rows != m.cols:
+        raise ValueError("trace of a non-square matrix")
+    return sum((m.entries[i][i] for i in range(m.rows)), Poly.zero(m.nvars))
 
 
 def monomials_below(nvars, degree):
@@ -41,7 +62,7 @@ def _rank(rows):
         lead = rows[rank][col]
         for i in range(rank + 1, len(rows)):
             if rows[i][col]:
-                factor = rows[i][col] / lead
+                factor = Fraction(rows[i][col], lead)
                 rows[i] = [a - factor * b
                            for a, b in zip(rows[i], rows[rank])]
         rank += 1
@@ -178,7 +199,7 @@ def lie_images_by_products(fam, flavour):
     if fam.kind == "general":
         return ([tuple(flatten("general", a @ s)) for a in basis]
                 + [tuple(flatten("general", s @ b)) for b in basis])
-    return [tuple(flatten(fam.kind, a.transpose() @ s + s @ a))
+    return [tuple(flatten(fam.kind, transpose(a) @ s + s @ a))
             for a in basis]
 
 
@@ -190,9 +211,9 @@ def _jozefiak_by_products(fam):
     a = adjugate(s)
     ranks = (1, space_dim("symmetric", n), n * n - 1, space_dim("skew", n))
     d1 = PolyMatrix.from_columns(
-        1, [[(a @ b).trace()] for b in sym_basis(n, nv)], nv)
+        1, [[trace(a @ b)] for b in sym_basis(n, nv)], nv)
     d2 = PolyMatrix.from_columns(
-        ranks[1], [flatten("symmetric", s @ b + b.transpose() @ s)
+        ranks[1], [flatten("symmetric", s @ b + transpose(b) @ s)
                    for b in sl_basis(n, nv)], nv)
     d3 = PolyMatrix.from_columns(
         ranks[2], [sl_coords(b @ s) for b in skew_basis(n, nv)], nv)
@@ -210,22 +231,22 @@ def _jp_by_products(fam):
     skb, slb, syb = skew_basis(n, nv), sl_basis(n, nv), sym_basis(n, nv)
     ident = PolyMatrix.identity(n, nv)
     d1 = PolyMatrix.from_columns(
-        1, [[(p @ b).trace() * half] for b in skb], nv)
+        1, [[trace(p @ b) * half] for b in skb], nv)
     d2 = PolyMatrix.from_columns(
-        sk, [flatten("skew", s @ b + b.transpose() @ s) for b in slb], nv)
+        sk, [flatten("skew", s @ b + transpose(b) @ s) for b in slb], nv)
     d3 = PolyMatrix.from_columns(
         sl, [sl_coords(p @ w) for w in syb]
         + [sl_coords(-(x @ s)) for x in syb], nv)
     d4_cols = []
     for y in slb:
         sy_part, yp = s @ y, y @ p
-        d4_cols.append(flatten("symmetric", sy_part + sy_part.transpose())
-                       + flatten("symmetric", yp + yp.transpose()))
+        d4_cols.append(flatten("symmetric", sy_part + transpose(sy_part))
+                       + flatten("symmetric", yp + transpose(yp)))
     d4 = PolyMatrix.from_columns(2 * sy, d4_cols, nv)
     d5_cols = []
     for z in skb:
         zs = z @ s
-        d5_cols.append(sl_coords(zs - ident.scale(zs.trace()
+        d5_cols.append(sl_coords(zs - ident.scale(trace(zs)
                                                   * Fraction(1, n))))
     d5 = PolyMatrix.from_columns(sl, d5_cols, nv)
     d6 = PolyMatrix.from_columns(sk, [flatten("skew", p)], nv)
@@ -241,7 +262,7 @@ def _gn_by_products(fam):
     gl, sl = n * n, n * n - 1
     glb, slb = gl_basis(n, nv), sl_basis(n, nv)
     ident = PolyMatrix.identity(n, nv)
-    d1 = PolyMatrix.from_columns(1, [[(a @ b).trace()] for b in glb], nv)
+    d1 = PolyMatrix.from_columns(1, [[trace(a @ b)] for b in glb], nv)
     d2 = PolyMatrix.from_columns(
         gl, [flatten("general", m @ x) for x in slb]
         + [flatten("general", -(y @ m)) for y in slb], nv)
@@ -249,8 +270,8 @@ def _gn_by_products(fam):
     for z in glb:
         zm, mz = z @ m, m @ z
         d3_cols.append(
-            sl_coords(zm - ident.scale(zm.trace() * Fraction(1, n)))
-            + sl_coords(mz - ident.scale(mz.trace() * Fraction(1, n))))
+            sl_coords(zm - ident.scale(trace(zm) * Fraction(1, n)))
+            + sl_coords(mz - ident.scale(trace(mz) * Fraction(1, n))))
     d3 = PolyMatrix.from_columns(2 * sl, d3_cols, nv)
     d4 = PolyMatrix.from_columns(gl, [flatten("general", a)], nv)
     return FreeComplex((1, gl, 2 * sl, gl, 1), (d1, d2, d3, d4), nv)

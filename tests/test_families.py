@@ -239,6 +239,6 @@ def test_catalog_normal_form_blocks():
 def test_catalog_diag_entries():
     spec = catalog("diag-sym", a=(1, 2))
     fam = spec.to_family()
-    assert fam.entries.entry(0, 0) == parse_poly("x", ["x"])
-    assert fam.entries.entry(1, 1) == parse_poly("x^2", ["x"])
-    assert fam.entries.entry(0, 1).is_zero()
+    assert fam.entries.entries[0][0] == parse_poly("x", ["x"])
+    assert fam.entries.entries[1][1] == parse_poly("x^2", ["x"])
+    assert fam.entries.entries[0][1].is_zero()

@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,10 +25,11 @@ from matsing import (
     sub_pfaffian_matrix,
     unflatten,
 )
+from matsing import matalg
 from matsing.matalg import (_pfaffians, adjugate, determinant, gl_basis,
                             pfaffian, skew_basis, sl_basis, sym_basis)
 
-from oracle import random_poly
+from oracle import is_canonical, random_poly, trace, transpose
 
 
 def P(text, names=("x", "y")):
@@ -73,10 +75,10 @@ def test_adjugate_identity(rng):
         adj = adjugate(m)
         for i in range(n):
             for j in range(n):
-                sub = PolyMatrix([[m.entry(r, c) for c in range(n) if c != j]
+                sub = PolyMatrix([[m.entries[r][c] for c in range(n) if c != j]
                                   for r in range(n) if r != i], 2, cols=n - 1)
                 sign = 1 if (i + j) % 2 == 0 else -1
-                assert adj.entry(j, i) == determinant(sub) * sign
+                assert adj.entries[j][i] == determinant(sub) * sign
 
 
 def test_pfaffian_generic_four():
@@ -169,18 +171,39 @@ def test_sub_pfaffians_match_the_generic_route(rng):
 def test_sub_pfaffian_two_by_two():
     s = PolyMatrix([[Poly.zero(2), P("x")], [P("-x"), Poly.zero(2)]], 2)
     comp = sub_pfaffian_matrix(s)
-    assert comp.entry(0, 1) == Poly.constant(2, -1)
-    assert comp.entry(1, 0) == Poly.constant(2, 1)
-    assert comp.entry(0, 0).is_zero() and comp.entry(1, 1).is_zero()
+    assert comp.entries[0][1] == Poly.constant(2, -1)
+    assert comp.entries[1][0] == Poly.constant(2, 1)
+    assert comp.entries[0][0].is_zero() and comp.entries[1][1].is_zero()
+
+
+def test_sub_pfaffian_check_catches_one_corrupted_entry(monkeypatch):
+    """The one product P* m = Pf I that sub_pfaffian_matrix checks rejects
+    a P* with any single sub-Pfaffian (entry (i, j), and (j, i) with it)
+    off by one, on the generic 4x4 and a seeded 6x6 skew matrix."""
+    for m in (generic_family("skew", 4).entries,
+              random_skew(random.Random(6), 6, 2)):
+        n = m.rows
+        for i, j in combinations(range(n), 2):
+            bad = tuple(k for k in range(n) if k not in (i, j))
+
+            def corrupted(mat, bad=bad):
+                pf = _pfaffians(mat)
+                return lambda rows: pf(rows) + 1 if rows == bad else pf(rows)
+
+            monkeypatch.setattr(matalg, "_pfaffians", corrupted)
+            with pytest.raises(AssertionError, match="sub-pfaffian"):
+                sub_pfaffian_matrix(m)
+        monkeypatch.undo()
+        sub_pfaffian_matrix(m)
 
 
 def test_matrix_ring_operations():
     a = PolyMatrix([[P("x"), P("y")], [Poly.zero(2), P("x")]], 2)
     b = PolyMatrix([[P("y"), Poly.zero(2)], [P("x"), P("y")]], 2)
-    assert (a @ b).entry(0, 0) == P("x*y + x*y")
+    assert (a @ b).entries[0][0] == P("x*y + x*y")
     assert (a + b - b) == a
-    assert a.transpose().entry(0, 1).is_zero()
-    assert (a @ b).trace() == P("2*x*y") + P("x*y")
+    assert transpose(a).entries[0][1].is_zero()
+    assert trace(a @ b) == P("2*x*y") + P("x*y")
 
 
 def test_block_assembly():
@@ -189,14 +212,14 @@ def test_block_assembly():
     a = PolyMatrix([[x]], 1)
     grid = [[a, None], [None, a]]
     m = PolyMatrix.block(grid, [1, 1], [1, 1], 1)
-    assert m.entry(0, 0) == x and m.entry(1, 1) == x
-    assert m.entry(0, 1) == z
+    assert m.entries[0][0] == x and m.entries[1][1] == x
+    assert m.entries[0][1] == z
 
 
 def test_zero_row_matrices_keep_columns():
     m = PolyMatrix.zeros(0, 3, 2)
     assert m.rows == 0 and m.cols == 3
-    t = m.transpose()
+    t = transpose(m)
     assert t.rows == 3 and t.cols == 0
     prod = t @ m
     assert prod.rows == 3 and prod.cols == 3 and prod.is_zero()
@@ -263,22 +286,21 @@ def _dense_product(a, b):
     def entry(i, j):
         acc = Poly.zero(_NV)
         for k in range(a.cols):
-            acc = acc + a.entry(i, k) * b.entry(k, j)
+            acc = acc + a.entries[i][k] * b.entries[k][j]
         return acc
     return _dense(a.rows, b.cols, entry)
 
 
 def _assert_same(got, want):
-    """Equal entries, in the same term order, with canonical Fraction
-    coefficients in the matrix's ring."""
+    """Equal entries, in the same term order, with canonical coefficients
+    in the matrix's ring."""
     assert (got.rows, got.cols, got.nvars) == (want.rows, want.cols,
                                                want.nvars)
     for rg, rw in zip(got.entries, want.entries):
         for p, q in zip(rg, rw):
             assert isinstance(p, Poly) and p.nvars == _NV
             assert list(p.terms.items()) == list(q.terms.items())
-            assert all(type(c) is Fraction and c != 0
-                       for c in p.terms.values())
+            assert is_canonical(p)
 
 
 @settings(max_examples=80, deadline=None)
@@ -286,25 +308,16 @@ def _assert_same(got, want):
 def test_kernel_matches_dense_reference(mats, p, c):
     a, b, a2 = mats
     _assert_same(a @ b, _dense_product(a, b))
+    ea, ea2 = a.entries, a2.entries
     _assert_same(a + a2, _dense(a.rows, a.cols,
-                                lambda i, j: a.entry(i, j) + a2.entry(i, j)))
+                                lambda i, j: ea[i][j] + ea2[i][j]))
     _assert_same(a - a2, _dense(a.rows, a.cols,
-                                lambda i, j: a.entry(i, j) - a2.entry(i, j)))
-    _assert_same(-a, _dense(a.rows, a.cols, lambda i, j: -a.entry(i, j)))
+                                lambda i, j: ea[i][j] - ea2[i][j]))
+    _assert_same(-a, _dense(a.rows, a.cols, lambda i, j: -ea[i][j]))
     _assert_same(a.scale(p), _dense(a.rows, a.cols,
-                                    lambda i, j: a.entry(i, j) * p))
+                                    lambda i, j: ea[i][j] * p))
     _assert_same(a.scale(c), _dense(a.rows, a.cols,
-                                    lambda i, j: a.entry(i, j) * c))
-    _assert_same(a.transpose(), _dense(a.cols, a.rows,
-                                       lambda i, j: a.entry(j, i)))
-    sq = b @ b.transpose()
-    want = Poly.zero(_NV)
-    for i in range(sq.rows):
-        want = want + sq.entry(i, i)
-    assert list(sq.trace().terms.items()) == list(want.terms.items())
-    if a.rows != a.cols:
-        with pytest.raises(ValueError):
-            a.trace()
+                                    lambda i, j: ea[i][j] * c))
     if b.rows != a.rows or b.cols != a.cols:
         for op in (a.__add__, a.__sub__):
             with pytest.raises(ValueError):
@@ -346,7 +359,7 @@ def test_constant_bases_shapes():
     assert len(gl_basis(2, 1)) == 4
     assert len(sl_basis(3, 1)) == 8
     for b in skew_basis(4, 1):
-        assert (b + b.transpose()).is_zero()
+        assert (b + transpose(b)).is_zero()
 
 
 def _elementary(n, nv, units):
@@ -452,7 +465,7 @@ def submatrix_route_minors(fam, size):
 
 def random_symmetric(rng, n, nvars):
     m = random_matrix(rng, n, nvars)
-    return m + m.transpose()
+    return m + transpose(m)
 
 
 def test_minors_ideal_matches_the_submatrix_route(rng):

@@ -1,5 +1,7 @@
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from matsing import Poly, SubstitutionMap, format_poly, parse_poly
 from matsing.poly import partial, substitute, translate
 
-from oracle import random_poly
+from oracle import is_canonical, random_poly
 
 
 def P(text, names=("x", "y")):
@@ -65,7 +67,7 @@ def test_partial_derivative():
     g = P("x^3*y + 2*y^2")
     assert partial(g, 0) == P("3*x^2*y")
     assert partial(g, 1) == P("x^3 + 4*y")
-    assert all(type(c) is Fraction for c in partial(g, 0).terms.values())
+    assert is_canonical(partial(g, 0))
 
 
 def test_translate_moves_origin():
@@ -233,3 +235,41 @@ def test_substitution_is_ring_map(g, img0, img1):
         h, fmap)
     assert substitute(g + h, fmap) == substitute(g, fmap) + substitute(
         h, fmap)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(), polys(), coeffs, st.tuples(coeffs, coeffs))
+def test_results_keep_canonical_scalars(a, b, c, point):
+    """Every coefficient is a nonzero int or a Fraction of denominator > 1,
+    also where Fractions meet and give an integer (1/2 + 1/2, 2 * 1/2)."""
+    fmap = SubstitutionMap([b, a + b])
+    results = [a, a + b, a - b, a * b, -a, a * c, c * a, a + c, c - a,
+               substitute(a, fmap), partial(a, 0), partial(a, 1),
+               translate(a, point),
+               parse_poly(format_poly(a, ["x", "y"]), ["x", "y"])]
+    assert all(is_canonical(p) for p in results)
+
+
+def test_integral_fractions_become_ints():
+    p = P("4/2*x + 1/2*x*y + 1/2*x*y - 3/3")
+    assert p.terms == {(1, 0): 2, (1, 1): 1, (0, 0): -1}
+    assert all(type(c) is int for c in p.terms.values())
+    assert (P("1/2*x") * 2).terms == {(1, 0): 1}
+    assert type(partial(P("1/2*x^2"), 0).terms[(1, 0)]) is int
+    half = P("1/2*x^2")
+    assert type(half.coefficient((2, 0))) is Fraction
+    assert type(P("x").coefficient((1, 0))) is Fraction
+    assert type(P("x + 3").constant_term()) is Fraction
+
+
+def test_no_true_division_on_coefficients():
+    """Integral coefficients are ints, and int / int is a float: the library
+    and the jet oracle write every quotient through Fraction instead."""
+    here = Path(__file__).parent
+    files = sorted((here.parent / "src" / "matsing").glob("*.py"))
+    hits = [f"{path.name}:{node.lineno}"
+            for path in files + [here / "oracle.py"]
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.BinOp, ast.AugAssign))
+            and isinstance(node.op, ast.Div)]
+    assert len(files) > 5 and hits == []
