@@ -12,15 +12,20 @@ Built here:
     function itself.
   * The three explicit resolutions attached to a square matrix family:
     symmetric (length 3), skew (length 6) and general (length 4).  Their
-    differentials are written so that every composite vanishes identically
-    for any family, which verify_complex rechecks.
+    differentials are linear in the entries of the family matrix S and of
+    its adjugate or sub-Pfaffian matrix, with coefficients fixed by the
+    kind and size, so the formulas run once per (kind, n), on linear forms,
+    into a template, and a family's complex is that template evaluated at
+    its own two matrices.  They are written so that every composite
+    vanishes identically for any family, which verify_complex rechecks on
+    the evaluated matrices.
   * The comparison morphism phi from the Koszul complex of det/Pf of a
     family into the pulled-back resolution, through degree 2.
   * Mapping cones, and homology dimensions over the local ring at 0.
 
-The resolutions and the Lie-algebra images never multiply out a product
-with a basis matrix B: B S and S B place rows and columns of S by the
-entries of B (matalg._placed).
+The resolution formulas and the Lie-algebra images never multiply out a
+product with a basis matrix B: B S and S B place rows and columns of S by
+the entries of B (matalg._placed).
 
 Homology in degree k is computed as a presentation H_k = O^t / R.  Each
 differential d_k gets one GLOBAL stacked completion of its columns (see
@@ -37,15 +42,16 @@ must stay below 2^31, and past it a ValueError is raised.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from typing import Sequence
 
 from .groebner import _column_stack, _homology_colength
 from .matalg import (MatrixFamily, PolyMatrix, _coords, _lie_images,
-                     _placed, _sl_coords, _sparse_basis, _trace_times,
-                     adjugate, flatten, sl_coords, space_dim,
+                     _placed, _sl_coords, _sparse_basis, _times,
+                     _trace_times, adjugate, flatten, sl_coords, space_dim,
                      sub_pfaffian_matrix)
-from .poly import Poly, SubstitutionMap, _Record, partial
+from .poly import Poly, SubstitutionMap, _Record, _canonical, partial
 
 
 class FreeComplex(_Record):
@@ -153,30 +159,85 @@ def koszul_augmented(g: Poly) -> FreeComplex:
 
 # -- the three kind resolutions ------------------------------------------------
 
-def jozefiak_complex(fam: MatrixFamily) -> FreeComplex:
-    """Length-3 complex of a symmetric family S (A = adjugate of S):
+class _Form:
+    """A linear form in the entries of a family matrix S and of its
+    companion C (adjugate or sub-Pfaffian matrix): terms maps the index of
+    an entry, in S then C, row-major, to its nonzero coefficient.  It has
+    the Poly operations the resolution formulas use, and like a Poly it is
+    never changed once built, so an operation with zero may return an
+    operand itself."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict):
+        self.terms = terms
+
+    def __add__(self, other: "_Form") -> "_Form":
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            c += out.get(k, 0)
+            if c:
+                out[k] = c
+            else:
+                del out[k]
+        return _Form(out)
+
+    def __neg__(self) -> "_Form":
+        if not self.terms:
+            return self
+        return _Form({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other: "_Form") -> "_Form":
+        return self + -other
+
+    def __mul__(self, c) -> "_Form":
+        if not self.terms:
+            return self
+        return _Form(_canonical({k: v * c for k, v in self.terms.items()}))
+
+
+def _symbolic(kind: str, n: int, source: int) -> PolyMatrix:
+    """S (source 0) or C (source 1) as an n x n matrix of forms, built
+    unchecked: entry (i, j) is the entry of index source n^2 + i n + j, and
+    below the diagonal a symmetric or skew matrix repeats the entry above
+    it, negated if skew, so that the formulas see the symmetry."""
+    base = source * n * n
+
+    def entry(i, j):
+        if kind == "general" or i < j:
+            return _Form({base + i * n + j: 1})
+        if i == j:
+            return _Form({} if kind == "skew" else {base + i * n + j: 1})
+        return _Form({base + j * n + i: -1 if kind == "skew" else 1})
+
+    return PolyMatrix._of([[entry(i, j) for j in range(n)]
+                           for i in range(n)], 0, n)
+
+
+def _jozefiak(s: PolyMatrix, a: PolyMatrix, z) -> tuple:
+    """Ranks and column lists of the length-3 complex of a symmetric S with
+    adjugate A, z the zero entry:
 
         0 -> skew -> sl -> sym -> O
         d1(X) = trace(A X),  d2(Y) = S Y + Y^t S,  d3(Z) = Z S
     """
-    if fam.kind != "symmetric":
-        raise ValueError("symmetric family required")
-    n, nv = fam.n, fam.m
-    s = fam.entries
-    a = adjugate(s)
+    n = s.rows
     ranks = (1, space_dim("symmetric", n), n * n - 1, space_dim("skew", n))
-    d1 = PolyMatrix.from_columns(
-        1, [[_trace_times(a, b)] for b in _sparse_basis("symmetric", n)], nv)
-    d2 = PolyMatrix.from_columns(ranks[1], _lie_images(fam, "special"), nv)
-    d3 = PolyMatrix.from_columns(
-        ranks[2], [_sl_coords(_placed(b, s, True), n, nv)
-                   for b in _sparse_basis("skew", n)], nv)
-    return FreeComplex(ranks, (d1, d2, d3), nv)
+    d1 = [[_trace_times(a, b)] for b in _sparse_basis("symmetric", n)]
+    d2 = _lie_images("symmetric", s, "special", z)
+    d3 = [_sl_coords(_placed(b, s, True), n, z)
+          for b in _sparse_basis("skew", n)]
+    return ranks, (d1, d2, d3)
 
 
-def jp_complex(fam: MatrixFamily) -> FreeComplex:
-    """Length-6 complex of a skew family S of even size (P = sub-pfaffian
-    matrix of S, so P S = S P = Pf(S) I):
+def _jp(s: PolyMatrix, p: PolyMatrix, z) -> tuple:
+    """Ranks and column lists of the length-6 complex of a skew S of even
+    size with sub-Pfaffian matrix P (P S = S P = Pf(S) I), z the zero
+    entry:
 
         0 -> O -> skew -> sl -> sym + sym -> sl -> skew -> O
         d1(U) = trace(P U) / 2
@@ -186,41 +247,25 @@ def jp_complex(fam: MatrixFamily) -> FreeComplex:
         d5(Z) = Z S - trace(Z S)/n I
         d6(a) = a P
     """
-    if fam.kind != "skew":
-        raise ValueError("skew family required")
-    if fam.n % 2 != 0:
-        raise ValueError("even size required")
-    n, nv = fam.n, fam.m
-    s = fam.entries
-    p = sub_pfaffian_matrix(s)
-    sk = space_dim("skew", n)
-    sy = space_dim("symmetric", n)
-    sl = n * n - 1
-    ranks = (1, sk, sl, 2 * sy, sl, sk, 1)
+    n = s.rows
+    sk, sy, sl = space_dim("skew", n), space_dim("symmetric", n), n * n - 1
     half = Fraction(1, 2)
     skb, slb = _sparse_basis("skew", n), _sparse_basis("sl", n)
     syb = _sparse_basis("symmetric", n)
-
-    d1 = PolyMatrix.from_columns(
-        1, [[_trace_times(p, b) * half] for b in skb], nv)
-    d2 = PolyMatrix.from_columns(sk, _lie_images(fam, "special"), nv)
-    d3_cols = [_sl_coords(_placed(w, p, False), n, nv) for w in syb]
-    d3_cols += [[-c for c in _sl_coords(_placed(x, s, True), n, nv)]
-                for x in syb]
-    d3 = PolyMatrix.from_columns(sl, d3_cols, nv)
-    d4 = PolyMatrix.from_columns(
-        2 * sy, [_coords("symmetric", _placed(y, s, False), n, nv, 1)
-                 + _coords("symmetric", _placed(y, p, True), n, nv, 1)
-                 for y in slb], nv)
-    d5 = PolyMatrix.from_columns(
-        sl, [_sl_coords(_placed(z, s, True), n, nv, centred=True)
-             for z in skb], nv)
-    d6 = PolyMatrix.from_columns(sk, [flatten("skew", p)], nv)
-    return FreeComplex(ranks, (d1, d2, d3, d4, d5, d6), nv)
+    d1 = [[_trace_times(p, b) * half] for b in skb]
+    d2 = _lie_images("skew", s, "special", z)
+    d3 = [_sl_coords(_placed(w, p, False), n, z) for w in syb]
+    d3 += [[-c for c in _sl_coords(_placed(x, s, True), n, z)] for x in syb]
+    d4 = [_coords("symmetric", _placed(y, s, False), n, z, 1)
+          + _coords("symmetric", _placed(y, p, True), n, z, 1) for y in slb]
+    d5 = [_sl_coords(_placed(x, s, True), n, z, centred=True) for x in skb]
+    d6 = [flatten("skew", p)]
+    return (1, sk, sl, 2 * sy, sl, sk, 1), (d1, d2, d3, d4, d5, d6)
 
 
-def gn_complex(fam: MatrixFamily) -> FreeComplex:
-    """Length-4 complex of a general square family M (A = adjugate of M):
+def _gn(m: PolyMatrix, a: PolyMatrix, z) -> tuple:
+    """Ranks and column lists of the length-4 complex of a general square M
+    with adjugate A, z the zero entry:
 
         0 -> O -> gl -> sl + sl -> gl -> O
         d1(U) = trace(A U)
@@ -228,27 +273,84 @@ def gn_complex(fam: MatrixFamily) -> FreeComplex:
         d3(Z) = (Z M - trace(Z M)/n I,  M Z - trace(M Z)/n I)
         d4(a) = a A
     """
+    n = m.rows
+    glb, slb = _sparse_basis("general", n), _sparse_basis("sl", n)
+    d1 = [[_trace_times(a, b)] for b in glb]
+    d2 = [_coords("general", _placed(x, m, False), n, z) for x in slb]
+    d2 += [[-c for c in _coords("general", _placed(y, m, True), n, z)]
+           for y in slb]
+    d3 = [_sl_coords(_placed(x, m, True), n, z, centred=True)
+          + _sl_coords(_placed(x, m, False), n, z, centred=True)
+          for x in glb]
+    d4 = [flatten("general", a)]
+    return (1, n * n, 2 * (n * n - 1), n * n, 1), (d1, d2, d3, d4)
+
+
+_FORMULAS = {"symmetric": _jozefiak, "skew": _jp, "general": _gn}
+
+
+@cache
+def _template(kind: str, n: int) -> tuple:
+    """(ranks, atoms, entries) of the kind resolution of size n, derived
+    once by running its formulas on forms.  Every entry of a differential
+    is then c times one entry of S or C: atoms lists the distinct (index,
+    c), and entries[k-1] the nonzero entries of d_k as (row, column, atom).
+    """
+    ranks, diffs = _FORMULAS[kind](_symbolic(kind, n, 0),
+                                   _symbolic(kind, n, 1), _Form({}))
+    atoms: dict = {}
+    entries = []
+    for cols in diffs:
+        nonzero = []
+        for j, col in enumerate(cols):
+            for i, p in enumerate(col):
+                if p.terms:
+                    (term,) = p.terms.items()
+                    nonzero.append((i, j, atoms.setdefault(term, len(atoms))))
+        entries.append(tuple(nonzero))
+    return ranks, tuple(atoms), tuple(entries)
+
+
+def _evaluated(fam: MatrixFamily, companion: PolyMatrix) -> FreeComplex:
+    """The template of the family's (kind, n) at its own S and companion."""
+    ranks, atoms, entries = _template(fam.kind, fam.n)
+    nv = fam.m
+    z = Poly.zero(nv)
+    values = [p for r in fam.entries.entries for p in r]
+    values += [p for r in companion.entries for p in r]
+    scaled = [_times(values[k], c) if values[k].terms else z
+              for k, c in atoms]
+    diffs = []
+    for k, nonzero in enumerate(entries, start=1):
+        cols = ranks[k]
+        grid = [[z] * cols for _ in range(ranks[k - 1])]
+        for i, j, atom in nonzero:
+            grid[i][j] = scaled[atom]
+        diffs.append(PolyMatrix._of(grid, nv, cols))
+    return FreeComplex(ranks, tuple(diffs), nv)
+
+
+def jozefiak_complex(fam: MatrixFamily) -> FreeComplex:
+    """The complex of a symmetric family, see _jozefiak."""
+    if fam.kind != "symmetric":
+        raise ValueError("symmetric family required")
+    return _evaluated(fam, adjugate(fam.entries))
+
+
+def jp_complex(fam: MatrixFamily) -> FreeComplex:
+    """The complex of a skew family of even size, see _jp."""
+    if fam.kind != "skew":
+        raise ValueError("skew family required")
+    if fam.n % 2 != 0:
+        raise ValueError("even size required")
+    return _evaluated(fam, sub_pfaffian_matrix(fam.entries))
+
+
+def gn_complex(fam: MatrixFamily) -> FreeComplex:
+    """The complex of a general square family, see _gn."""
     if fam.kind != "general":
         raise ValueError("general family required")
-    n, nv = fam.n, fam.m
-    m = fam.entries
-    a = adjugate(m)
-    gl = n * n
-    sl = n * n - 1
-    ranks = (1, gl, 2 * sl, gl, 1)
-    glb, slb = _sparse_basis("general", n), _sparse_basis("sl", n)
-
-    d1 = PolyMatrix.from_columns(1, [[_trace_times(a, b)] for b in glb], nv)
-    d2_cols = [_coords("general", _placed(x, m, False), n, nv) for x in slb]
-    d2_cols += [[-c for c in _coords("general", _placed(y, m, True), n, nv)]
-                for y in slb]
-    d2 = PolyMatrix.from_columns(gl, d2_cols, nv)
-    d3 = PolyMatrix.from_columns(
-        2 * sl, [_sl_coords(_placed(z, m, True), n, nv, centred=True)
-                 + _sl_coords(_placed(z, m, False), n, nv, centred=True)
-                 for z in glb], nv)
-    d4 = PolyMatrix.from_columns(gl, [flatten("general", a)], nv)
-    return FreeComplex(ranks, (d1, d2, d3, d4), nv)
+    return _evaluated(fam, adjugate(fam.entries))
 
 
 def kind_complex(fam: MatrixFamily) -> FreeComplex:

@@ -40,9 +40,10 @@ answer given.
 
 Arithmetic inside the module is on ints.  A flat made from Polys holds
 their coefficients as they are: ints, and Fractions only where a Poly
-has a denominator.  Division and basis normalisation clear those on entry
-(_integral, a no-op on an all-int flat), so basis elements are kept with
-int coefficients of content 1 and division runs fraction-free: instead of
+has a denominator.  Those are cleared once, where such a flat enters a
+completion or a division (_integral), and everything built from there on
+is int: basis elements are kept with int coefficients of content 1, and
+division runs fraction-free: instead of
 h - (lc/lc_g) x^s g it forms a*h - b*x^s*g with a/b = lc_g/lc in lowest
 terms.  That does the same reductions in the same order as Fraction
 division, with each intermediate result scaled by a known nonzero integer,
@@ -305,7 +306,9 @@ def _scale_into(dst: Flat, src: Flat, coeff: int, shift: int) -> None:
 def _integral(flat: Flat) -> tuple[Flat, int]:
     """(den * flat, den) with den the least common denominator, so that the
     new flat has int coefficients.  A flat whose coefficients are all ints
-    already is returned as it is, not copied."""
+    already is returned as it is, not copied.  Called where a flat made
+    from Polys enters a completion or a division; _normalized and
+    _normal_form take int flats only."""
     if all(type(c) is int for c in flat.values()):
         return flat, 1
     den = lcm(*(c.denominator for c in flat.values()))
@@ -334,11 +337,10 @@ class _Gen:
 
 def _normalized(flat: Flat, enc: _Encoding,
                 deg: Optional[int] = None) -> _Gen:
-    """A nonzero flat with denominators cleared, divided by its content and
-    its leading coefficient made positive, as a _Gen of degree deg with int
-    coefficients.  The leading term is found once, for the sign and for the
-    _Gen.  An int flat of content 1 becomes the _Gen's own, uncopied."""
-    flat, _ = _integral(flat)
+    """A nonzero int flat divided by its content and its leading
+    coefficient made positive, as a _Gen of degree deg.  The leading term
+    is found once, for the sign and for the _Gen.  A flat of content 1
+    becomes the _Gen's own, uncopied."""
     lt, lc = _leading(flat)
     content = gcd(*flat.values())
     if lc < 0:
@@ -401,13 +403,13 @@ def _normal_form(f: Flat, gens: list, enc: _Encoding,
                  below: Optional[int] = None) -> tuple[Flat, int]:
     """Division with remainder.
 
-    gens must have int coefficients (as completed bases do).  Returns
-    (h, scale) with the exact identity
+    f and gens must have int coefficients (as completed bases do).
+    Returns (h, scale) with the exact identity
         scale * f  =  sum_i q_i * gens[i].flat  +  h
     for some polynomials q_i, which are not returned.  Division is
     fraction-free, so h has int coefficients: it is the nonzero integer
     scale times what the same division with Fraction arithmetic gives.
-    An int flat f is divided in place, so the caller must own it.
+    f is divided in place, so the caller must own it.
 
     Under a local order f is divided as if homogenised to degree deg (by
     default its top degree): a reducer cancels the leading term x^a only
@@ -418,7 +420,7 @@ def _normal_form(f: Flat, gens: list, enc: _Encoding,
     Every leading term then lies among the finitely many terms of degree
     < below and falls at each step, so the loop ends under either order.
     """
-    h, scale = _integral(f)
+    h, scale = f, 1
     local = enc.local and below is None
     high = enc.high
     if below is not None:
@@ -541,10 +543,10 @@ class _Completion:
         return gens, self.counter.steps
 
     def run(self, flats: Sequence[Flat] = ()) -> None:
-        """Add the nonzero flats, then complete."""
+        """Add the nonzero flats, denominators cleared, then complete."""
         for flat in flats:
             if flat:
-                self.add(flat)
+                self.add(_integral(flat)[0])
         gens, pairs, treated = self.gens, self.pairs, self.treated
         enc, local = self.enc, self.local
         high = enc.high
@@ -639,8 +641,8 @@ def _contained(vectors: Sequence[Vector], basis: ModuleBasis,
     gens = _standard(basis)[0]
     enc = _encoding(basis.nvars, basis.order)
     counter = _Counter()
-    return not any(_normal_form(flatten_vector(v, enc), gens, enc, counter,
-                                below=d)[0] for v in vectors)
+    return not any(_normal_form(_integral(flatten_vector(v, enc))[0], gens,
+                                enc, counter, below=d)[0] for v in vectors)
 
 
 def _lead_interreduce(gens: list, enc: _Encoding) -> list:
@@ -717,7 +719,8 @@ def groebner_basis(basis: ModuleBasis) -> ModuleBasis:
     out = ModuleBasis._of(basis.ambient_rank,
                           [unflatten_vector(g.flat, basis.ambient_rank, enc)
                            for g in gens], order)
-    out._standard = ([_normalized(g.flat, enc) for g in gens], steps)
+    out._standard = ([_normalized(_integral(g.flat)[0], enc) for g in gens],
+                     steps)
     out._completion = basis._completion  # of the same module
     return out
 
@@ -805,8 +808,9 @@ class _Stack:
             completion.add_standard(standard)
         late = []
         for j, flat in enumerate(flats):
-            vec = dict(flat)
-            vec[(rank + j, 0)] = 1  # 0 is the key of the monomial 1
+            vec, den = _integral(flat)
+            vec = dict(vec)
+            vec[(rank + j, 0)] = den  # 0 is the key of the monomial 1
             if standard is not None:
                 vec, _ = _normal_form(vec, completion.gens, enc,
                                       completion.counter)
@@ -990,8 +994,9 @@ def member(vec, basis: ModuleBasis) -> MemberResult:
         if a is not None:
             unit, vec = a, tuple(a * p for p in vec)
     enc, r = _encoding(nv, GLOBAL), basis.ambient_rank
-    h, scale = _normal_form(flatten_vector(vec, enc), _stacked(basis).upper(),
-                            enc, _Counter())
+    flat, den = _integral(flatten_vector(vec, enc))
+    h, scale = _normal_form(flat, _stacked(basis).upper(), enc, _Counter())
+    scale *= den
     upper = {k: _scalar(Fraction(c, scale))
              for k, c in h.items() if k[0] < r}
     lower = {(k[0] - r, k[1]): _scalar(Fraction(-c, scale))

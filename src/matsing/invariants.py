@@ -31,9 +31,8 @@ from functools import cache, cached_property
 from fractions import Fraction
 from typing import List, Optional
 
-from .complexes import (FreeComplex, cone, homology_dimension,
-                        homology_profile, kind_complex, koszul, phi_f,
-                        pullback)
+from .complexes import (FreeComplex, cone, homology_dimension, kind_complex,
+                        koszul, phi_f, pullback)
 from .groebner import (GLOBAL, INFINITE, LOCAL, ModuleBasis,
                        _contained, _extended, _leads_divided_by,
                        quotient_dimension, step_limit, syzygies)
@@ -162,14 +161,14 @@ def tau_matrix(fam: MatrixFamily, flavour: str = "special"):
 def tangent_module(fam: MatrixFamily, flavour: str) -> ModuleBasis:
     """The tangent space itself, as a module basis."""
     gens = [tuple(flatten(fam.kind, fam.partial(i))) for i in range(fam.m)]
-    gens += _lie_images(fam, flavour)
+    gens += _lie_images(fam.kind, fam.entries, flavour)
     return ModuleBasis._of(space_dim(fam.kind, fam.n), gens, LOCAL)
 
 
 def betti_numbers(fam: MatrixFamily) -> list:
     """Homology dimensions of the kind-appropriate complex of the family,
-    in degrees 0..length."""
-    return homology_profile(kind_complex(fam))
+    in degrees 0..length, as analyze reports them."""
+    return _Analysis(fam).betti
 
 
 def corank_at_origin(fam: MatrixFamily) -> int:
@@ -373,24 +372,35 @@ class _Analysis:
                 else quotient_dimension(self.tangent_general))
 
     @cached_property
+    def complex(self) -> FreeComplex:
+        """A resolution of the target pulled back along fmap, built once:
+        a family's own kind complex, which equals the pulled-back generic
+        one and is cheaper to get; for a section the pulled-back Koszul
+        complex of the partials of f, or their presentation when f is not
+        isolated.  Either way d_1 is the row of the pulled-back partials of
+        f, up to units and signs."""
+        if self.fam is not None:
+            return kind_complex(self.fam)
+        if self.target_isolated:
+            return pullback(koszul(self.f), self.fmap)
+        return pullback(function_presentation(self.f), self.fmap)
+
+    @cached_property
     def codim(self):
-        """Colength of the pulled-back partials of f.  For a family these
-        are the submaximal minors (sub-Pfaffians) up to units."""
-        gens = [(substitute(partial(self.f, i), self.fmap),)
-                for i in range(self.f.nvars)]
-        return quotient_dimension(ModuleBasis(1, gens, LOCAL))
+        """Colength of the pulled-back partials of f: H_0 of the complex,
+        O modulo the entries of d_1.  For a family these are the
+        submaximal minors (sub-Pfaffians) up to units.  It stacks d_1 only,
+        so a check that needs codim alone builds no higher stack."""
+        return homology_dimension(self.complex, 0)
 
     @cached_property
     def betti(self) -> list:
-        """Homology of a resolution of the target pulled back along fmap.
-        A family builds its kind complex from its own entries: that equals
-        the pulled-back generic one and is cheaper to get."""
-        if self.fam is not None:
-            return betti_numbers(self.fam)
-        if self.target_isolated:
-            return homology_profile(pullback(koszul(self.f), self.fmap))
-        pulled = pullback(function_presentation(self.f), self.fmap)
-        return [homology_dimension(pulled, k) for k in (0, 1)]
+        """Homology of the complex in degrees 0..length, or 0 and 1 for the
+        presentation of a non-isolated target; H_0 is codim."""
+        c = self.complex
+        top = c.length if self.fam is not None or self.target_isolated else 1
+        return [self.codim] + [homology_dimension(c, k)
+                               for k in range(1, top + 1)]
 
     # identity checks
 

@@ -258,7 +258,8 @@ class PolyMatrix:
 
 def _minors(m: PolyMatrix) -> Callable[[tuple, tuple], Poly]:
     """Determinants of the square submatrices of m, by expansion along the
-    first row, all sharing one memo keyed by (rows, cols)."""
+    first row, all sharing one memo keyed by (rows, cols).  A constant
+    factor of a product acts as a scalar (see _product)."""
     nv = m.nvars
     memo: dict = {}
 
@@ -277,7 +278,8 @@ def _minors(m: PolyMatrix) -> Callable[[tuple, tuple], Poly]:
             e = row[c]
             if not e.terms:
                 continue
-            term = e * minor(rows[1:], cols[:pos] + cols[pos + 1:])
+            term = _product(e, _scalar(e),
+                            minor(rows[1:], cols[:pos] + cols[pos + 1:]))
             acc = acc + term if pos % 2 == 0 else acc - term
         memo[key] = acc
         return acc
@@ -295,18 +297,24 @@ def determinant(m: PolyMatrix) -> Poly:
 
 def adjugate(m: PolyMatrix) -> PolyMatrix:
     """The transposed cofactor matrix; adjugate(m) @ m = det(m) * I.
-    All n^2 cofactors share one minor memo."""
+    All cofactors share one minor memo.  The adjugate of a symmetric m is
+    symmetric, so then only the cofactors with i <= j are expanded."""
     if not m.is_square():
         raise ValueError("adjugate of a non-square matrix")
     n = m.rows
+    ent = m.entries
+    symmetric = all(ent[i][j] == ent[j][i]
+                    for i in range(n) for j in range(i + 1, n))
     minor = _minors(m)
     out = [[Poly.zero(m.nvars)] * n for _ in range(n)]
     for i in range(n):
         rows = tuple(k for k in range(n) if k != i)
-        for j in range(n):
+        for j in range(i if symmetric else 0, n):
             c = minor(rows, tuple(k for k in range(n) if k != j))
             out[j][i] = c if (i + j) % 2 == 0 else -c
-    return PolyMatrix(out, m.nvars)
+            if symmetric:
+                out[i][j] = out[j][i]
+    return PolyMatrix._of(out, m.nvars, n)
 
 
 def _check_skew(m: PolyMatrix) -> None:
@@ -323,7 +331,8 @@ def _check_skew(m: PolyMatrix) -> None:
 def _pfaffians(m: PolyMatrix) -> Callable[[tuple], Poly]:
     """Pfaffians of the principal submatrices of a skew m on increasing
     index tuples, all sharing one memo.  Expansion along the first index:
-      Pf = sum_j (-1)^j m[i0, i_j] Pf(m with rows/cols i0, i_j removed).
+      Pf = sum_j (-1)^j m[i0, i_j] Pf(m with rows/cols i0, i_j removed),
+    a constant factor of a product acting as a scalar (see _product).
     """
     nv = m.nvars
     memo: dict = {}
@@ -341,7 +350,7 @@ def _pfaffians(m: PolyMatrix) -> Callable[[tuple], Poly]:
             e = m.entries[i0][j]
             if not e.terms:
                 continue
-            term = e * pf(rest[:pos] + rest[pos + 1:])
+            term = _product(e, _scalar(e), pf(rest[:pos] + rest[pos + 1:]))
             acc = acc + term if pos % 2 == 0 else acc - term
         memo[indices] = acc
         return acc
@@ -543,30 +552,49 @@ def _trace_times(m: PolyMatrix, b: tuple) -> Poly:
                _times(m.entries[j][i], c))
 
 
-def _coords(kind: str, d: dict, n: int, nvars: int, twin: int = 0) -> list:
+@cache
+def _targets(kind: str, n: int, twin: int) -> dict:
+    """(i, j) -> the (coordinate, factor) pairs that entry (i, j) of d adds
+    to in the coordinates of d + twin d^T (see _coords): the coordinate
+    read at (i, j) (see flatten) with factor 1, and the one read at (j, i)
+    with factor twin."""
+    at = {b[0][:2]: pos for pos, b in enumerate(_sparse_basis(kind, n))}
+    return {(i, j): tuple((at[key], c) for key, c in (((i, j), 1),
+                                                      ((j, i), twin))
+                          if c and key in at)
+            for i in range(n) for j in range(n)}
+
+
+def _coords(kind: str, d: dict, n: int, z, twin: int = 0) -> list:
     """Coordinates of d + twin d^T in the basis of kind's space, for a
-    sparse matrix d that is kind's own once twin d^T is added."""
-    z = Poly.zero(nvars)
-    out = []
-    for (i, j, _), *_ in _sparse_basis(kind, n):
-        p, q = d.get((i, j), z), twin and d.get((j, i))
-        out.append((p + q if twin == 1 else p - q) if q else p)
+    sparse matrix d that is kind's own once twin d^T is added; z is the
+    zero of its entries.  Only the entries of d are visited."""
+    to = _targets(kind, n, twin)
+    out = [z] * space_dim(kind, n)
+    for key, p in d.items():
+        for pos, c in to[key]:
+            q = p if c == 1 else _times(p, c)
+            out[pos] = out[pos] + q if out[pos].terms else q
     return out
 
 
-def _sl_coords(d: dict, n: int, nvars: int, centred: bool = False) -> list:
-    """sl_coords of a sparse matrix d, or with centred of d - trace(d)/n I.
-    Raises if the trace is not identically zero."""
-    z = Poly.zero(nvars)
-    diag = [d.get((i, i), z) for i in range(n)]
+def _sl_coords(d: dict, n: int, z, centred: bool = False) -> list:
+    """sl_coords of a sparse matrix d with zero z, or with centred of
+    d - trace(d)/n I.  Raises if the trace is not identically zero."""
+    out = [z] * (n * n - n)
+    diag = [z] * n
+    for (i, j), p in d.items():
+        if i == j:
+            diag[i] = p
+        else:
+            out[i * (n - 1) + j - (j > i)] = p  # row-major, diagonal skipped
     if centred:
         t = sum(diag, z) * Fraction(1, n)
         diag = [p - t for p in diag]
     sums = list(accumulate(diag))
-    if sums and not sums[-1].is_zero():
+    if sums and sums[-1].terms:
         raise ValueError("matrix has nonzero trace")
-    return ([d.get((i, j), z) for i in range(n) for j in range(n) if i != j]
-            + sums[:-1])
+    return out + sums[:-1]
 
 
 def sl_coords(m: PolyMatrix) -> List[Poly]:
@@ -574,23 +602,26 @@ def sl_coords(m: PolyMatrix) -> List[Poly]:
     then the n-1 leading partial sums of the diagonal.  Raises if the trace
     is not identically zero."""
     return _sl_coords({(i, j): p for i, r in enumerate(m.entries)
-                       for j, p in enumerate(r)}, m.rows, m.nvars)
+                       for j, p in enumerate(r)}, m.rows, Poly.zero(m.nvars))
 
 
-def _lie_images(fam: MatrixFamily, flavour: str) -> list:
-    """Flattened images of the Lie-algebra action on the family matrix S,
+def _lie_images(kind: str, s: PolyMatrix, flavour: str, z=None) -> list:
+    """Flattened images of the Lie-algebra action on a matrix S of kind,
     over the basis of sl (flavour 'special') or of gl ('general'):
     A^t S + S A for symmetric and skew S, which is S A plus or minus its
-    transpose, and for general S first every A S, then every S B."""
+    transpose, and for general S first every A S, then every S B.  z is
+    the zero entry, by default the zero Poly of S's ring."""
     if flavour not in ("special", "general"):
         raise ValueError(f"unknown flavour {flavour!r}")
-    kind, n, nv, s = fam.kind, fam.n, fam.m, fam.entries
+    n = s.rows
+    if z is None:
+        z = Poly.zero(s.nvars)
     basis = _sparse_basis("sl" if flavour == "special" else "general", n)
     if kind == "general":
-        return [tuple(_coords(kind, _placed(b, s, left), n, nv))
+        return [tuple(_coords(kind, _placed(b, s, left), n, z))
                 for left in (True, False) for b in basis]
     twin = 1 if kind == "symmetric" else -1
-    return [tuple(_coords(kind, _placed(a, s, False), n, nv, twin))
+    return [tuple(_coords(kind, _placed(a, s, False), n, z, twin))
             for a in basis]
 
 

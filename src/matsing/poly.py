@@ -163,9 +163,6 @@ class Poly:
     def constant_term(self) -> Fraction:
         return Fraction(self.terms.get((0,) * self.nvars, 0))
 
-    def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
-
     def coefficient(self, exp: Sequence[int]) -> Fraction:
         return Fraction(self.terms.get(tuple(exp), 0))
 
@@ -274,8 +271,7 @@ class SubstitutionMap:
     Maps used as germs at the origin usually satisfy images[i](0) = 0, but
     this is not forced: families may translate the base point (constant
     blocks, constant components), and pulling back a complex through such
-    a map is still well defined.  ``preserves_origin`` reports the property
-    for callers that require it.
+    a map is still well defined.
 
     The map memoises the expanded image of every target monomial that
     ``substitute`` has pulled back through it, so every pullback along one
@@ -306,14 +302,6 @@ class SubstitutionMap:
     @property
     def target_nvars(self) -> int:
         return len(self.images)
-
-    @property
-    def preserves_origin(self) -> bool:
-        return all(p.constant_term() == 0 for p in self.images)
-
-    def compose(self, inner: "SubstitutionMap") -> "SubstitutionMap":
-        """The map x -> self(inner(x))."""
-        return SubstitutionMap([substitute(p, inner) for p in self.images])
 
     def jacobian_column(self, i: int) -> tuple[Poly, ...]:
         """Partials of all components with respect to source variable i."""

@@ -10,7 +10,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 import random
 
-from matsing import Poly, PolyMatrix
+from matsing import Poly, PolyMatrix, SubstitutionMap
+from matsing.poly import substitute
 
 
 def is_canonical(p):
@@ -19,6 +20,21 @@ def is_canonical(p):
     return all(type(c) is int and c != 0
                or type(c) is Fraction and c.denominator > 1
                for c in p.terms.values())
+
+
+def is_constant(p):
+    """Whether the Poly p has no term of positive degree."""
+    return all(sum(e) == 0 for e in p.terms)
+
+
+def compose(outer, inner):
+    """The SubstitutionMap x -> outer(inner(x))."""
+    return SubstitutionMap([substitute(p, inner) for p in outer.images])
+
+
+def preserves_origin(f):
+    """Whether every image of the SubstitutionMap f vanishes at 0."""
+    return all(p.constant_term() == 0 for p in f.images)
 
 
 def transpose(m):

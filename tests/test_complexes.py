@@ -26,6 +26,7 @@ from matsing import (
     verify_chain_map,
     verify_complex,
 )
+from matsing.complexes import _template
 from matsing.families import catalog, parse_family
 from matsing.groebner import (GLOBAL, LOCAL, ModuleBasis, member, modulo,
                               quotient_dimension, syzygies, syzygies_of_basis)
@@ -153,13 +154,29 @@ def test_normal_forms_are_pullbacks_of_the_generic_objects(name, n):
     assert kind_complex(fam) == pullback(kind_complex(generic), fmap)
     for flavour in ("special", "general"):
         pulled = [tuple(substitute(p, fmap) for p in v)
-                  for v in _lie_images(generic, flavour)]
-        assert _lie_images(fam, flavour) == pulled, flavour
+                  for v in _lie_images(fam.kind, generic.entries, flavour)]
+        assert _lie_images(fam.kind, fam.entries, flavour) == pulled, \
+            flavour
+
+
+# Families with rational entries, with entries that do not vanish at 0, and
+# of sizes 1 (symmetric, general) and 2 (skew).
+_EDGE_FAMILIES = [
+    "kind=symmetric; vars=x,y; matrix=[[1/2*x,y],[y,1/3*x^2]]",
+    "kind=general; vars=x,y; matrix=[[2/3*x,y],[-1/2*y,x^2+1/5*y]]",
+    "kind=skew; vars=x1..x4; upper=[[1/2*x1,x2,x3],[x4,-1/3*x2],[x1]]",
+    "kind=symmetric; vars=x,y; matrix=[[x+1,y],[y,x^2-2]]",
+    "kind=general; vars=x,y,z; matrix=[[1,x+y],[z,x^2+3]]",
+    "kind=skew; vars=x1..x4; upper=[[x1+1,x2,x3],[x4,-x2],[x1+2]]",
+    "kind=symmetric; vars=x; matrix=[[x^2]]",
+    "kind=general; vars=x,y; matrix=[[x*y+y^3]]",
+    "kind=skew; vars=x,y; upper=[[x+y^2]]",
+]
 
 
 def _placement_cases():
-    """Catalog entries and seeded draws of symmetric and general n = 2..4
-    and skew n = 4, 6."""
+    """Catalog entries, the edge families above and seeded draws of
+    symmetric and general n = 2..4 and skew n = 4, 6."""
     for name, params in (("generic-sym-2", {}), ("generic-gen-2", {}),
                          ("generic-skew-4", {}), ("diag-sym", {"a": (2, 3, 1)})):
         yield (name, params), catalog(name, **params).to_family()
@@ -168,7 +185,7 @@ def _placement_cases():
                         ("normal-form-skew", (4, 6))):
         for n in sizes:
             yield (name, n), catalog(name, n=n).to_family()
-    for text in _PENCILS:
+    for text in _PENCILS + _EDGE_FAMILIES:
         yield text, parse_family(text).to_family()
     rng = random.Random(2021)
     for kind, sizes in (("symmetric", (2, 3, 4)), ("general", (2, 3, 4)),
@@ -179,14 +196,26 @@ def _placement_cases():
                                                rng.choice((1, 2, 3)))
 
 
-def test_placed_resolutions_and_lie_images_match_the_products():
-    # The library places rows and columns of S by the entries of each basis
-    # matrix; the references multiply the written-out basis matrices.  The
-    # Polys are canonical, so equal matrices mean equal entries.
-    for label, fam in _placement_cases():
+def test_templated_resolutions_match_the_products():
+    # The library evaluates one template per (kind, n), derived from the
+    # formulas on linear forms; the references multiply out the written-out
+    # basis matrices with the family's own S and companion.  The Polys are
+    # canonical, so equal matrices mean equal entries.  Two passes in
+    # opposite orders, from an empty template cache: the first derives each
+    # template on some family of its (kind, n), and the second reuses every
+    # template on the others.
+    cases = list(_placement_cases())
+    _template.cache_clear()
+    for label, fam in cases + cases[::-1]:
         assert kind_complex(fam) == kind_complex_by_products(fam), label
+
+
+def test_placed_lie_images_match_the_products():
+    # The Lie images place rows and columns of S by the entries of each
+    # basis matrix; the references multiply out the basis matrices.
+    for label, fam in _placement_cases():
         for flavour in ("special", "general"):
-            assert _lie_images(fam, flavour) \
+            assert _lie_images(fam.kind, fam.entries, flavour) \
                 == lie_images_by_products(fam, flavour), (label, flavour)
 
 

@@ -37,7 +37,7 @@ from matsing import (
 from matsing.groebner import GLOBAL, _contained, _standard, syzygies
 from matsing.invariants import (CheckRecord, InvariantReport, _Analysis,
                                  _jsonable, _lie_images)
-from matsing.poly import partial
+from matsing.poly import partial, substitute
 
 from conftest import budget
 from oracle import jet_milnor, jet_tjurina, random_poly
@@ -150,7 +150,8 @@ def test_generic_log_fields_match_lie_algebra_images(kind, n):
     f = fam.function()
     for fields, flavour in ((der_log_f(f), "special"),
                             (der_log_V(f), "general")):
-        images = ModuleBasis(f.nvars, _lie_images(fam, flavour), GLOBAL)
+        images = ModuleBasis(f.nvars, _lie_images(kind, fam.entries, flavour),
+                             GLOBAL)
         assert groebner_basis(fields).generators \
             == groebner_basis(images).generators, flavour
 
@@ -335,10 +336,54 @@ def _minors_colength(fam):
     return quotient_dimension(minors_ideal(fam, size))
 
 
+def _pulled_partials_colength(subject):
+    """The local colength of the partials of the target pulled back along
+    the map, computed on its own, away from any complex."""
+    ctx = _Analysis(subject)
+    gens = [(substitute(partial(ctx.f, i), ctx.fmap),)
+            for i in range(ctx.f.nvars)]
+    return quotient_dimension(ModuleBasis(1, gens, LOCAL))
+
+
+def test_codim_is_h0_of_the_complex_behind_betti(rng):
+    # analyze reads codim_minors off H_0 of the complex whose homology is
+    # betti: O modulo the entries of d_1, the pulled-back partials of the
+    # target.  The local colength of those partials is the other route.
+    subjects = [catalog(name).subject() for name in (
+        "generic-sym-2", "generic-gen-2", "generic-skew-4",
+        "remark-4-8-iii", "cross-ratio-example")]
+    subjects += [catalog(name, n=3).to_family()
+                 for name in ("normal-form-sym", "normal-form-gen")]
+    subjects.append(catalog("diag-sym", a=(1, 2, 3)).to_family())
+    subjects += [parse_family(text).to_family() for text in _PENCILS]
+    for kind, n, m in (("symmetric", 2, 1), ("symmetric", 2, 2),
+                       ("general", 2, 2), ("skew", 4, 2)):
+        subjects += [random_family(rng, kind, n, m) for _ in range(2)]
+    for subject in subjects:
+        rep = analyze(subject)
+        assert rep.codim_minors == rep.betti[0] \
+            == _pulled_partials_colength(subject), subject
+
+
+def test_codim_alone_stacks_only_d1():
+    # H_0 needs the stacks of d_0 and d_1 only; betti then adds the others
+    # to the same complex and takes H_0 from codim.
+    for name, codim in (("generic-skew-4", 1), ("cross-ratio-example", 8)):
+        ctx = _Analysis(catalog(name).subject())
+        assert ctx.codim == codim, name
+        assert sorted(ctx.complex._column_stacks) == [0, 1], name
+        stacks = dict(ctx.complex._column_stacks)
+        assert ctx.betti[0] == ctx.codim
+        assert sorted(ctx.complex._column_stacks) \
+            == list(range(ctx.complex.length + 1)), name
+        assert all(ctx.complex._column_stacks[k] is st
+                   for k, st in stacks.items()), name
+
+
 def test_codim_matches_minors_ideal(rng):
-    # analyze takes codim_minors from the pulled-back partials of the
-    # generic det/Pf; the ideal of submaximal minors (sub-Pfaffians) is the
-    # independent route.
+    # analyze takes codim_minors from H_0 of the family's kind complex, O
+    # modulo the entries of d_1; the ideal of submaximal minors
+    # (sub-Pfaffians) is the independent route.
     pencils = [
         "kind=symmetric; vars=x,y; matrix=[[x,y],[y,x^2]]",
         "kind=general; vars=x,y,z; matrix=[[x,y],[z,x^2]]",
