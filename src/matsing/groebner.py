@@ -17,21 +17,24 @@ global stacked completion (_Stack): localisation is flat, so global
 generators of a syzygy or colon module generate it locally too, and local
 membership of v in M takes its unit from the colon M : v (see member).
 
-Vectors in a free module O^r are stored flat as dicts keyed by
-(component, L), which keeps division and s-vector code identical for the
-ideal case (r = 1) and the module case.  L packs the monomial x^e of n
-variables into one int,
+Vectors in a free module O^r are stored flat as dicts keyed by one int per
+term, which keeps division and s-vector code identical for the ideal case
+(r = 1) and the module case.  The key of the term x^e in component c of
+n variables is
 
-    L(e) = s |e| 2^(nF) + sum_i e_i 2^(iF),    F = 32,
+    K(c, e) = c 2^((n+1)F) + D(|e|) 2^(nF) + sum_i e_i 2^(iF),    F = 32,
 
-with s = -1 under the global order and s = +1 under the local one
-(Bachmann-Schoenemann, Monomial representations for Groebner bases
-computations, ISSAC 1998).  L is additive, and a smaller (component, L)
-is a larger term under either order, so the leading term of a flat is its
-min, a monomial product or quotient is a sum or difference of keys, x^a
-divides x^b exactly when b - a borrows from no exponent field (the top
-bit of every field stays clear), and the degree reads back as
-s (L >> nF).  Exponents are decoded only at the Poly boundary
+with the degree field D(d) = 2^31 - d under the global order and
+D(d) = d under the local one (after Bachmann-Schoenemann, Monomial
+representations for Groebner bases computations, ISSAC 1998).  The
+component sits in the top field, so a smaller key is a larger term under
+position-over-term with either order, and the leading term of a flat is
+its min.  The difference of two keys of one component is the key of a
+monomial quotient (component 0, degree field the plain difference), and
+adding it to a key multiplies that term by the monomial: x^a divides x^b
+in one component exactly when K(c, b) - K(c, a) borrows from no exponent
+field (the top bit of every field stays clear).  Only _Encoding reads or
+writes the fields; exponents are decoded only at the Poly boundary
 (flatten_vector, unflatten_vector) and for the leading terms of basis
 elements.  The fields hold every exponent only while every degree stays
 below 2^31: that is checked when a Poly is packed, at each division step
@@ -81,8 +84,7 @@ from .poly import (ExpVec, Poly, Scalar, _Record, _scalar, exp_divides,
                    exp_lcm)
 
 Vector = Tuple[Poly, ...]
-FlatKey = Tuple[int, int]  # (component, packed monomial)
-Flat = dict
+Flat = dict[int, Scalar]  # term key (see _Encoding) -> coefficient
 
 
 class _Infinite:
@@ -157,8 +159,8 @@ class MonomialOrder:
 
     Orders are exposed as key functions: larger key means larger monomial,
     so the leading term of a nonzero object is the max of the keys.  The
-    division code packs monomials into ints instead (see _Encoding), which
-    orders them the same way, reversed.
+    division code packs each term, component included, into one int
+    instead (see _Encoding), which orders terms the same way, reversed.
     """
 
     KINDS = ("degrevlex-global", "negdegrevlex-local")
@@ -197,10 +199,11 @@ GLOBAL = MonomialOrder("degrevlex-global")
 LOCAL = MonomialOrder("negdegrevlex-local")
 
 
-# -- packed monomials and flat vectors -----------------------------------------
+# -- packed terms and flat vectors --------------------------------------------
 
-_FIELD = 32  # bits per exponent field
+_FIELD = 32  # bits per exponent field and of the degree field
 _DEGREE_BOUND = 1 << (_FIELD - 1)  # every degree must stay below this
+_DEGREE_MASK = (1 << _FIELD) - 1
 
 
 def _check_degree(d: int) -> None:
@@ -210,35 +213,70 @@ def _check_degree(d: int) -> None:
 
 
 class _Encoding:
-    """The packed keys of the monomials in nvars variables under one order
-    (see the module docstring): local says whether s = +1, shift = nF is
-    the bit offset of the degree field, low the mask of the exponent fields
-    and high that of their top bits.  One instance per (nvars, order), from
-    _encoding."""
+    """The term keys of free modules over nvars variables under one order
+    (see the module docstring), and the one place that reads or writes
+    their fields.  local says whether D(d) = d, shift = nF is the bit
+    offset of the degree field and cshift = (n + 1)F that of the
+    component, low is the mask of the exponent fields and high that of
+    their top bits.  One instance per (nvars, order), from _encoding."""
 
-    __slots__ = ("nvars", "local", "shift", "low", "high", "_struct")
+    __slots__ = ("nvars", "local", "shift", "cshift", "low", "high", "_struct")
 
     def __init__(self, nvars: int, local: bool):
         self.nvars = nvars
         self.local = local
         self.shift = nvars * _FIELD
+        self.cshift = self.shift + _FIELD
         self.low = (1 << self.shift) - 1
         self.high = sum(1 << (i * _FIELD + _FIELD - 1) for i in range(nvars))
         self._struct = Struct(f"<{nvars}I")
 
-    def pack(self, exp: ExpVec) -> int:
+    def pack(self, exp: ExpVec, comp: int = 0) -> int:
         d = sum(exp)
         _check_degree(d)
         return (int.from_bytes(self._struct.pack(*exp), "little")
-                + ((d if self.local else -d) << self.shift))
+                + ((d if self.local else _DEGREE_BOUND - d) << self.shift)
+                + (comp << self.cshift))
 
     def unpack(self, key: int) -> ExpVec:
         return self._struct.unpack(
             (key & self.low).to_bytes(4 * self.nvars, "little"))
 
+    def component(self, key: int) -> int:
+        return key >> self.cshift
+
     def degree(self, key: int) -> int:
-        d = key >> self.shift
-        return d if self.local else -d
+        d = (key >> self.shift) & _DEGREE_MASK
+        return d if self.local else _DEGREE_BOUND - d
+
+    def base(self, comp: int) -> int:
+        """A bound below every key of comp and above every key of a lower
+        component; a key minus base(r) is the same term r components lower."""
+        return comp << self.cshift
+
+    def unit(self, comp: int) -> int:
+        return self.pack((0,) * self.nvars, comp)
+
+    def maxdeg(self, flat: Flat) -> int:
+        fields = [(key >> self.shift) & _DEGREE_MASK for key in flat]
+        return max(fields) if self.local else _DEGREE_BOUND - min(fields)
+
+    def below(self, flat: Flat, d: int) -> Flat:
+        """The terms of flat of degree < d, by their degree fields."""
+        shift = self.shift
+        if self.local:
+            return {k: c for k, c in flat.items()
+                    if (k >> shift) & _DEGREE_MASK < d}
+        least = _DEGREE_BOUND - d
+        return {k: c for k, c in flat.items()
+                if (k >> shift) & _DEGREE_MASK > least}
+
+    def localized(self, flat: Flat) -> Flat:
+        """flat, packed by this global encoding, re-keyed for the local one:
+        D(d) = 2^31 - d becomes d."""
+        shift = self.shift
+        return {k + ((_DEGREE_BOUND - 2 * ((k >> shift) & _DEGREE_MASK))
+                     << shift): c for k, c in flat.items()}
 
 
 def _encoding(nvars: Optional[int], order: MonomialOrder) -> _Encoding:
@@ -251,47 +289,30 @@ _encoding_of = cache(_Encoding)
 
 
 def flatten_vector(vec: Sequence[Poly], enc: _Encoding) -> Flat:
-    out: Flat = {}
     pack = enc.pack
-    for comp, p in enumerate(vec):
-        for exp, coeff in p.terms.items():
-            out[(comp, pack(exp))] = coeff
-    return out
+    return {pack(exp, comp): coeff
+            for comp, p in enumerate(vec) for exp, coeff in p.terms.items()}
 
 
 def unflatten_vector(flat: Flat, rank: int, enc: _Encoding) -> Vector:
     per_comp: list[dict] = [dict() for _ in range(rank)]
-    unpack = enc.unpack
-    for (comp, key), coeff in flat.items():
-        per_comp[comp][unpack(key)] = coeff
+    for key, coeff in flat.items():
+        per_comp[enc.component(key)][enc.unpack(key)] = coeff
     return tuple(Poly._of(enc.nvars, t) for t in per_comp)
 
 
-def _leading(flat: Flat) -> tuple[FlatKey, Scalar]:
-    """The leading term and its coefficient: the least key, which is the
-    largest term under order.module_key."""
+def _leading(flat: Flat) -> tuple[int, Scalar]:
+    """The key of the leading term and its coefficient: the least key,
+    which is the largest term under order.module_key, component first."""
     lt = min(flat)
     return lt, flat[lt]
 
 
-def _maxdeg(flat: Flat, enc: _Encoding) -> int:
-    if enc.local:
-        return max(key for _, key in flat) >> enc.shift
-    return -(min(key for _, key in flat) >> enc.shift)
-
-
-def _below(flat: Flat, enc: _Encoding, d: int) -> Flat:
-    """The terms of flat of degree < d: one comparison of each key with
-    the least (global) or greatest (local) key of degree d - 1."""
-    if enc.local:
-        return {k: c for k, c in flat.items() if k[1] < (d << enc.shift)}
-    return {k: c for k, c in flat.items() if k[1] >= ((1 - d) << enc.shift)}
-
-
 def _scale_into(dst: Flat, src: Flat, coeff: int, shift: int) -> None:
-    """dst += coeff * x^shift * src, in place; shift is a packed key."""
-    for (comp, key), c in src.items():
-        k = (comp, key + shift)
+    """dst += coeff * x^shift * src, in place; shift is the key of the
+    monomial x^shift, a difference of two keys of one component."""
+    for k, c in src.items():
+        k += shift
         s = dst.get(k)
         if s is None:
             dst[k] = coeff * c
@@ -318,20 +339,21 @@ def _integral(flat: Flat) -> tuple[Flat, int]:
 
 class _Gen:
     """A basis element with its cached leading data; lead, if given, is
-    the (leading term, leading coefficient) of flat.  exp is the decoded
-    exponent of the leading term and deg its degree.  top is the degree
-    flat is homogenised to (by default its top degree), and ecart =
-    top - deg the t-power of the leading term there."""
+    the (leading term, leading coefficient) of flat.  comp is the
+    component of the leading term, exp its decoded exponent and deg its
+    degree.  top is the degree flat is homogenised to (by default its top
+    degree), and ecart = top - deg the t-power of the leading term there."""
 
-    __slots__ = ("flat", "lt", "lc", "exp", "deg", "top", "ecart")
+    __slots__ = ("flat", "lt", "lc", "comp", "exp", "deg", "top", "ecart")
 
     def __init__(self, flat: Flat, enc: _Encoding, lead=None,
                  deg: Optional[int] = None):
         self.flat = flat
         self.lt, self.lc = lead or _leading(flat)
-        self.exp = enc.unpack(self.lt[1])
+        self.comp = enc.component(self.lt)
+        self.exp = enc.unpack(self.lt)
         self.deg = sum(self.exp)
-        self.top = _maxdeg(flat, enc) if deg is None else deg
+        self.top = enc.maxdeg(flat) if deg is None else deg
         self.ecart = self.top - self.deg
 
 
@@ -425,23 +447,22 @@ def _normal_form(f: Flat, gens: list, enc: _Encoding,
     high = enc.high
     if below is not None:
         _check_degree(below - 1)  # the degree of every term formed
-        h = _below(h, enc, below)
+        h = enc.below(h, below)
     elif local and deg is None:
-        deg = _maxdeg(h, enc)
+        deg = enc.maxdeg(h)
     while h:
         lt = min(h)
-        comp, key = lt
+        comp = enc.component(lt)
         g = None
         for cand in gens:
-            gc, gk = cand.lt
-            if gc != comp or (key - gk) & high:
+            if cand.comp != comp or (lt - cand.lt) & high:
                 continue
             if g is None or cand.ecart < ecart:
                 g, ecart = cand, cand.ecart
         counter.tick()
         if g is None:
             break
-        degree = enc.degree(key)
+        degree = enc.degree(lt)
         if local and ecart > deg - degree:
             break
         terms = g.flat
@@ -449,7 +470,7 @@ def _normal_form(f: Flat, gens: list, enc: _Encoding,
         if below is None:
             _check_degree(dshift + g.top)
         else:
-            terms = _below(terms, enc, below - dshift)
+            terms = enc.below(terms, below - dshift)
         # h <- a*h - b*x^shift*g, which is a times h - (lc/g.lc)*x^shift*g.
         lc = h[lt]
         d = gcd(lc, g.lc)
@@ -458,7 +479,7 @@ def _normal_form(f: Flat, gens: list, enc: _Encoding,
             scale *= a
             for k in h:
                 h[k] *= a
-        _scale_into(h, terms, -b, key - g.lt[1])
+        _scale_into(h, terms, -b, lt - g.lt)
     return h, scale
 
 
@@ -466,11 +487,11 @@ def _normal_form(f: Flat, gens: list, enc: _Encoding,
 
 def _spair(gi: _Gen, gj: _Gen, lcm: int) -> Flat:
     """The s-vector of two elements with the same leading component and
-    the packed lcm of their leading terms, cross-multiplied to stay
+    the key of the lcm of their leading terms, cross-multiplied to stay
     denominator free."""
     out: Flat = {}
-    _scale_into(out, gi.flat, gj.lc, lcm - gi.lt[1])
-    _scale_into(out, gj.flat, -gi.lc, lcm - gj.lt[1])
+    _scale_into(out, gi.flat, gj.lc, lcm - gi.lt)
+    _scale_into(out, gj.flat, -gi.lc, lcm - gj.lt)
     return out
 
 
@@ -494,7 +515,6 @@ class _Completion:
     def __init__(self, enc: _Encoding, ambient_rank: int,
                  counter: _Counter, paired_rank: Optional[int] = None):
         self.enc = enc
-        self.local = enc.local
         self.ambient_rank = ambient_rank
         self.counter = counter
         self.paired_rank = ambient_rank if paired_rank is None else paired_rank
@@ -510,11 +530,11 @@ class _Completion:
         g = _normalized(flat, self.enc, deg)
         k = len(gens)
         gens.append(g)
-        comp = g.lt[0]
+        comp = g.comp
         if comp >= self.paired_rank:
             return
         for i, gi in enumerate(gens[:k]):
-            if gi.lt[0] != comp:
+            if gi.comp != comp:
                 continue
             lcm = exp_lcm(gi.exp, g.exp)
             d = sum(lcm)
@@ -548,19 +568,19 @@ class _Completion:
             if flat:
                 self.add(_integral(flat)[0])
         gens, pairs, treated = self.gens, self.pairs, self.treated
-        enc, local = self.enc, self.local
-        high = enc.high
+        enc = self.enc
+        local, high = enc.local, enc.high
         while pairs:
             self.counter.tick()
             deg, comp, lcm, i, j = heappop(pairs)
             treated.add((i, j))
-            packed, lcm_deg = enc.pack(lcm), sum(lcm)
+            packed, lcm_deg = enc.pack(lcm, comp), sum(lcm)
             # Classical chain criterion: skip if some third leading term
             # divides the lcm, t-part included, and both side pairs were
             # already handled.
             for k, gk in enumerate(gens):
-                if (k != i and k != j and gk.lt[0] == comp
-                        and not (packed - gk.lt[1]) & high
+                if (k != i and k != j and gk.comp == comp
+                        and not (packed - gk.lt) & high
                         and not (local and gk.ecart > deg - lcm_deg)
                         and (min(i, k), max(i, k)) in treated
                         and (min(j, k), max(j, k)) in treated):
@@ -626,9 +646,9 @@ def _leads_divided_by(basis: ModuleBasis, by: ModuleBasis) -> bool:
     equal, in the local ring under a local order (Greuel-Pfister, A
     Singular Introduction to Commutative Algebra, 1.6 and 2.3)."""
     high = _encoding(basis.nvars, basis.order).high
-    divisors = [g.lt for g in _standard(by)[0]]
-    return all(any(c == gc and not (key - gk) & high for c, gk in divisors)
-               for gc, key in (g.lt for g in _standard(basis)[0]))
+    divisors = _standard(by)[0]
+    return all(any(g.comp == d.comp and not (g.lt - d.lt) & high
+                   for d in divisors) for g in _standard(basis)[0])
 
 
 def _contained(vectors: Sequence[Vector], basis: ModuleBasis,
@@ -654,8 +674,7 @@ def _lead_interreduce(gens: list, enc: _Encoding) -> list:
     high = enc.high
     keep: list = []
     for g in sorted(gens, key=lambda g: g.deg):
-        comp, key = g.lt
-        if not any(h.lt[0] == comp and not (key - h.lt[1]) & high
+        if not any(h.comp == g.comp and not (g.lt - h.lt) & high
                    for h in keep):
             keep.append(g)
     return keep
@@ -742,7 +761,7 @@ def _colength(gens: list, r: int, nv: int):
         return INFINITE  # all of O^r; for r = 0 the sum below is 0
     lts: list = [[] for _ in range(r)]
     for g in gens:
-        lts[g.lt[0]].append(g.exp)
+        lts[g.comp].append(g.exp)
     total = 0
     counter = _Counter()
     for comp in range(r):
@@ -782,15 +801,16 @@ class _Stack:
     """The module of the (f_j, e_j) in O^(rank + len(flats)), f_j the given
     flats of O^rank and e_j unit vectors, completed under the global order
     in its upper block only: the order is position-over-term with the upper
-    components first, and only elements with an upper leading term are
-    paired.  So upper() is a Groebner basis of the module M of the f_j (and
-    of the seed), each element carrying in its lower block its expression
-    in the f_j; dividing (v, 0) by it until the upper block dies gives a
-    membership certificate for v.  The elements with a vanishing upper
-    block, never paired, are the reduced s-vectors of upper pairs, and by
-    Schreyer's theorem (Greuel-Pfister, A Singular Introduction to
-    Commutative Algebra, 2.5) their lower blocks, relations(), generate all
-    a with (0, a) in the module, locally too.
+    components first (the keys of the upper block lie below enc.base(rank),
+    those of the lower block above it), and only elements with an upper
+    leading term are paired.  So upper() is a Groebner basis of the module
+    M of the f_j (and of the seed), each element carrying in its lower block
+    its expression in the f_j; dividing (v, 0) by it until the upper block
+    dies gives a membership certificate for v.  The elements with a
+    vanishing upper block, never paired, are the reduced s-vectors of upper
+    pairs, and by Schreyer's theorem (Greuel-Pfister, A Singular
+    Introduction to Commutative Algebra, 2.5) their lower blocks,
+    relations(), generate all a with (0, a) in the module, locally too.
 
     standard: a Groebner basis of a submodule N of O^rank, as flats, which
     enters first as the (g, 0), its mutual pairs treated; the relations
@@ -810,7 +830,7 @@ class _Stack:
         for j, flat in enumerate(flats):
             vec, den = _integral(flat)
             vec = dict(vec)
-            vec[(rank + j, 0)] = den  # 0 is the key of the monomial 1
+            vec[enc.unit(rank + j)] = den
             if standard is not None:
                 vec, _ = _normal_form(vec, completion.gens, enc,
                                       completion.counter)
@@ -837,20 +857,21 @@ class _Stack:
         return self
 
     def upper(self) -> list:
-        return [g for g in self.gens if g.lt[0] < self.rank]
+        return [g for g in self.gens if g.comp < self.rank]
 
     def relations(self) -> list:
         """The lower blocks, as flats in O^len(flats): a generating set, not
         lead-interreduced, since that is sound only for a standard basis."""
-        r = self.rank
-        return [{(comp - r, key): c for (comp, key), c in g.flat.items()}
-                for g in self.gens if g.lt[0] >= r]
+        base = self.enc.base(self.rank)
+        return [{k - base: c for k, c in g.flat.items()}
+                for g in self.gens if g.comp >= self.rank]
 
     def modulo(self, flats: list, enc: _Encoding) -> list:
         """Generators of {a : sum a_i z_i in M}, z_i the flats (packed by
         enc) of O^rank: the relations of their stack seeded by the upper
         blocks of upper(), lead-interreduced."""
-        seed = [{k: c for k, c in g.flat.items() if k[0] < self.rank}
+        base = enc.base(self.rank)
+        seed = [{k: c for k, c in g.flat.items() if k < base}
                 for g in _lead_interreduce(self.upper(), enc)]
         return _Stack(flats, self.rank, enc, seed).relations()
 
@@ -924,9 +945,9 @@ def _homology_colength(cycles: _Stack, boundaries: Optional[_Stack]):
     of a matrix whose image B lies in ker(m), or None for B = 0, where the
     answer is 0 or INFINITE.  The relations z_1..z_t of cycles generate
     ker(m), locally too, and the answer is the colength of O^t / R,
-    R = boundaries.modulo(z).  z and R stay flat: R is re-encoded for the
-    local order by its degree fields alone and completed there, counting
-    its own steps against the step limit.
+    R = boundaries.modulo(z).  z and R stay flat: R is re-keyed for the
+    local order (_Encoding.localized rewrites the degree fields alone) and
+    completed there, counting its own steps against the step limit.
     """
     z = cycles.relations()
     if not z:
@@ -936,9 +957,7 @@ def _homology_colength(cycles: _Stack, boundaries: Optional[_Stack]):
     t = len(z)
     relations = boundaries.modulo(z, cycles.enc)
     enc = _encoding(cycles.enc.nvars, LOCAL)
-    shift, low = enc.shift, enc.low
-    local = [{(c, (-(key >> shift) << shift) + (key & low)): v
-              for (c, key), v in flat.items()} for flat in relations]
+    local = [cycles.enc.localized(flat) for flat in relations]
     return _colength(_complete(local, enc, t, _Counter()).standard()[0], t,
                      enc.nvars)
 
@@ -997,10 +1016,10 @@ def member(vec, basis: ModuleBasis) -> MemberResult:
     flat, den = _integral(flatten_vector(vec, enc))
     h, scale = _normal_form(flat, _stacked(basis).upper(), enc, _Counter())
     scale *= den
-    upper = {k: _scalar(Fraction(c, scale))
-             for k, c in h.items() if k[0] < r}
-    lower = {(k[0] - r, k[1]): _scalar(Fraction(-c, scale))
-             for k, c in h.items() if k[0] >= r}
+    base = enc.base(r)
+    upper = {k: _scalar(Fraction(c, scale)) for k, c in h.items() if k < base}
+    lower = {k - base: _scalar(Fraction(-c, scale))
+             for k, c in h.items() if k >= base}
     remainder = unflatten_vector(upper, r, enc)
     return MemberResult(not upper,
                         unflatten_vector(lower, len(basis.generators), enc),

@@ -1,0 +1,173 @@
+"""Compare the command line of two source trees, op by op.
+
+    python tests/cli_diff.py OLD_SRC NEW_SRC [--quick]
+
+Each op is one `matsing.cli` call, run against each tree in a fresh
+process: the first tree's processes get PYTHONHASHSEED=1, the second's
+PYTHONHASHSEED=2, so `cli_diff.py src src` checks that the outputs do not
+depend on hash order.  The child process counts the calls of
+`groebner._Counter.tick` by wrapping the method from outside; the library
+is not changed.  The script prints every op whose stdout, stderr, exit code
+or step count differs, and every op that passes TIMEOUT seconds on either
+tree, then the op count, the timeout count and the step totals of both
+trees, and exits 1 on any difference or timeout.  Two ops run at a time.
+
+The ops are `analyze --json` with and without `--max-steps 40`,
+`verify --theorem eqeq --json` and `resolution --check --json`, on the
+catalog entries, the normal forms up to skew 8, the pencils, the known-slow
+inputs, seeded diag-sym tuples and seeded random families, all taken from
+perfbench/gen.py.  The known-slow inputs run `verify --theorem betas` too,
+and skip the ops that gen.HANGING lists and a plain `analyze`, which would
+run into those.  --quick keeps about 40 ops: the catalog entries with all
+four ops and the pencils with both `analyze` ops.
+
+pytest does not collect this file: it is a tool, run by hand and in CI.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import random
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+import gen  # noqa: E402
+
+NORMAL_FORMS = [["normal-form-sym", f"n={n}"] for n in (2, 3, 4)] \
+    + [["normal-form-gen", f"n={n}"] for n in (2, 3, 4)] \
+    + [["normal-form-skew", f"n={n}"] for n in (4, 6, 8)]
+RANDOM_FAMILIES = 30
+BUDGET = "40"
+TIMEOUT = 300  # seconds per op and tree
+JOBS = 2  # ops run at a time
+
+# Runs one CLI call in the child process: argv[1] is the source tree,
+# argv[2] the CLI arguments as JSON.  Prints one JSON line.
+CHILD = r"""
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from matsing import groebner
+from matsing.cli import main
+steps = 0
+tick = groebner._Counter.tick
+def counted(self):
+    global steps
+    steps += 1
+    tick(self)
+groebner._Counter.tick = counted
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    try:
+        code = main(json.loads(sys.argv[2]))
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps({"stdout": out.getvalue(), "stderr": err.getvalue(),
+                  "code": code, "steps": steps}))
+"""
+
+
+def ops(workdir: str, quick: bool) -> list:
+    """The op list, as CLI argument lists; input files go into workdir."""
+    def write(name: str, text: str) -> str:
+        path = os.path.join(workdir, name + ".fam")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text if text.endswith("\n") else text + "\n")
+        return path
+
+    def analyze(target: list) -> list:
+        return [["analyze", *target, "--json"],
+                ["analyze", *target, "--json", "--max-steps", BUDGET]]
+
+    def four(target: list) -> list:
+        return analyze(target) + [
+            ["verify", "--theorem", "eqeq", *target, "--json"],
+            ["resolution", "--check", *target, "--json"]]
+
+    pencils = [[write(name, text)] for name, text in gen.PENCILS.items()]
+    out = [op for target in gen.CATALOG for op in four(target)]
+    if quick:
+        return out + [op for target in pencils for op in analyze(target)]
+    out += [op for target in pencils for op in four(target)]
+    for target in NORMAL_FORMS:
+        if target not in gen.CATALOG:
+            out += four(target)
+    for name, text in gen.KNOWN_SLOW.items():
+        path = write(name, text)
+        out.append(["analyze", path, "--json", "--max-steps", BUDGET])
+        for cmd, argv in gen.SLOW_COMMANDS.items():
+            if (name, cmd) not in gen.HANGING:
+                out.append([*argv, path, "--json"])
+    rng = random.Random("cli-diff")
+    for n in gen.DIAG_SIZES:
+        for _ in range(gen.DIAG_PER_SIZE):
+            a = gen.diag_tuple(rng, n)
+            out += four(["diag-sym", "a=(" + ",".join(map(str, a)) + ")"])
+    shape = gen.FINISHING_SHAPES[0]
+    for i in range(RANDOM_FAMILIES):
+        out += four([write(f"random-{i:02d}",
+                           gen.random_family_text(rng, *shape))])
+    return out
+
+
+def run(src: str, argv: list, seed: int) -> dict:
+    env = dict(os.environ, PYTHONHASHSEED=str(seed))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", CHILD, src, json.dumps(argv)], env=env,
+            capture_output=True, text=True, timeout=TIMEOUT, cwd=ROOT)
+    except subprocess.TimeoutExpired:
+        return {"stdout": "", "stderr": "", "code": "timeout", "steps": None}
+    try:
+        return json.loads(proc.stdout)
+    except ValueError:  # the child died: keep what it left
+        return {"stdout": proc.stdout,
+                "stderr": proc.stderr.replace(src, "SRC"),
+                "code": proc.returncode, "steps": None}
+
+
+def main() -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("old_src")
+    p.add_argument("new_src")
+    p.add_argument("--quick", action="store_true")
+    args = p.parse_args()
+    srcs = [os.path.abspath(s) for s in (args.old_src, args.new_src)]
+    with tempfile.TemporaryDirectory() as workdir:
+        todo = ops(workdir, args.quick)
+
+        def both(argv: list) -> list:
+            return [run(src, argv, seed)
+                    for seed, src in enumerate(srcs, 1)]
+
+        with ThreadPoolExecutor(JOBS) as pool:
+            results = list(pool.map(both, todo))
+    differ = timeouts = 0
+    totals = [0, 0]
+    for argv, (a, b) in zip(todo, results):
+        for side, r in enumerate((a, b)):
+            totals[side] += r["steps"] or 0
+        shown = " ".join(argv).replace(workdir, "WORK")
+        if "timeout" in (a["code"], b["code"]):
+            timeouts += 1
+            print(f"TIMEOUT {shown}: code {a['code']!r} -> {b['code']!r}")
+            continue
+        fields = [f for f in ("stdout", "stderr", "code", "steps")
+                  if a[f] != b[f]]
+        if fields:
+            differ += 1
+            print(f"DIFF {shown}: " + "; ".join(
+                f"{f} {a[f]!r} -> {b[f]!r}" if f in ("code", "steps")
+                else f"{f} differs" for f in fields))
+    print(f"{len(todo)} ops, {differ} differ, {timeouts} timed out; "
+          f"steps {totals[0]} -> {totals[1]}")
+    return 1 if differ or timeouts else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -263,14 +263,21 @@ def test_batch_not_a_directory_exit_1(tmp_path, capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("budget, code", [("38", 0), ("37", 3)])
-def test_max_steps_boundary_normal_form_sym_3(capsys, budget, code):
-    # 38 steps is the largest single computation of this analysis, the
+@pytest.mark.parametrize("args, budget, code", [
+    # The largest single computation of each op is a module path: the
     # stacked completion behind the Schreyer syzygies of the partials of
-    # the generic symmetric 3x3 determinant (der_log_f); the boundary pins
-    # the step counts of completion and division.
-    got, _, _ = run(capsys, "analyze", "normal-form-sym", "n=3",
-                    "--max-steps", budget)
+    # the generic determinant or Pfaffian (der_log_f; 16 components for
+    # the generic Pf_6), or a stack of the columns of a differential.
+    ("analyze normal-form-sym n=3", "38", 0),
+    ("analyze normal-form-sym n=3", "37", 3),
+    ("analyze normal-form-skew n=6", "365", 0),
+    ("analyze normal-form-skew n=6", "364", 3),
+    ("resolution --check normal-form-gen n=4", "59", 0),
+    ("resolution --check normal-form-gen n=4", "58", 3),
+])
+def test_max_steps_boundary_of_module_paths(capsys, args, budget, code):
+    # Each boundary pins the step counts of completion and division.
+    got, _, _ = run(capsys, *args.split(), "--max-steps", budget)
     assert got == code
 
 

@@ -299,7 +299,7 @@ def _groebner_basis_in_one_pass(basis):
         basis.ambient_rank, counter).gens, enc)
     if order.is_global:
         gens = _tail_reduce(gens, enc, counter)
-    gens.sort(key=lambda g: order.module_key(g.lt[0], g.exp), reverse=True)
+    gens.sort(key=lambda g: order.module_key(g.comp, g.exp), reverse=True)
     return [unflatten_vector(g.flat, basis.ambient_rank, enc)
             for g in gens]
 
@@ -593,21 +593,29 @@ def test_staircase_count_is_bounded_by_the_step_limit():
 
 
 def test_leading_term_agrees_with_order_key():
-    # _leading takes the least packed key; MonomialOrder.module_key is the
-    # reference it must agree with.
+    # _leading takes the least key; MonomialOrder.module_key is the
+    # reference it must agree with, over components 0-3.  The degree
+    # readers of the encoding agree with the exponents.
     import random
-    from matsing.groebner import _encoding, _leading
+    from matsing.groebner import _encoding, _Gen, _leading
     rng = random.Random(3)
     for _ in range(300):
         nv = rng.randint(1, 4)
-        terms = {(rng.randint(0, 2), tuple(rng.randint(0, 3) for _ in range(nv))):
+        terms = {(rng.randint(0, 3), tuple(rng.randint(0, 3) for _ in range(nv))):
                  rng.randint(1, 9) for _ in range(rng.randint(1, 12))}
         for order in (GLOBAL, LOCAL):
             enc = _encoding(nv, order)
-            flat = {(c, enc.pack(e)): v for (c, e), v in terms.items()}
+            flat = {enc.pack(e, c): v for (c, e), v in terms.items()}
             want = max(terms, key=lambda ce: order.module_key(*ce))
-            (comp, key), coeff = _leading(flat)
-            assert ((comp, enc.unpack(key)), coeff) == (want, terms[want])
+            key, coeff = _leading(flat)
+            assert ((enc.component(key), enc.unpack(key)), coeff) \
+                == (want, terms[want])
+            g = _Gen(flat, enc)
+            assert (g.comp, g.exp, g.deg) == (want[0], want[1], sum(want[1]))
+            assert enc.maxdeg(flat) == max(sum(e) for _, e in terms)
+            d = rng.randint(0, 7)
+            assert sorted(enc.below(flat, d).values()) \
+                == sorted(v for (_, e), v in terms.items() if sum(e) < d)
 
 
 def _full_completion_syzygies(basis):
@@ -747,7 +755,7 @@ def test_modulo_of_boundaries_inside_cycles():
     assert all(member(a, ideal([P("x")], GLOBAL)).contains for a in rel)
 
 
-# -- packed monomial keys ------------------------------------------------------
+# -- packed term keys ---------------------------------------------------------
 
 _BOUND = 2 ** 31  # every degree must stay below it
 
@@ -781,31 +789,110 @@ def _exponent_pairs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_exponent_pairs(), st.sampled_from((GLOBAL, LOCAL)))
-def test_packed_keys_encode_the_order(pair, order):
-    from matsing.groebner import _encoding
+@given(_exponent_pairs(), st.sampled_from((GLOBAL, LOCAL)),
+       st.integers(0, 3), st.integers(0, 3))
+def test_packed_keys_encode_the_order(pair, order, ca, cb):
+    from matsing.groebner import _encoding, _Gen, _lead_interreduce
     a, b = pair
     enc = _encoding(len(a), order)
-    ka, kb = enc.pack(a), enc.pack(b)
-    for exp, key in ((a, ka), (b, kb)):
+    ka, kb = enc.pack(a, ca), enc.pack(b, cb)
+    for exp, comp, key in ((a, ca, ka), (b, cb, kb)):
         assert enc.unpack(key) == exp
         assert enc.degree(key) == sum(exp)
-    # The borrow test is divisibility.
-    assert (not (kb - ka) & enc.high) == exp_divides(a, b)
-    # The least (component, key) is the largest term under module_key.
-    terms = [(0, a), (0, b), (1, a), (1, b)]
-    packed = {(c, enc.pack(e)): (c, e) for c, e in terms}
-    assert packed[min(packed)] == max(terms,
-                                      key=lambda t: order.module_key(*t))
-    # Keys are additive while the degree stays below the bound.
+        assert enc.component(key) == comp
+        assert enc.base(comp) <= key < enc.base(comp + 1)
+    # Within one component the borrow test is divisibility, on every draw.
+    assert (not (enc.pack(b, ca) - ka) & enc.high) == exp_divides(a, b)
+    # It reads the exponent fields alone, so across components the leading
+    # terms divide only with the same component as well: lead
+    # interreduction keeps a multiple that lies in another component.
+    gens = [_Gen({ka: 1}, enc), _Gen({kb: 1}, enc)]
+    divides = exp_divides(a, b) or exp_divides(b, a)
+    assert len(_lead_interreduce(gens, enc)) == (1 if ca == cb and divides
+                                                  else 2)
+    # The least key is the largest term under module_key, and the order of
+    # the keys is that of the terms, reversed.
+    terms = {(c, e) for c in range(4) for e in (a, b)}
+    packed = {enc.pack(e, c): (c, e) for c, e in terms}
+    assert [packed[k] for k in sorted(packed)] \
+        == sorted(terms, key=lambda t: order.module_key(*t), reverse=True)
+    # The global keys re-keyed for the local order are the local keys.
+    glob, loc = _encoding(len(a), GLOBAL), _encoding(len(a), LOCAL)
+    assert glob.localized({glob.pack(e, c): c for c, e in terms}) \
+        == {loc.pack(e, c): c for c, e in terms}
+    # A quotient key added to the divisor's key gives the multiple's key, in
+    # any component: x^b / 1 taken in component cb, applied in ca.
     s = tuple(map(int.__add__, a, b))
     if sum(s) < _BOUND:
-        assert enc.pack(s) == ka + kb
+        assert ka + (kb - enc.unit(cb)) == enc.pack(s, ca)
         if exp_divides(a, b):
-            assert enc.unpack(kb - ka) == tuple(map(int.__sub__, b, a))
+            q = tuple(map(int.__sub__, b, a))
+            assert enc.pack(b, ca) - ka == enc.pack(q, cb) - enc.unit(cb)
     else:
         with pytest.raises(ValueError, match="2\\^31"):
-            enc.pack(s)
+            enc.pack(s, ca)
+
+
+def test_stack_blocks_split_at_the_rank(monkeypatch):
+    # A rank-2 stack whose flats all have terms in component 1, so each
+    # element (f_j, e_j) has terms on both sides of the block boundary.
+    # The block splits of _Stack and member() are checked against what
+    # they mean for the vectors.
+    from matsing.groebner import (_encoding, _lead_interreduce, _Stack,
+                                  flatten_vector, unflatten_vector)
+    gens = [(P("x"), P("y")), (P("y"), P("x")), (P("0"), P("x*y + y^2"))]
+    r, t = 2, len(gens)
+    enc = _encoding(2, GLOBAL)
+    st_ = _Stack([flatten_vector(g, enc) for g in gens], r, enc)
+
+    upper, relations = st_.upper(), st_.relations()
+    assert upper and relations
+    for g in st_.gens:
+        whole = unflatten_vector(g.flat, r + t, enc)
+        u, a = whole[:r], whole[r:]
+        # Every element is (sum a_j f_j, a).
+        assert _combination(a, gens, 2) == u
+        assert (g in upper) == any(p.terms for p in u) == (g.comp < r)
+    assert [unflatten_vector(z, t, enc) for z in relations] \
+        == [unflatten_vector(g.flat, r + t, enc)[r:]
+            for g in st_.gens if g.comp >= r]
+    assert all(_combination(a, gens, 2) == (P("0"),) * r
+               for a in (unflatten_vector(z, t, enc) for z in relations))
+    # The modulo seed is the upper block of the lead-interreduced upper().
+    seeds = []
+    init = _Stack.__init__
+
+    def spy(self, flats, rank, enc, standard=None):
+        seeds.append(standard)
+        init(self, flats, rank, enc, standard)
+
+    z = [flatten_vector((P("x^2"), P("y^2")), enc),
+         flatten_vector((P("1"), P("x")), enc)]
+    monkeypatch.setattr(_Stack, "__init__", spy)
+    rel = st_.modulo(z, enc)
+    monkeypatch.undo()
+    assert [unflatten_vector(s, r, enc) for s in seeds[0]] \
+        == [unflatten_vector(g.flat, r + t, enc)[:r]
+            for g in _lead_interreduce(upper, enc)]
+    basis = ModuleBasis(r, gens, GLOBAL)
+    zv = [unflatten_vector(f, r, enc) for f in z]
+    assert rel and all(
+        member(_combination(unflatten_vector(a, len(z), enc), zv, 2),
+               basis).contains for a in rel)
+    # The re-key of _homology_colength, key for key, on these relations.
+    loc = _encoding(2, LOCAL)
+    assert all(enc.localized(a)
+               == flatten_vector(unflatten_vector(a, len(z), enc), loc)
+               for a in rel)
+    # member() splits the remainder at the rank: the upper block is the
+    # remainder, the lower block the coefficients.
+    for vec, inside in [((P("x^2 + x*y"), P("x*y + y^2")), True),
+                        ((P("x^2 + 1"), P("x*y")), False)]:
+        res = member(vec, basis)
+        assert res.contains is inside
+        assert any(p.terms for p in res.remainder) is not inside
+        assert tuple(p + q for p, q in zip(
+            _combination(res.coefficients, gens, 2), res.remainder)) == vec
 
 
 def test_degree_bound_is_checked_never_overflowed():

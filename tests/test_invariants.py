@@ -589,7 +589,7 @@ def test_eqeq_truncates_at_the_colength_not_the_highest_standard_degree():
     ctx = _Analysis(catalog("diag-sym", a=(2, 1)).to_family())
     tangent = ctx.tangent_special
     assert quotient_dimension(tangent) == 3
-    assert sorted((g.lt[0], g.exp) for g in _standard(tangent)[0]) \
+    assert sorted((g.comp, g.exp) for g in _standard(tangent)[0]) \
         == [(0, (1,)), (1, (1,)), (2, (1,))]
     x, zero, one = Poly.variable(1, 0), Poly.zero(1), Poly.constant(1, 1)
     x_e0 = (x, zero, zero)
