@@ -29,7 +29,7 @@ from typing import List, Optional
 from .complexes import homology_profile, kind_complex, verify_complex
 from .families import FamilySpec, ParseError, catalog, catalog_names, \
     parse_family
-from .groebner import INFINITE, StepLimitExceeded, set_step_limit
+from .groebner import StepLimitExceeded, set_step_limit
 from .invariants import IDENTITIES, _jsonable, analyze, verify_identity
 from .matalg import MatrixFamily
 
@@ -41,10 +41,9 @@ EXIT_FAILS = 4
 
 
 def _fmt(v) -> str:
-    if v is INFINITE:
-        return "infinite"
-    if isinstance(v, (list, tuple)):
-        return "[" + ", ".join(_fmt(x) for x in v) + "]"
+    v = _jsonable(v)
+    if isinstance(v, list):
+        return "[" + ", ".join(map(_fmt, v)) + "]"
     return str(v)
 
 

@@ -12,8 +12,8 @@ Built here:
     function itself.
   * The three explicit resolutions attached to a square matrix family:
     symmetric (length 3), skew (length 6) and general (length 4).  Their
-    differentials are linear in the entries of the family matrix S and of
-    its adjugate or sub-Pfaffian matrix, with coefficients fixed by the
+    differentials are linear in the coordinates of the family matrix S and
+    of its adjugate or sub-Pfaffian matrix, with coefficients fixed by the
     kind and size, so the formulas run once per (kind, n), on linear forms,
     into a template, and a family's complex is that template evaluated at
     its own two matrices.  They are written so that every composite
@@ -48,8 +48,8 @@ from typing import Sequence
 
 from .groebner import _column_stack, _homology_colength
 from .matalg import (MatrixFamily, PolyMatrix, _coords, _lie_images,
-                     _placed, _sl_coords, _sparse_basis, _times,
-                     _trace_times, adjugate, flatten, sl_coords, space_dim,
+                     _placed, _sl_coords, _sparse_basis, _trace_times,
+                     adjugate, flatten, sl_coords, space_dim,
                      sub_pfaffian_matrix)
 from .poly import Poly, SubstitutionMap, _Record, _canonical, partial
 
@@ -160,12 +160,12 @@ def koszul_augmented(g: Poly) -> FreeComplex:
 # -- the three kind resolutions ------------------------------------------------
 
 class _Form:
-    """A linear form in the entries of a family matrix S and of its
-    companion C (adjugate or sub-Pfaffian matrix): terms maps the index of
-    an entry, in S then C, row-major, to its nonzero coefficient.  It has
-    the Poly operations the resolution formulas use, and like a Poly it is
-    never changed once built, so an operation with zero may return an
-    operand itself."""
+    """A linear form in the coordinates of a family matrix S and of its
+    companion C (adjugate or sub-Pfaffian matrix) in the basis of their
+    kind: terms maps the index of a coordinate, of S then of C, to its
+    nonzero coefficient.  It has the Poly operations the resolution
+    formulas use, and like a Poly it is never changed once built, so an
+    operation with zero or with 1 may return an operand itself."""
 
     __slots__ = ("terms",)
 
@@ -195,27 +195,22 @@ class _Form:
         return self + -other
 
     def __mul__(self, c) -> "_Form":
-        if not self.terms:
+        if c == 1 or not self.terms:
             return self
         return _Form(_canonical({k: v * c for k, v in self.terms.items()}))
 
 
 def _symbolic(kind: str, n: int, source: int) -> PolyMatrix:
     """S (source 0) or C (source 1) as an n x n matrix of forms, built
-    unchecked: entry (i, j) is the entry of index source n^2 + i n + j, and
-    below the diagonal a symmetric or skew matrix repeats the entry above
-    it, negated if skew, so that the formulas see the symmetry."""
-    base = source * n * n
-
-    def entry(i, j):
-        if kind == "general" or i < j:
-            return _Form({base + i * n + j: 1})
-        if i == j:
-            return _Form({} if kind == "skew" else {base + i * n + j: 1})
-        return _Form({base + j * n + i: -1 if kind == "skew" else 1})
-
-    return PolyMatrix._of([[entry(i, j) for j in range(n)]
-                           for i in range(n)], 0, n)
+    unchecked: the sum of the basis matrices of kind's space
+    (matalg._sparse_basis), basis matrix k times the coordinate of index
+    source * dim + k, so that the formulas see the symmetry."""
+    basis = _sparse_basis(kind, n)
+    ent = [[_Form({})] * n for _ in range(n)]
+    for k, b in enumerate(basis, start=source * len(basis)):
+        for i, j, c in b:
+            ent[i][j] = _Form({k: c})
+    return PolyMatrix._of(ent, 0, n)
 
 
 def _jozefiak(s: PolyMatrix, a: PolyMatrix, z) -> tuple:
@@ -293,8 +288,9 @@ _FORMULAS = {"symmetric": _jozefiak, "skew": _jp, "general": _gn}
 def _template(kind: str, n: int) -> tuple:
     """(ranks, atoms, entries) of the kind resolution of size n, derived
     once by running its formulas on forms.  Every entry of a differential
-    is then c times one entry of S or C: atoms lists the distinct (index,
-    c), and entries[k-1] the nonzero entries of d_k as (row, column, atom).
+    is then c times one coordinate of S or C: atoms lists the distinct
+    (index, c), and entries[k-1] the nonzero entries of d_k as (row,
+    column, atom).
     """
     ranks, diffs = _FORMULAS[kind](_symbolic(kind, n, 0),
                                    _symbolic(kind, n, 1), _Form({}))
@@ -312,14 +308,14 @@ def _template(kind: str, n: int) -> tuple:
 
 
 def _evaluated(fam: MatrixFamily, companion: PolyMatrix) -> FreeComplex:
-    """The template of the family's (kind, n) at its own S and companion."""
+    """The template of the family's (kind, n) at the coordinates of its
+    own S and companion, which has S's kind (a symmetric S has a symmetric
+    adjugate, and P* is skew)."""
     ranks, atoms, entries = _template(fam.kind, fam.n)
     nv = fam.m
     z = Poly.zero(nv)
-    values = [p for r in fam.entries.entries for p in r]
-    values += [p for r in companion.entries for p in r]
-    scaled = [_times(values[k], c) if values[k].terms else z
-              for k, c in atoms]
+    values = flatten(fam.kind, fam.entries) + flatten(fam.kind, companion)
+    scaled = [values[k] * c if values[k].terms else z for k, c in atoms]
     diffs = []
     for k, nonzero in enumerate(entries, start=1):
         cols = ranks[k]

@@ -377,22 +377,10 @@ def parse_family(text: str) -> FamilySpec:
         if n_stated != n:
             raise ParseError(f"n = {n_stated} does not match the matrix size "
                              f"{n}", lines["n"])
-    if kind == "symmetric":
-        for i in range(n):
-            for j in range(i + 1, n):
-                if entries[i][j] != entries[j][i]:
-                    raise ParseError(f"symmetry violated at row {i + 1}, "
-                                     f"column {j + 1}", lines.get("matrix"))
-    if kind == "skew":
-        for i in range(n):
-            if not entries[i][i].is_zero():
-                raise ParseError(f"nonzero diagonal entry at row {i + 1}",
-                                 lines.get("matrix"))
-            for j in range(i + 1, n):
-                if entries[i][j] != -entries[j][i]:
-                    raise ParseError("skew symmetry violated at row "
-                                     f"{i + 1}, column {j + 1}",
-                                     lines.get("matrix"))
+    try:
+        MatrixFamily(kind, PolyMatrix(entries, len(variables)))
+    except ValueError as exc:  # MatrixFamily checks the kind's symmetry
+        raise ParseError(str(exc), lines.get("matrix")) from exc
     return FamilySpec(kind=kind, variables=variables, name=name,
                       entries=entries, expected=expected)
 
@@ -533,26 +521,18 @@ def _build_diag_sym(params: dict) -> FamilySpec:
                       expected=expected)
 
 
-def _build_remark_4_8_iii(params: dict) -> FamilySpec:
-    fv = ["x", "y", "z"]
-    sv = ["x", "y"]
-    f = parse_poly("x^5*z + x^3*y^3 + y^5*z", fv)
-    images = [parse_poly("x", sv), parse_poly("y", sv),
-              parse_poly("x + y", sv)]
-    return FamilySpec(kind="section", variables=sv, name="remark-4-8-iii",
-                      fvars=fv, f=f, map_images=images,
-                      expected={"mu": 25, "tau_function_right": 10,
-                                "codim_minors": 19})
-
-
-def _build_cross_ratio(params: dict) -> FamilySpec:
-    fv = ["x", "y", "z"]
-    sv = ["x", "y"]
-    f = parse_poly("y*(x + y)*(x - y)*(x + z*y)", fv)
-    images = [parse_poly("x", sv), parse_poly("y", sv), Poly.zero(2)]
-    return FamilySpec(kind="section", variables=sv,
-                      name="cross-ratio-example", fvars=fv, f=f,
-                      map_images=images, expected={"mu": 9})
+# name -> the section's family text
+_SECTIONS = {
+    "remark-4-8-iii": """name = remark-4-8-iii
+        kind = section; vars = x, y; fvars = x, y, z
+        f = x^5*z + x^3*y^3 + y^5*z; map = [x, y, x + y]
+        expected.mu = 25; expected.tau_function_right = 10
+        expected.codim_minors = 19""",
+    "cross-ratio-example": """name = cross-ratio-example
+        kind = section; vars = x, y; fvars = x, y, z
+        f = y*(x + y)*(x - y)*(x + z*y); map = [x, y, 0]
+        expected.mu = 9""",
+}
 
 
 # name -> (builder, the parameter keys it accepts)
@@ -564,8 +544,8 @@ _CATALOG = {
     "normal-form-gen": (partial(_build_core, "general", True), ("n",)),
     "normal-form-skew": (partial(_build_core, "skew", True), ("n",)),
     "diag-sym": (_build_diag_sym, ("a",)),
-    "remark-4-8-iii": (_build_remark_4_8_iii, ()),
-    "cross-ratio-example": (_build_cross_ratio, ()),
+    **{name: (lambda params, text=text: parse_family(text), ())
+       for name, text in _SECTIONS.items()},
 }
 
 

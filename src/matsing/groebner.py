@@ -90,18 +90,11 @@ Flat = dict[int, Scalar]  # term key (see _Encoding) -> coefficient
 class _Infinite:
     """Sentinel for an infinite vector-space dimension."""
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __repr__(self):
         return "INFINITE"
 
-    def __reduce__(self):  # keeps the singleton under pickling
-        return (_Infinite, ())
+    def __reduce__(self):  # pickle and copy give the module's INFINITE
+        return "INFINITE"
 
 
 INFINITE = _Infinite()
@@ -921,6 +914,16 @@ def syzygies(m):
                  for flat in _column_stack(m).relations()], m.nvars)
 
 
+def _check_vectors(vectors: Sequence[Vector], basis: ModuleBasis) -> None:
+    """Raise ValueError unless every vector lies in O^r of basis's ring."""
+    for v in vectors:
+        if len(v) != basis.ambient_rank:
+            raise ValueError("vector rank does not match ambient rank")
+        if basis.nvars is not None and any(p.nvars != basis.nvars for p in v):
+            raise ValueError("ring mismatch: a vector outside the ring of the "
+                             f"module, in {basis.nvars} variables")
+
+
 def modulo(vectors: Sequence[Vector], basis: ModuleBasis) -> list:
     """Generators of {a in O^t : sum a_i z_i in M}, with z_1..z_t the given
     vectors of O^r and M the module of basis (Singular's modulo;
@@ -932,6 +935,7 @@ def modulo(vectors: Sequence[Vector], basis: ModuleBasis) -> list:
     t = len(vectors)
     if not t:
         return []
+    _check_vectors(vectors, basis)
     enc = _encoding(vectors[0][0].nvars, GLOBAL)
     return [unflatten_vector(flat, t, enc)
             for flat in _stacked(basis).modulo(
@@ -997,8 +1001,7 @@ def member(vec, basis: ModuleBasis) -> MemberResult:
     if basis.ambient_rank == 0:
         raise ValueError("member() needs a module of positive rank: in "
                          "rank 0 there is no polynomial to take the ring from")
-    if len(vec) != basis.ambient_rank:
-        raise ValueError("vector rank does not match ambient rank")
+    _check_vectors([vec], basis)
     is_zero = all(p.is_zero() for p in vec)
     nv = vec[0].nvars
     unit = Poly.constant(nv, 1)

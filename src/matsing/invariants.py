@@ -173,28 +173,16 @@ def betti_numbers(fam: MatrixFamily) -> list:
 
 def corank_at_origin(fam: MatrixFamily) -> int:
     """n minus the rank of the family matrix evaluated at 0."""
-    rows = [[fam.entries.entries[i][j].constant_term() for j in range(fam.n)]
-            for i in range(fam.n)]
+    rows = [[p.constant_term() for p in r] for r in fam.entries.entries]
     rank = 0
-    cols = list(range(fam.n))
-    for _ in range(fam.n):
-        piv = None
-        for i in range(rank, fam.n):
-            for j in cols:
-                if rows[i][j] != 0:
-                    piv = (i, j)
-                    break
-            if piv:
-                break
+    for j in range(fam.n):
+        piv = next((i for i in range(rank, fam.n) if rows[i][j]), None)
         if piv is None:
-            break
-        i0, j0 = piv
-        rows[rank], rows[i0] = rows[i0], rows[rank]
-        for i in range(fam.n):
-            if i != rank and rows[i][j0] != 0:
-                c = Fraction(rows[i][j0], rows[rank][j0])
-                rows[i] = [a - c * b for a, b in zip(rows[i], rows[rank])]
-        cols.remove(j0)
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, fam.n):
+            c = Fraction(rows[i][j], rows[rank][j])
+            rows[i] = [a - c * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return fam.n - rank
 

@@ -1,7 +1,8 @@
 """Matrices of polynomials and matrix families.
 
 A PolyMatrix is a rows x cols grid of Poly entries over one ring; its
-arithmetic skips zero entries and multiplies constant entries as scalars.
+arithmetic skips zero entries, and a constant entry multiplies as a scalar
+because Poly's own product treats a constant factor so.
 A MatrixFamily is a square PolyMatrix together with its symmetry kind
 (symmetric, skew, general) and is the basic input object downstream:
 its determinant or Pfaffian is the function whose singularity theory is
@@ -40,40 +41,13 @@ from .poly import Poly, SubstitutionMap, _Record, substitute
 KINDS = ("symmetric", "skew", "general")
 
 
-def _scalar(p: Poly):
-    """The value of p if p is a nonzero constant, else None."""
-    if len(p.terms) == 1:
-        (exp, c), = p.terms.items()
-        if not any(exp):
-            return c
-    return None
-
-
-def _times(p: Poly, c) -> Poly:
-    """p * c for a rational c: p itself for c = 1, -p for c = -1."""
-    if c == 1:
-        return p
-    if c == -1:
-        return -p
-    return p * c
-
-
-def _product(a: Poly, ca, b: Poly) -> Poly:
-    """a * b, where ca is _scalar(a); a constant factor acts as a scalar."""
-    if ca is not None:
-        return _times(b, ca)
-    cb = _scalar(b)
-    return a * b if cb is None else _times(a, cb)
-
-
 class PolyMatrix:
     """A rows x cols matrix of polynomials over a common ring.
 
     The public constructor validates its input; arithmetic and the
     classmethod constructors build their results through the unchecked _of.
-    Products walk only the nonzero entries of each row and multiply a
-    constant entry as a scalar (1 passes the other factor through, -1
-    negates it); zero entries pass through every entrywise operation.
+    Products walk only the nonzero entries of each row; zero entries pass
+    through every entrywise operation.
     """
 
     __slots__ = ("rows", "cols", "nvars", "entries")
@@ -223,8 +197,7 @@ class PolyMatrix:
         """Every entry times c, a Poly or a rational number."""
         if isinstance(c, Poly):
             self._same_ring(c.nvars)
-            return self.map_entries(lambda a: _product(a, _scalar(a), c))
-        return self.map_entries(lambda a: _times(a, c))
+        return self.map_entries(lambda a: a * c)
 
     def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if self.cols != other.rows:
@@ -239,9 +212,8 @@ class PolyMatrix:
             for a, row in zip(r, sparse):
                 if not (row and a.terms):
                     continue
-                ca = _scalar(a)
                 for j, b in row:
-                    p = _product(a, ca, b)
+                    p = a * b
                     s = acc[j]
                     acc[j] = p if s is None else s + p
             out.append([z if s is None else s for s in acc])
@@ -258,8 +230,7 @@ class PolyMatrix:
 
 def _minors(m: PolyMatrix) -> Callable[[tuple, tuple], Poly]:
     """Determinants of the square submatrices of m, by expansion along the
-    first row, all sharing one memo keyed by (rows, cols).  A constant
-    factor of a product acts as a scalar (see _product)."""
+    first row, all sharing one memo keyed by (rows, cols)."""
     nv = m.nvars
     memo: dict = {}
 
@@ -278,8 +249,7 @@ def _minors(m: PolyMatrix) -> Callable[[tuple, tuple], Poly]:
             e = row[c]
             if not e.terms:
                 continue
-            term = _product(e, _scalar(e),
-                            minor(rows[1:], cols[:pos] + cols[pos + 1:]))
+            term = e * minor(rows[1:], cols[:pos] + cols[pos + 1:])
             acc = acc + term if pos % 2 == 0 else acc - term
         memo[key] = acc
         return acc
@@ -322,17 +292,17 @@ def _check_skew(m: PolyMatrix) -> None:
         raise ValueError("skew operations need a square matrix")
     for i in range(m.rows):
         if m.entries[i][i].terms:
-            raise ValueError("nonzero diagonal in a skew matrix")
+            raise ValueError(f"nonzero diagonal entry at row {i + 1}")
         for j in range(i + 1, m.cols):
             if m.entries[i][j] != -m.entries[j][i]:
-                raise ValueError(f"skew symmetry violated at ({i},{j})")
+                raise ValueError("skew symmetry violated at row "
+                                 f"{i + 1}, column {j + 1}")
 
 
 def _pfaffians(m: PolyMatrix) -> Callable[[tuple], Poly]:
     """Pfaffians of the principal submatrices of a skew m on increasing
     index tuples, all sharing one memo.  Expansion along the first index:
-      Pf = sum_j (-1)^j m[i0, i_j] Pf(m with rows/cols i0, i_j removed),
-    a constant factor of a product acting as a scalar (see _product).
+      Pf = sum_j (-1)^j m[i0, i_j] Pf(m with rows/cols i0, i_j removed).
     """
     nv = m.nvars
     memo: dict = {}
@@ -350,7 +320,7 @@ def _pfaffians(m: PolyMatrix) -> Callable[[tuple], Poly]:
             e = m.entries[i0][j]
             if not e.terms:
                 continue
-            term = _product(e, _scalar(e), pf(rest[:pos] + rest[pos + 1:]))
+            term = e * pf(rest[:pos] + rest[pos + 1:])
             acc = acc + term if pos % 2 == 0 else acc - term
         memo[indices] = acc
         return acc
@@ -399,7 +369,8 @@ class MatrixFamily(_Record):
     """A square matrix of polynomials with a declared symmetry kind.
 
     kind is one of 'symmetric', 'skew', 'general'; the structural
-    constraints are validated on construction.  entries is the n x n
+    constraints are validated on construction, and an error names rows and
+    columns counted from 1, as the input format does.  entries is the n x n
     matrix itself, and m its number of parameters (ring variables).
     """
 
@@ -417,7 +388,8 @@ class MatrixFamily(_Record):
             for i in range(self.n):
                 for j in range(i + 1, self.n):
                     if e.entries[i][j] != e.entries[j][i]:
-                        raise ValueError(f"symmetry violated at ({i},{j})")
+                        raise ValueError(f"symmetry violated at row {i + 1}, "
+                                         f"column {j + 1}")
         elif self.kind == "skew":
             _check_skew(e)
 
@@ -502,7 +474,7 @@ def unflatten(kind: str, coords: Sequence[Poly], n: int,
     ent = [[z] * n for _ in range(n)]
     for p, b in zip(coords, basis):
         for i, j, c in b:
-            ent[i][j] = _times(p, c)
+            ent[i][j] = p * c
     return PolyMatrix(ent, nvars)
 
 
@@ -540,7 +512,7 @@ def _placed(b: tuple, m: PolyMatrix, left: bool) -> dict:
         for k, p in enumerate(line):
             if p.terms:
                 key = (i, k) if left else (k, j)
-                q, s = _times(p, c), out.get(key)
+                q, s = p * c, out.get(key)
                 out[key] = q if s is None else s + q
     return out
 
@@ -548,8 +520,8 @@ def _placed(b: tuple, m: PolyMatrix, left: bool) -> dict:
 def _trace_times(m: PolyMatrix, b: tuple) -> Poly:
     """trace(m B) for a basis matrix B of _sparse_basis."""
     (i, j, c), *rest = b
-    return sum((_times(m.entries[l][k], e) for k, l, e in rest),
-               _times(m.entries[j][i], c))
+    return sum((m.entries[l][k] * e for k, l, e in rest),
+               m.entries[j][i] * c)
 
 
 @cache
@@ -573,7 +545,7 @@ def _coords(kind: str, d: dict, n: int, z, twin: int = 0) -> list:
     out = [z] * space_dim(kind, n)
     for key, p in d.items():
         for pos, c in to[key]:
-            q = p if c == 1 else _times(p, c)
+            q = p * c
             out[pos] = out[pos] + q if out[pos].terms else q
     return out
 

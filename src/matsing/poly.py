@@ -207,25 +207,37 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other) -> "Poly":
+        """The product.  A rational factor, or a constant Poly after the ring
+        check, acts as a scalar: 1 returns the other operand itself and -1
+        its negation."""
         if isinstance(other, (int, Fraction)):
             c = _scalar(other)
-            if not c:
-                return Poly.zero(self.nvars)
-            return Poly._of(self.nvars, _canonical(
-                {e: k * c for e, k in self.terms.items()}))
-        if not isinstance(other, Poly):
+        elif isinstance(other, Poly):
+            self._check_compatible(other)
+            if len(self.terms) == 1 and not any(next(iter(self.terms))):
+                self, other = other, self  # the constant goes last
+            if len(other.terms) != 1 or any(next(iter(other.terms))):
+                out: dict[ExpVec, Scalar] = {}
+                for ea, ca in self.terms.items():
+                    for eb, cb in other.terms.items():
+                        exp = tuple(x + y for x, y in zip(ea, eb))
+                        s = out.get(exp, 0) + ca * cb
+                        if s:
+                            out[exp] = s
+                        elif exp in out:
+                            del out[exp]
+                return Poly._of(self.nvars, _canonical(out))
+            (c,) = other.terms.values()
+        else:
             return NotImplemented
-        self._check_compatible(other)
-        out: dict[ExpVec, Scalar] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exp = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(exp, 0) + ca * cb
-                if s:
-                    out[exp] = s
-                elif exp in out:
-                    del out[exp]
-        return Poly._of(self.nvars, _canonical(out))
+        if c == 1:
+            return self
+        if c == -1:
+            return -self
+        if not c:
+            return Poly.zero(self.nvars)
+        return Poly._of(self.nvars, _canonical(
+            {e: k * c for e, k in self.terms.items()}))
 
     __rmul__ = __mul__
 

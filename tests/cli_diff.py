@@ -18,8 +18,11 @@ catalog entries, the normal forms up to skew 8, the pencils, the known-slow
 inputs, seeded diag-sym tuples and seeded random families, all taken from
 perfbench/gen.py.  The known-slow inputs run `verify --theorem betas` too,
 and skip the ops that gen.HANGING lists and a plain `analyze`, which would
-run into those.  --quick keeps about 40 ops: the catalog entries with all
-four ops and the pencils with both `analyze` ops.
+run into those.  Each file of MALFORMED, which the parser rejects, runs
+`analyze --json`, so the error text on stderr and the exit code are
+compared too.  --quick keeps about 40 ops: the catalog entries with all
+four ops, the pencils with both `analyze` ops and the first three files of
+MALFORMED.
 
 pytest does not collect this file: it is a tool, run by hand and in CI.
 """
@@ -46,6 +49,18 @@ RANDOM_FAMILIES = 30
 BUDGET = "40"
 TIMEOUT = 300  # seconds per op and tree
 JOBS = 2  # ops run at a time
+# name -> a family file with one defect; the first three, the kind checks,
+# run in --quick too.
+MALFORMED = {
+    "not-symmetric": "kind = symmetric\nvars = x, y\nmatrix = [[x, x], [y, y]]",
+    "skew-diagonal": "kind = skew\nvars = x\nmatrix = [[x, x], [-x, 0]]",
+    "not-skew": "kind = skew\nvars = x, y\nmatrix = [[0, x], [x, 0]]",
+    "upper-on-general": "kind = general\nvars = x\nupper = [[x]]",
+    "ragged": "kind = general\nvars = x, y\nmatrix = [[x, y], [y]]",
+    "not-square": "kind = general\nvars = x, y\nmatrix = [[x, y]]",
+    "n-mismatch": "kind = symmetric\nvars = x\nn = 3\nmatrix = [[x]]",
+    "unknown-variable": "kind = symmetric\nvars = x\nmatrix = [[w]]",
+}
 
 # Runs one CLI call in the child process: argv[1] is the source tree,
 # argv[2] the CLI arguments as JSON.  Prints one JSON line.
@@ -90,10 +105,13 @@ def ops(workdir: str, quick: bool) -> list:
             ["resolution", "--check", *target, "--json"]]
 
     pencils = [[write(name, text)] for name, text in gen.PENCILS.items()]
+    malformed = [["analyze", write(name, text), "--json"]
+                 for name, text in MALFORMED.items()]
     out = [op for target in gen.CATALOG for op in four(target)]
     if quick:
-        return out + [op for target in pencils for op in analyze(target)]
-    out += [op for target in pencils for op in four(target)]
+        return (out + [op for target in pencils for op in analyze(target)]
+                + malformed[:3])
+    out += [op for target in pencils for op in four(target)] + malformed
     for target in NORMAL_FORMS:
         if target not in gen.CATALOG:
             out += four(target)

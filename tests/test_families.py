@@ -143,6 +143,17 @@ def test_parse_errors_give_positions_in_the_file():
         parse_family("kind=section; vars=x; fvars=u\nf=u; map=[x] x")
     # Comments inside a value are skipped.
     assert parse_family(head + "matrix = [[x, 0],  # w\n [0, y]]").n == 2
+    # MatrixFamily checks the kind's symmetry, naming rows and columns from
+    # 1; the parser gives its message the line of the matrix.
+    for kind, matrix, message in (
+            ("symmetric", "[[x, x], [y, y]]",
+             "symmetry violated at row 1, column 2"),
+            ("skew", "[[0, x], [-x, y]]", "nonzero diagonal entry at row 2"),
+            ("skew", "[[0, x], [x, 0]]",
+             "skew symmetry violated at row 1, column 2")):
+        with pytest.raises(ParseError) as err:
+            parse_family(f"kind = {kind}\nvars = x, y\nmatrix = {matrix}")
+        assert str(err.value) == f"line 3: {message}"
 
 
 def test_print_family_round_trip_catalog():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -132,6 +134,33 @@ def test_member_against_the_zero_module(order):
 def test_member_rejects_rank_zero():
     with pytest.raises(ValueError, match="rank 0"):
         member((), ModuleBasis(0, [], LOCAL))
+
+
+@pytest.mark.parametrize("order", [GLOBAL, LOCAL])
+@pytest.mark.parametrize("vec_nvars, basis_nvars", [(3, 2), (2, 3)])
+def test_member_and_modulo_reject_a_vector_from_another_ring(
+        order, vec_nvars, basis_nvars):
+    # Unchecked, a vector in more variables read as a wrong "not contained"
+    # or as a degree past 2^31, one in fewer as an IndexError or an empty
+    # min().
+    x = Poly.variable(vec_nvars, 0)
+    basis = ModuleBasis(1, [(Poly.variable(basis_nvars, 0),)], order)
+    with pytest.raises(ValueError, match="ring mismatch"):
+        member(x, basis)
+    with pytest.raises(ValueError, match="ring mismatch"):
+        modulo([(x,)], basis)
+
+
+def test_modulo_rejects_a_vector_of_another_rank():
+    x = P("x")
+    with pytest.raises(ValueError, match="rank"):
+        modulo([(x, x)], ideal([x]))
+
+
+def test_infinite_survives_pickle_and_copy():
+    assert pickle.loads(pickle.dumps(INFINITE)) is INFINITE
+    assert copy.copy(INFINITE) is INFINITE
+    assert copy.deepcopy(INFINITE) is INFINITE
 
 
 def test_member_vector_module():

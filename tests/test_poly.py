@@ -251,6 +251,21 @@ def test_results_keep_canonical_scalars(a, b, c, point):
     assert all(is_canonical(p) for p in results)
 
 
+@settings(max_examples=80, deadline=None)
+@given(polys(), st.one_of(st.sampled_from([1, -1, Fraction(-1)]), coeffs))
+def test_constant_factors_multiply_as_scalars(p, c):
+    """A rational factor and a constant Poly give the same canonical
+    product on either side; 1 and -1 take their own shortcut."""
+    const = Poly.constant(2, c)
+    products = [p * c, c * p, p * const, const * p]
+    assert all(q == products[0] and is_canonical(q) for q in products)
+    assert products[0] == Poly(2, {e: k * c for e, k in p.terms.items()})
+    with pytest.raises(ValueError):
+        p * Poly.constant(3, c)
+    with pytest.raises(ValueError):
+        Poly.constant(3, c) * p
+
+
 def test_integral_fractions_become_ints():
     p = P("4/2*x + 1/2*x*y + 1/2*x*y - 3/3")
     assert p.terms == {(1, 0): 2, (1, 1): 1, (0, 0): -1}
