@@ -1,11 +1,10 @@
 """Exact local algebra for matrix singularities.
 
 Sparse rational polynomials, global and local standard bases, determinantal
-and Pfaffian linear algebra, the three kind-specific free resolutions with
-their comparison maps, and the singularity invariants built on top: Milnor
-numbers, Tjurina numbers along several independent routes, Betti numbers of
-pulled-back resolutions, and mechanical checks of the identities relating
-them.
+and Pfaffian linear algebra, the three kind-specific free resolutions, and
+the singularity invariants built on top: Milnor numbers, Tjurina numbers
+along several independent routes, Betti numbers of pulled-back
+resolutions, and mechanical checks of the identities relating them.
 """
 
 from .poly import (
@@ -38,20 +37,13 @@ from .matalg import (
     PolyMatrix,
     flatten,
     generic_family,
-    gl_basis,
     minors_ideal,
-    sl_basis,
-    sl_coords,
-    skew_basis,
     space_dim,
     sub_pfaffian_matrix,
-    sym_basis,
     unflatten,
 )
 from .complexes import (
-    ComplexMorphism,
     FreeComplex,
-    cone,
     gn_complex,
     homology_dimension,
     homology_profile,
@@ -59,10 +51,7 @@ from .complexes import (
     jp_complex,
     kind_complex,
     koszul,
-    koszul_augmented,
-    phi_f,
     pullback,
-    verify_chain_map,
     verify_complex,
 )
 from .invariants import (
@@ -80,7 +69,6 @@ from .invariants import (
     t1_kf,
     t1_kv,
     tangent_module,
-    tau_homological,
     tau_matrix,
     tjurina_number_function,
     verify_identity,

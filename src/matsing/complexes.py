@@ -1,4 +1,4 @@
-"""Finite free complexes, comparison maps and homology dimensions.
+"""Finite free complexes, pullbacks and homology dimensions.
 
 A FreeComplex is a chain of free modules
 
@@ -8,8 +8,7 @@ given by its ranks and the matrices of the differentials (d_k maps F_k to
 F_(k-1), so it has ranks[k-1] rows and ranks[k] columns).
 
 Built here:
-  * Koszul complexes of a function's partials, plain and augmented by the
-    function itself.
+  * The Koszul complex of a function's partials.
   * The three explicit resolutions attached to a square matrix family:
     symmetric (length 3), skew (length 6) and general (length 4).  Their
     differentials are linear in the coordinates of the family matrix S and
@@ -19,9 +18,8 @@ Built here:
     its own two matrices.  They are written so that every composite
     vanishes identically for any family, which verify_complex rechecks on
     the evaluated matrices.
-  * The comparison morphism phi from the Koszul complex of det/Pf of a
-    family into the pulled-back resolution, through degree 2.
-  * Mapping cones, and homology dimensions over the local ring at 0.
+  * Pullbacks along a map, and homology dimensions over the local ring
+    at 0.
 
 The resolution formulas and the Lie-algebra images never multiply out a
 product with a basis matrix B: B S and S B place rows and columns of S by
@@ -49,8 +47,7 @@ from typing import Sequence
 from .groebner import _column_stack, _homology_colength
 from .matalg import (MatrixFamily, PolyMatrix, _coords, _lie_images,
                      _placed, _sl_coords, _sparse_basis, _trace_times,
-                     adjugate, flatten, sl_coords, space_dim,
-                     sub_pfaffian_matrix)
+                     adjugate, flatten, space_dim, sub_pfaffian_matrix)
 from .poly import Poly, SubstitutionMap, _Record, _canonical, partial
 
 
@@ -94,35 +91,6 @@ def verify_complex(c: FreeComplex) -> bool:
     return True
 
 
-class ComplexMorphism(_Record):
-    """A degreewise map between complexes; maps[k] sends source F_k to
-    target F_k."""
-
-    FIELDS = ("source", "target", "maps")
-
-    def __init__(self, source: FreeComplex, target: FreeComplex, maps: tuple):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "maps", maps)
-        for k, m in enumerate(self.maps):
-            if (m.rows != self.target.ranks[k]
-                    or m.cols != self.source.ranks[k]):
-                raise ValueError(f"map {k} has the wrong shape")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ComplexMorphism is immutable")
-
-
-def verify_chain_map(phi: ComplexMorphism) -> bool:
-    """True iff d_k phi_k = phi_(k-1) d_k for all degrees covered by maps."""
-    for k in range(1, len(phi.maps)):
-        lhs = phi.target.diff(k) @ phi.maps[k]
-        rhs = phi.maps[k - 1] @ phi.source.diff(k)
-        if lhs != rhs:
-            return False
-    return True
-
-
 # -- Koszul ------------------------------------------------------------------
 
 def _koszul_on(seq: Sequence[Poly], nvars: int) -> FreeComplex:
@@ -148,12 +116,6 @@ def _koszul_on(seq: Sequence[Poly], nvars: int) -> FreeComplex:
 def koszul(g: Poly) -> FreeComplex:
     """Koszul complex of the partial derivatives of g."""
     parts = [partial(g, i) for i in range(g.nvars)]
-    return _koszul_on(parts, g.nvars)
-
-
-def koszul_augmented(g: Poly) -> FreeComplex:
-    """Koszul complex of (dg/dx_1, ..., dg/dx_m, g), the function last."""
-    parts = [partial(g, i) for i in range(g.nvars)] + [g]
     return _koszul_on(parts, g.nvars)
 
 
@@ -357,7 +319,7 @@ def kind_complex(fam: MatrixFamily) -> FreeComplex:
     return gn_complex(fam)
 
 
-# -- pullback and comparison maps ----------------------------------------------
+# -- pullback -----------------------------------------------------------------
 
 def pullback(c: FreeComplex, f: SubstitutionMap) -> FreeComplex:
     """Apply f to every differential entry; ranks are unchanged."""
@@ -366,77 +328,6 @@ def pullback(c: FreeComplex, f: SubstitutionMap) -> FreeComplex:
     return FreeComplex(c.ranks,
                        tuple(d.apply_map(f) for d in c.differentials),
                        f.source_nvars)
-
-
-def phi_f(fam: MatrixFamily, l: FreeComplex) -> ComplexMorphism:
-    """Comparison map from the Koszul complex of g = det/Pf of fam into l,
-    the (pulled-back) resolution of the same kind, through degree 2; the
-    three maps built here satisfy the chain-map identities by construction.
-
-    Degree 1 is the jacobian of the family in the flattening coordinates of
-    its kind.  Degree 2 sends e_i ^ e_j (i < j, with d(e_i ^ e_j) =
-    g_i e_j - g_j e_i) to the commutator-type expressions in the partials
-    of the family and of its adjugate/sub-pfaffian companion; these are
-    trace free because mixed second partials of g commute.
-    """
-    kind, m, s = fam.kind, fam.m, fam.entries
-    comp = sub_pfaffian_matrix(s) if kind == "skew" else adjugate(s)
-    ds = [fam.partial(i) for i in range(m)]
-    dcomp = [comp.map_entries(lambda p, i=i: partial(p, i)) for i in range(m)]
-
-    k = koszul(fam.function())
-    one = PolyMatrix([[Poly.constant(m, 1)]], m)
-    jac = PolyMatrix.from_columns(space_dim(kind, fam.n),
-                                  [flatten(kind, d) for d in ds], m)
-    maps = [one, jac]
-    if m >= 2 and l.length >= 2:
-        half = Fraction(1, 2)
-        cols = []
-        for i, j in combinations(range(m), 2):
-            if kind == "general":
-                a = (dcomp[i] @ ds[j] - dcomp[j] @ ds[i]).scale(half)
-                b = (ds[i] @ dcomp[j] - ds[j] @ dcomp[i]).scale(half)
-                cols.append(sl_coords(a) + sl_coords(b))
-            else:
-                v = (dcomp[i] @ ds[j] - dcomp[j] @ ds[i]).scale(half)
-                cols.append(sl_coords(v))
-        phi2 = PolyMatrix.from_columns(l.ranks[2], cols, m)
-        maps.append(phi2)
-    return ComplexMorphism(k, l, tuple(maps))
-
-
-def cone(phi: ComplexMorphism, through_degree: int) -> FreeComplex:
-    """Mapping cone of phi, truncated: C_0 = B_0 and C_k = A_(k-1) + B_k
-    for 1 <= k <= through_degree, with
-
-        d_1 = [-phi_0 | d^B_1]
-        d_k = [[-d^A_(k-1), 0], [-phi_(k-1), d^B_k]]   (k >= 2)
-
-    so that H_0 and H_1 of the cone measure the comparison map's cokernel
-    behaviour in low degrees.
-    """
-    a, b = phi.source, phi.target
-    d = through_degree
-    if d < 1:
-        raise ValueError("through_degree must be at least 1")
-    if len(phi.maps) < d or a.length < d - 1 or b.length < d:
-        raise ValueError("not enough data for the requested cone length")
-    nv = b.nvars
-    ranks = [b.ranks[0]]
-    for k in range(1, d + 1):
-        ranks.append(a.ranks[k - 1] + b.ranks[k])
-    diffs = []
-    d1 = PolyMatrix.block([[phi.maps[0].scale(-1), b.diff(1)]],
-                          [b.ranks[0]], [a.ranks[0], b.ranks[1]], nv)
-    diffs.append(d1)
-    for k in range(2, d + 1):
-        blk = [[a.diff(k - 1).scale(-1), None],
-               [phi.maps[k - 1].scale(-1), b.diff(k)]]
-        diffs.append(PolyMatrix.block(
-            blk,
-            [a.ranks[k - 2], b.ranks[k - 1]],
-            [a.ranks[k - 1], b.ranks[k]], nv))
-    return FreeComplex(tuple(ranks), tuple(diffs), nv)
 
 
 # -- homology -------------------------------------------------------------------

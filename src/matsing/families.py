@@ -363,24 +363,19 @@ def parse_family(text: str) -> FamilySpec:
         raise ParseError("exactly one of matrix/upper is required")
     if "matrix" in fields:
         entries = read("matrix", variables, _rows)
-        n = len(entries)
-        if any(len(r) != len(entries[0]) for r in entries):
-            raise ParseError("ragged matrix rows", lines["matrix"])
-        if len(entries[0]) != n:
-            raise ParseError("matrix is not square", lines["matrix"])
     else:
         rows = read("upper", variables, _rows)
         entries = _fill_upper(kind, rows, len(variables), lines["upper"])
-        n = len(entries)
+    try:
+        MatrixFamily(kind, PolyMatrix(entries, len(variables)))
+    except ValueError as exc:  # ragged rows, not square, the kind's symmetry
+        raise ParseError(str(exc), lines.get("matrix")) from exc
+    n = len(entries)
     if "n" in fields:
         n_stated = _int_or_error(fields["n"], lines["n"])
         if n_stated != n:
             raise ParseError(f"n = {n_stated} does not match the matrix size "
                              f"{n}", lines["n"])
-    try:
-        MatrixFamily(kind, PolyMatrix(entries, len(variables)))
-    except ValueError as exc:  # MatrixFamily checks the kind's symmetry
-        raise ParseError(str(exc), lines.get("matrix")) from exc
     return FamilySpec(kind=kind, variables=variables, name=name,
                       entries=entries, expected=expected)
 

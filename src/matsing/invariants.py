@@ -31,8 +31,8 @@ from functools import cache, cached_property
 from fractions import Fraction
 from typing import List, Optional
 
-from .complexes import (FreeComplex, cone, homology_dimension, kind_complex,
-                        koszul, phi_f, pullback)
+from .complexes import (FreeComplex, homology_dimension, kind_complex, koszul,
+                        pullback)
 from .groebner import (GLOBAL, INFINITE, LOCAL, ModuleBasis,
                        _contained, _extended, _leads_divided_by,
                        quotient_dimension, step_limit, syzygies)
@@ -632,12 +632,3 @@ def analyze(subject, name: str = "") -> InvariantReport:
         m0=ctx.m0,
         checks=ctx.all_checks(),
     )
-
-
-def tau_homological(fam: MatrixFamily):
-    """Third route to tau: H_1 of the cone over the comparison map from the
-    Koszul complex of det/Pf into the family's resolution."""
-    l = kind_complex(fam)
-    phi = phi_f(fam, l)
-    c = cone(phi, min(2, l.length))
-    return homology_dimension(c, 1)

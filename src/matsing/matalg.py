@@ -11,7 +11,7 @@ being measured.
 Also here: adjugates, Pfaffians, the sub-Pfaffian matrix (the skew
 analogue of the adjugate, satisfying P* S = S P* = Pf(S) I), ideals of
 submaximal minors, and the fixed coordinate conventions for the spaces
-of symmetric, skew and trace-free matrices that the chain-map and
+of symmetric, skew and trace-free matrices that the resolution and
 tangent-space code relies on.  Each matrix object has one construction:
 cofactors and minors come from one minor memo of the matrix itself,
 sub-Pfaffians from one Pfaffian memo, the generic family of a kind and
@@ -32,11 +32,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, combinations
 from typing import Callable, List, Optional, Sequence
 
 from .groebner import LOCAL, ModuleBasis
-from .poly import Poly, SubstitutionMap, _Record, substitute
+from .poly import Poly, SubstitutionMap, _Record, partial, substitute
 
 KINDS = ("symmetric", "skew", "general")
 
@@ -61,7 +61,7 @@ class PolyMatrix:
             raise ValueError(f"rows have {nc} entries, expected cols={cols}")
         for r in rows:
             if len(r) != nc:
-                raise ValueError("ragged matrix")
+                raise ValueError("ragged matrix rows")
         nv = nvars
         for r in rows:
             for p in r:
@@ -113,31 +113,6 @@ class PolyMatrix:
             if len(c) != rows:
                 raise ValueError("column length mismatch")
         return cls._of(list(zip(*columns)), nvars, len(columns))
-
-    @classmethod
-    def block(cls, grid: Sequence[Sequence[Optional["PolyMatrix"]]],
-              row_sizes: Sequence[int], col_sizes: Sequence[int],
-              nvars: int) -> "PolyMatrix":
-        """Assemble from a grid of blocks; None means a zero block."""
-        total_r = sum(row_sizes)
-        total_c = sum(col_sizes)
-        z = Poly.zero(nvars)
-        out = [[z] * total_c for _ in range(total_r)]
-        r0 = 0
-        for bi, rs in enumerate(row_sizes):
-            c0 = 0
-            for bj, cs in enumerate(col_sizes):
-                blk = grid[bi][bj]
-                if blk is not None:
-                    if blk.rows != rs or blk.cols != cs:
-                        raise ValueError(
-                            f"block ({bi},{bj}) is {blk.rows}x{blk.cols}, "
-                            f"expected {rs}x{cs}")
-                    for i in range(rs):
-                        out[r0 + i][c0:c0 + cs] = blk.entries[i]
-                c0 += cs
-            r0 += rs
-        return cls._of(out, nvars, total_c)
 
     # -- access ---------------------------------------------------------------
 
@@ -383,7 +358,7 @@ class MatrixFamily(_Record):
             raise ValueError(f"unknown kind {self.kind!r}")
         e = self.entries
         if not e.is_square():
-            raise ValueError("a family needs a square matrix")
+            raise ValueError("matrix is not square")
         if self.kind == "symmetric":
             for i in range(self.n):
                 for j in range(i + 1, self.n):
@@ -416,8 +391,7 @@ class MatrixFamily(_Record):
         return SubstitutionMap(flatten(self.kind, self.entries))
 
     def partial(self, i: int) -> PolyMatrix:
-        from .poly import partial as dp
-        return self.entries.map_entries(lambda p: dp(p, i))
+        return self.entries.map_entries(lambda p: partial(p, i))
 
 
 def generic_family(kind: str, n: int) -> MatrixFamily:
@@ -434,7 +408,6 @@ def minors_ideal(fam: MatrixFamily, size: int) -> ModuleBasis:
     over the local order.  Size 0 gives the unit ideal.  All minors share
     one minor memo of the family matrix, all sub-pfaffians one pfaffian
     memo."""
-    from itertools import combinations
     n = fam.n
     if not 0 <= size <= n:
         raise ValueError("minor size out of range")
@@ -551,8 +524,10 @@ def _coords(kind: str, d: dict, n: int, z, twin: int = 0) -> list:
 
 
 def _sl_coords(d: dict, n: int, z, centred: bool = False) -> list:
-    """sl_coords of a sparse matrix d with zero z, or with centred of
-    d - trace(d)/n I.  Raises if the trace is not identically zero."""
+    """Coordinates of a trace-free sparse matrix d with zero z, or with
+    centred of d - trace(d)/n I: its off-diagonal entries row-major, then
+    the n-1 leading partial sums of its diagonal.  Raises if the trace is
+    not identically zero."""
     out = [z] * (n * n - n)
     diag = [z] * n
     for (i, j), p in d.items():
@@ -567,14 +542,6 @@ def _sl_coords(d: dict, n: int, z, centred: bool = False) -> list:
     if sums and sums[-1].terms:
         raise ValueError("matrix has nonzero trace")
     return out + sums[:-1]
-
-
-def sl_coords(m: PolyMatrix) -> List[Poly]:
-    """Coordinates of a trace-free matrix: off-diagonal entries row-major,
-    then the n-1 leading partial sums of the diagonal.  Raises if the trace
-    is not identically zero."""
-    return _sl_coords({(i, j): p for i, r in enumerate(m.entries)
-                       for j, p in enumerate(r)}, m.rows, Poly.zero(m.nvars))
 
 
 def _lie_images(kind: str, s: PolyMatrix, flavour: str, z=None) -> list:
@@ -595,33 +562,3 @@ def _lie_images(kind: str, s: PolyMatrix, flavour: str, z=None) -> list:
     twin = 1 if kind == "symmetric" else -1
     return [tuple(_coords(kind, _placed(a, s, False), n, z, twin))
             for a in basis]
-
-
-def _dense(kind: str, n: int, nvars: int) -> List[PolyMatrix]:
-    """The matrices of _sparse_basis(kind, n) written out."""
-    z = Poly.zero(nvars)
-    out = []
-    for b in _sparse_basis(kind, n):
-        ent = [[z] * n for _ in range(n)]
-        for i, j, c in b:
-            ent[i][j] = Poly.constant(nvars, c)
-        out.append(PolyMatrix._of(ent, nvars, n))
-    return out
-
-
-def sym_basis(n: int, nvars: int) -> List[PolyMatrix]:
-    """Constant basis matrices matching the symmetric flattening order."""
-    return _dense("symmetric", n, nvars)
-
-
-def skew_basis(n: int, nvars: int) -> List[PolyMatrix]:
-    return _dense("skew", n, nvars)
-
-
-def gl_basis(n: int, nvars: int) -> List[PolyMatrix]:
-    return _dense("general", n, nvars)
-
-
-def sl_basis(n: int, nvars: int) -> List[PolyMatrix]:
-    """Off-diagonal units row-major, then E_ii - E_(i+1)(i+1)."""
-    return _dense("sl", n, nvars)

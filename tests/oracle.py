@@ -4,14 +4,22 @@ The jet-space dimension counter below never touches the standard-basis
 machinery: it truncates to finite-dimensional jet spaces and does exact
 Gaussian elimination over the rationals, stopping once the answer is
 stable under raising the truncation degree.
+
+The written-out basis matrices, the product-built resolutions and the
+comparison-map route to tau at the end are references the library itself
+does without.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 import random
 
-from matsing import Poly, PolyMatrix, SubstitutionMap
-from matsing.poly import substitute
+from matsing import (FreeComplex, Poly, PolyMatrix, SubstitutionMap,
+                     homology_dimension, kind_complex, koszul)
+from matsing.complexes import _koszul_on
+from matsing.matalg import (_sl_coords, _sparse_basis, adjugate, flatten,
+                            space_dim, sub_pfaffian_matrix)
+from matsing.poly import partial, substitute
 
 
 def is_canonical(p):
@@ -130,13 +138,11 @@ def jet_quotient_dimension(gens, degree_cap=14):
 
 
 def jet_milnor(g, degree_cap=14):
-    from matsing.poly import partial
     return jet_quotient_dimension(
         [partial(g, i) for i in range(g.nvars)], degree_cap)
 
 
 def jet_tjurina(g, degree_cap=14):
-    from matsing.poly import partial
     return jet_quotient_dimension(
         [g] + [partial(g, i) for i in range(g.nvars)], degree_cap)
 
@@ -201,6 +207,40 @@ def random_finite_colength_module(rng: random.Random, nvars, rank):
     return [tuple(vec) for vec in gens]
 
 
+# -- written-out matrices -----------------------------------------------------
+
+def elementary(n, nvars, units):
+    """The constant n x n matrix with entry c at (i, j) for (i, j, c) in
+    units and 0 elsewhere."""
+    ent = [[Poly.zero(nvars)] * n for _ in range(n)]
+    for i, j, c in units:
+        ent[i][j] = Poly.constant(nvars, c)
+    return PolyMatrix(ent, nvars)
+
+
+def dense_basis(kind, n, nvars):
+    """The basis matrices of kind's space ('sl' for the trace-free one),
+    in the library's coordinate order, written out."""
+    return [elementary(n, nvars, b) for b in _sparse_basis(kind, n)]
+
+
+def sl_coords(m):
+    """Coordinates of a trace-free PolyMatrix: off-diagonal entries
+    row-major, then the n-1 leading partial sums of the diagonal.  Raises
+    if the trace is not identically zero."""
+    return _sl_coords({(i, j): p for i, r in enumerate(m.entries)
+                       for j, p in enumerate(r)}, m.rows, Poly.zero(m.nvars))
+
+
+def block(grid):
+    """The PolyMatrix assembled from a grid of PolyMatrix blocks.  A block
+    of the wrong height raises from zip, one of the wrong width from
+    PolyMatrix."""
+    rows = [sum(parts, ()) for line in grid
+            for parts in zip(*(b.entries for b in line), strict=True)]
+    return PolyMatrix(rows, grid[0][0].nvars, sum(b.cols for b in grid[0]))
+
+
 # -- product-built resolutions and Lie images ----------------------------------
 #
 # The library places rows and columns of the family matrix S by the entries
@@ -209,8 +249,8 @@ def random_finite_colength_module(rng: random.Random, nvars, rank):
 
 def lie_images_by_products(fam, flavour):
     """Flattened images of sl (special) or gl (general) acting on S."""
-    from matsing.matalg import flatten, gl_basis, sl_basis
-    basis = (sl_basis if flavour == "special" else gl_basis)(fam.n, fam.m)
+    basis = dense_basis("sl" if flavour == "special" else "general",
+                        fam.n, fam.m)
     s = fam.entries
     if fam.kind == "general":
         return ([tuple(flatten("general", a @ s)) for a in basis]
@@ -220,31 +260,26 @@ def lie_images_by_products(fam, flavour):
 
 
 def _jozefiak_by_products(fam):
-    from matsing import FreeComplex, PolyMatrix
-    from matsing.matalg import (adjugate, flatten, skew_basis, sl_basis,
-                                sl_coords, space_dim, sym_basis)
     n, nv, s = fam.n, fam.m, fam.entries
     a = adjugate(s)
     ranks = (1, space_dim("symmetric", n), n * n - 1, space_dim("skew", n))
     d1 = PolyMatrix.from_columns(
-        1, [[trace(a @ b)] for b in sym_basis(n, nv)], nv)
+        1, [[trace(a @ b)] for b in dense_basis("symmetric", n, nv)], nv)
     d2 = PolyMatrix.from_columns(
         ranks[1], [flatten("symmetric", s @ b + transpose(b) @ s)
-                   for b in sl_basis(n, nv)], nv)
+                   for b in dense_basis("sl", n, nv)], nv)
     d3 = PolyMatrix.from_columns(
-        ranks[2], [sl_coords(b @ s) for b in skew_basis(n, nv)], nv)
+        ranks[2], [sl_coords(b @ s) for b in dense_basis("skew", n, nv)], nv)
     return FreeComplex(ranks, (d1, d2, d3), nv)
 
 
 def _jp_by_products(fam):
-    from matsing import FreeComplex, PolyMatrix
-    from matsing.matalg import (flatten, skew_basis, sl_basis, sl_coords,
-                                space_dim, sub_pfaffian_matrix, sym_basis)
     n, nv, s = fam.n, fam.m, fam.entries
     p = sub_pfaffian_matrix(s)
     sk, sy, sl = space_dim("skew", n), space_dim("symmetric", n), n * n - 1
     half = Fraction(1, 2)
-    skb, slb, syb = skew_basis(n, nv), sl_basis(n, nv), sym_basis(n, nv)
+    skb, slb, syb = (dense_basis(kind, n, nv)
+                     for kind in ("skew", "sl", "symmetric"))
     ident = PolyMatrix.identity(n, nv)
     d1 = PolyMatrix.from_columns(
         1, [[trace(p @ b) * half] for b in skb], nv)
@@ -271,12 +306,10 @@ def _jp_by_products(fam):
 
 
 def _gn_by_products(fam):
-    from matsing import FreeComplex, PolyMatrix
-    from matsing.matalg import adjugate, flatten, gl_basis, sl_basis, sl_coords
     n, nv, m = fam.n, fam.m, fam.entries
     a = adjugate(m)
     gl, sl = n * n, n * n - 1
-    glb, slb = gl_basis(n, nv), sl_basis(n, nv)
+    glb, slb = dense_basis("general", n, nv), dense_basis("sl", n, nv)
     ident = PolyMatrix.identity(n, nv)
     d1 = PolyMatrix.from_columns(1, [[trace(a @ b)] for b in glb], nv)
     d2 = PolyMatrix.from_columns(
@@ -298,3 +331,73 @@ def kind_complex_by_products(fam):
     return {"symmetric": _jozefiak_by_products, "skew": _jp_by_products,
             "general": _gn_by_products}[fam.kind](fam)
 
+
+# -- the comparison-map route to tau ------------------------------------------
+#
+# The source paper proves tau = mu through the comparison map from the
+# Koszul complex of g = det/Pf into the family's resolution: H_1 of its
+# mapping cone is tau.  A map of complexes is the tuple of its degreewise
+# matrices, maps[k] from source F_k to target F_k; a map of the wrong shape
+# raises from PolyMatrix's product check.
+
+def koszul_augmented(g):
+    """Koszul complex of (dg/dx_1, ..., dg/dx_m, g), the function last."""
+    return _koszul_on([partial(g, i) for i in range(g.nvars)] + [g], g.nvars)
+
+
+def verify_chain_map(source, target, maps):
+    """True iff d_k phi_k = phi_(k-1) d_k in every degree maps covers."""
+    return all(target.diff(k) @ maps[k] == maps[k - 1] @ source.diff(k)
+               for k in range(1, len(maps)))
+
+
+def phi_f(fam, l):
+    """The comparison maps, through degree 2 (1 for a one-parameter
+    family), from koszul(g) into l, the (pulled-back) resolution of fam's
+    kind.  Degree 1 is the jacobian of
+    the family in the flattening coordinates of its kind.  Degree 2 sends
+    e_i ^ e_j (i < j, with d(e_i ^ e_j) = g_i e_j - g_j e_i) to the
+    commutator-type expressions in the partials of the family and of its
+    adjugate or sub-Pfaffian companion; these are trace free because mixed
+    second partials of g commute."""
+    kind, m, s = fam.kind, fam.m, fam.entries
+    comp = sub_pfaffian_matrix(s) if kind == "skew" else adjugate(s)
+    ds = [fam.partial(i) for i in range(m)]
+    dc = [comp.map_entries(lambda p, i=i: partial(p, i)) for i in range(m)]
+    maps = (PolyMatrix.identity(1, m), PolyMatrix.from_columns(
+        space_dim(kind, fam.n), [flatten(kind, d) for d in ds], m))
+    if m < 2:
+        return maps
+    half = Fraction(1, 2)
+    cols = []
+    for i, j in combinations(range(m), 2):
+        col = sl_coords((dc[i] @ ds[j] - dc[j] @ ds[i]).scale(half))
+        if kind == "general":
+            col += sl_coords((ds[i] @ dc[j] - ds[j] @ dc[i]).scale(half))
+        cols.append(col)
+    return maps + (PolyMatrix.from_columns(l.ranks[2], cols, m),)
+
+
+def cone(source, target, maps, through_degree):
+    """Mapping cone of the chain map, truncated: C_0 = B_0 and
+    C_k = A_(k-1) + B_k for 1 <= k <= through_degree, with
+
+        d_1 = [-phi_0 | d^B_1]
+        d_k = [[-d^A_(k-1), 0], [-phi_(k-1), d^B_k]]   (k >= 2)
+    """
+    a, b = source, target
+    diffs = [block([[-maps[0], b.diff(1)]])]
+    for k in range(2, through_degree + 1):
+        zero = PolyMatrix.zeros(a.ranks[k - 2], b.ranks[k], b.nvars)
+        diffs.append(block([[-a.diff(k - 1), zero],
+                            [-maps[k - 1], b.diff(k)]]))
+    ranks = [b.ranks[0]] + [a.ranks[k - 1] + b.ranks[k]
+                            for k in range(1, through_degree + 1)]
+    return FreeComplex(tuple(ranks), tuple(diffs), b.nvars)
+
+
+def tau_homological(fam):
+    """Third route to tau: H_1 of the cone over the comparison map."""
+    l = kind_complex(fam)
+    k = koszul(fam.function())
+    return homology_dimension(cone(k, l, phi_f(fam, l), 2), 1)

@@ -143,14 +143,18 @@ def test_parse_errors_give_positions_in_the_file():
         parse_family("kind=section; vars=x; fvars=u\nf=u; map=[x] x")
     # Comments inside a value are skipped.
     assert parse_family(head + "matrix = [[x, 0],  # w\n [0, y]]").n == 2
-    # MatrixFamily checks the kind's symmetry, naming rows and columns from
-    # 1; the parser gives its message the line of the matrix.
+    # PolyMatrix checks the rows, and MatrixFamily the shape and the kind's
+    # symmetry, naming rows and columns from 1; the parser gives their
+    # message the line of the matrix, and checks a stated n only after.
     for kind, matrix, message in (
             ("symmetric", "[[x, x], [y, y]]",
              "symmetry violated at row 1, column 2"),
             ("skew", "[[0, x], [-x, y]]", "nonzero diagonal entry at row 2"),
             ("skew", "[[0, x], [x, 0]]",
-             "skew symmetry violated at row 1, column 2")):
+             "skew symmetry violated at row 1, column 2"),
+            ("general", "[[x, y], [y]]", "ragged matrix rows"),
+            ("general", "[[x, y]]", "matrix is not square"),
+            ("general", "[[x, y]]\nn = 3", "matrix is not square")):
         with pytest.raises(ParseError) as err:
             parse_family(f"kind = {kind}\nvars = x, y\nmatrix = {matrix}")
         assert str(err.value) == f"line 3: {message}"

@@ -28,7 +28,6 @@ from matsing import (
     quotient_dimension,
     t1_kf,
     t1_kv,
-    tau_homological,
     tangent_module,
     tau_matrix,
     tjurina_number_function,
@@ -40,7 +39,7 @@ from matsing.invariants import (CheckRecord, InvariantReport, _Analysis,
 from matsing.poly import partial, substitute
 
 from conftest import budget
-from oracle import jet_milnor, jet_tjurina, random_poly
+from oracle import jet_milnor, jet_tjurina, random_poly, tau_homological
 from test_complexes import _PENCILS, random_family
 
 

@@ -20,16 +20,15 @@ from matsing import (
     parse_family,
     parse_poly,
     quotient_dimension,
-    sl_coords,
     space_dim,
     sub_pfaffian_matrix,
     unflatten,
 )
 from matsing import matalg
-from matsing.matalg import (_pfaffians, adjugate, determinant, gl_basis,
-                            pfaffian, skew_basis, sl_basis, sym_basis)
+from matsing.matalg import _pfaffians, adjugate, determinant, pfaffian
 
-from oracle import is_canonical, random_poly, trace, transpose
+from oracle import (block, dense_basis, elementary, is_canonical, random_poly,
+                    sl_coords, trace, transpose)
 
 
 def P(text, names=("x", "y")):
@@ -210,8 +209,8 @@ def test_block_assembly():
     z = Poly.zero(1)
     x = Poly.variable(1, 0)
     a = PolyMatrix([[x]], 1)
-    grid = [[a, None], [None, a]]
-    m = PolyMatrix.block(grid, [1, 1], [1, 1], 1)
+    o = PolyMatrix([[z]], 1)
+    m = block([[a, o], [o, a]])
     assert m.entries[0][0] == x and m.entries[1][1] == x
     assert m.entries[0][1] == z
 
@@ -354,21 +353,12 @@ def test_sl_coords_round_trip():
 
 
 def test_constant_bases_shapes():
-    assert len(sym_basis(3, 1)) == 6
-    assert len(skew_basis(4, 1)) == 6
-    assert len(gl_basis(2, 1)) == 4
-    assert len(sl_basis(3, 1)) == 8
-    for b in skew_basis(4, 1):
+    assert len(dense_basis("symmetric", 3, 1)) == 6
+    assert len(dense_basis("skew", 4, 1)) == 6
+    assert len(dense_basis("general", 2, 1)) == 4
+    assert len(dense_basis("sl", 3, 1)) == 8
+    for b in dense_basis("skew", 4, 1):
         assert (b + transpose(b)).is_zero()
-
-
-def _elementary(n, nv, units):
-    """The constant n x n matrix with entry c at (i, j) for (i, j, c) in
-    units and 0 elsewhere."""
-    ent = [[Poly.zero(nv)] * n for _ in range(n)]
-    for i, j, c in units:
-        ent[i][j] = Poly.constant(nv, c)
-    return PolyMatrix(ent, nv)
 
 
 def test_constant_bases_are_unflattened_unit_vectors():
@@ -377,22 +367,22 @@ def test_constant_bases_are_unflattened_unit_vectors():
     nv = 2
     for n in range(6):
         expected = {
-            "symmetric": [_elementary(n, nv, {(i, j, 1), (j, i, 1)})
+            "symmetric": [elementary(n, nv, {(i, j, 1), (j, i, 1)})
                           for i in range(n) for j in range(i, n)],
-            "skew": [_elementary(n, nv, [(i, j, 1), (j, i, -1)])
+            "skew": [elementary(n, nv, [(i, j, 1), (j, i, -1)])
                      for i in range(n) for j in range(i + 1, n)],
-            "general": [_elementary(n, nv, [(i, j, 1)])
+            "general": [elementary(n, nv, [(i, j, 1)])
                         for i in range(n) for j in range(n)],
         }
-        for kind, build in (("symmetric", sym_basis), ("skew", skew_basis),
-                            ("general", gl_basis)):
+        for kind in ("symmetric", "skew", "general"):
             d = space_dim(kind, n)
             units = [[Poly.constant(nv, int(i == k)) for i in range(d)]
                      for k in range(d)]
-            assert build(n, nv) == expected[kind], (kind, n)
-            assert build(n, nv) == [unflatten(kind, e, n, nv)
-                                    for e in units], (kind, n)
-            assert [flatten(kind, b) for b in build(n, nv)] == units
+            basis = dense_basis(kind, n, nv)
+            assert basis == expected[kind], (kind, n)
+            assert basis == [unflatten(kind, e, n, nv)
+                             for e in units], (kind, n)
+            assert [flatten(kind, b) for b in basis] == units
 
 
 def test_family_validation():
