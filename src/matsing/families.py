@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, List, Optional, Tuple
 
 from .matalg import MatrixFamily, PolyMatrix, generic_family, unflatten
@@ -215,8 +215,13 @@ class FamilySpec(_Record):
         return None if self.entries is None else len(self.entries)
 
     def to_family(self) -> MatrixFamily:
+        """The family, built and checked on the first call only."""
         if self.kind == "section":
             raise ValueError("a section has no matrix family")
+        return self._family
+
+    @cached_property
+    def _family(self) -> MatrixFamily:
         return MatrixFamily(self.kind,
                             PolyMatrix(self.entries, len(self.variables)))
 
@@ -366,18 +371,18 @@ def parse_family(text: str) -> FamilySpec:
     else:
         rows = read("upper", variables, _rows)
         entries = _fill_upper(kind, rows, len(variables), lines["upper"])
+    spec = FamilySpec(kind=kind, variables=variables, name=name,
+                      entries=entries, expected=expected)
     try:
-        MatrixFamily(kind, PolyMatrix(entries, len(variables)))
+        spec.to_family()
     except ValueError as exc:  # ragged rows, not square, the kind's symmetry
         raise ParseError(str(exc), lines.get("matrix")) from exc
-    n = len(entries)
     if "n" in fields:
         n_stated = _int_or_error(fields["n"], lines["n"])
-        if n_stated != n:
+        if n_stated != spec.n:
             raise ParseError(f"n = {n_stated} does not match the matrix size "
-                             f"{n}", lines["n"])
-    return FamilySpec(kind=kind, variables=variables, name=name,
-                      entries=entries, expected=expected)
+                             f"{spec.n}", lines["n"])
+    return spec
 
 
 def _int_or_error(value: str, line: int) -> int:

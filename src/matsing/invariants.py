@@ -18,9 +18,9 @@ In one analysis each 'general' module is its 'special' one plus one vector
 (S, or the map as the pulled-back Euler field), and its standard basis
 resumes the completion of the special one (see _Analysis).
 
-The identity checkers at the bottom re-derive the relations between these
-numbers (difference formulas against Milnor numbers, Betti number
-symmetries, closed forms for diagonal families) and report HOLDS, FAILS or
+The identity checks at the bottom re-derive the relations between these
+numbers (tau = mu + (q - 1)*b0 at m = m0 - q, Betti number symmetries,
+closed forms for diagonal families) and report HOLDS, FAILS or
 NOT-APPLICABLE with both sides stored, never silently skipping a failed
 hypothesis.
 """
@@ -69,14 +69,6 @@ def tjurina_number_function(g: Poly):
 
 # -- logarithmic vector fields -------------------------------------------------
 
-# Log fields of each target function, built once per process and keyed by
-# (flavour, f, step_limit()).  Every family of one (kind, n) has the same
-# target, the generic det/Pf, so its fields are shared by all of them.  The
-# budget is part of the key so that a result does not depend on what ran
-# earlier: a hit never skips a StepLimitExceeded the budget would raise.
-_LOG_FIELDS: dict = {}
-
-
 def _syzygy_fields(row: list, n: int) -> ModuleBasis:
     """First n components of the syzygies of a row of polynomials in n
     variables, as syzygies returns them: a Schreyer generating set, not
@@ -85,16 +77,27 @@ def _syzygy_fields(row: list, n: int) -> ModuleBasis:
     return ModuleBasis(n, [z.column(j)[:n] for j in range(z.cols)], GLOBAL)
 
 
+@cache
+def _log_fields(flavour: str, f: Poly, limit: int) -> ModuleBasis:
+    """der_log_f(f) ('f') or der_log_V(f) ('V'), built once per process and
+    shared by every family of one (kind, n), whose target is the same
+    generic det/Pf.  limit, the step_limit() in force, is in the key so that
+    a result does not depend on what ran earlier: a hit never skips a
+    StepLimitExceeded the budget would raise (a raising call caches none)."""
+    n = f.nvars
+    if flavour == "V" and _homogeneous(f):
+        euler = tuple(Poly.variable(n, i) for i in range(n))
+        return ModuleBasis(n, der_log_f(f).generators + [euler], GLOBAL)
+    row = [partial(f, i) for i in range(n)]
+    return _syzygy_fields(row if flavour == "f" else row + [f], n)
+
+
 def der_log_f(f: Poly) -> ModuleBasis:
     """Vector fields annihilating f: the generators that syzygies gives
     for the row (df/dx_1, ..., df/dx_N), in its order.  Computed over the
     polynomial ring; since localization is flat, the same vectors generate
     over the local ring."""
-    key = ("f", f, step_limit())
-    if key not in _LOG_FIELDS:
-        _LOG_FIELDS[key] = _syzygy_fields(
-            [partial(f, i) for i in range(f.nvars)], f.nvars)
-    return _LOG_FIELDS[key]
+    return _log_fields("f", f, step_limit())
 
 
 def der_log_V(f: Poly) -> ModuleBasis:
@@ -106,16 +109,7 @@ def der_log_V(f: Poly) -> ModuleBasis:
     the Euler field, so Der(-log V) = Der(-log f) + O*E.  Otherwise the
     fields are the first N components of the syzygies of
     (df/dx_1, ..., df/dx_N, f)."""
-    key = ("V", f, step_limit())
-    if key not in _LOG_FIELDS:
-        n = f.nvars
-        if _homogeneous(f):
-            euler = tuple(Poly.variable(n, i) for i in range(n))
-            got = ModuleBasis(n, der_log_f(f).generators + [euler], GLOBAL)
-        else:
-            got = _syzygy_fields([partial(f, i) for i in range(n)] + [f], n)
-        _LOG_FIELDS[key] = got
-    return _LOG_FIELDS[key]
+    return _log_fields("V", f, step_limit())
 
 
 def _homogeneous(f: Poly) -> bool:  # der_log_V(f) takes the Euler route
@@ -262,6 +256,10 @@ class _Analysis:
     A matrix family is the section fam.as_map() of the generic det/Pf of its
     (kind, n); fam is kept only for the matrix-only extras (tau_matrix, its
     own kind complex, eqeq and diag).
+
+    check, the one builder of a CheckRecord, applies analyze's germ rule,
+    then one _check_*, which returns (verdict, lhs, rhs, note) and computes
+    only what its statement reads, up to the first failed hypothesis.
     """
 
     def __init__(self, subject, name: str = ""):
@@ -390,35 +388,53 @@ class _Analysis:
         return [self.codim] + [homology_dimension(c, k)
                                for k in range(1, top + 1)]
 
-    # identity checks
+    # identity checks: each _check_* returns (verdict, lhs, rhs, note)
 
     def check(self, identity: str) -> CheckRecord:
         if identity not in IDENTITIES:
-            raise ValueError(f"unknown identity {identity!r}")
-        return getattr(self, "_check_" + identity)()
+            raise ValueError(f"unknown identity {identity!r}; one of: "
+                             + ", ".join(IDENTITIES))
+        self._require_germ()
+        verdict, lhs, rhs, note = getattr(self, "_check_" + identity)()
+        return CheckRecord(identity, _jsonable(lhs), _jsonable(rhs), verdict,
+                           note)
 
     def all_checks(self) -> List[CheckRecord]:
         return [self.check(i) for i in IDENTITIES]
 
-    def _na(self, identity, note, lhs=None, rhs=None) -> CheckRecord:
-        return CheckRecord(identity, _jsonable(lhs), _jsonable(rhs),
-                           "NOT-APPLICABLE", note)
+    def _require_germ(self) -> None:
+        """Raise ValueError unless g vanishes at 0.  An odd-size skew family
+        has no Pf, hence no g: it passes here, and whatever reads g raises."""
+        odd_skew = self.kind == "skew" and self.n % 2
+        if not odd_skew and self.g.constant_term() != 0:
+            raise ValueError("det/Pf (or the composed function) does not "
+                             "vanish at the origin; not a singularity germ")
 
-    def _verdict(self, identity, lhs, rhs, note="") -> CheckRecord:
-        verdict = "HOLDS" if lhs == rhs else "FAILS"
-        return CheckRecord(identity, _jsonable(lhs), _jsonable(rhs),
-                           verdict, note)
+    def _rhs(self, q: int):
+        """mu + (q - 1)*b0, b0 = codim: tau at m = m0 - q.  At q = 1 it is
+        mu and reads no codim; else None when mu or b0 is infinite."""
+        if q == 1:
+            return self.mu
+        if _finite(self.mu) and _finite(self.codim):
+            return self.mu + (q - 1) * self.codim
+        return None
 
-    def _check_eqeq(self) -> CheckRecord:
+    def _parameters(self, q: int) -> Optional[str]:
+        """The note of a failed hypothesis m = m0 - q, None when it holds."""
+        if self.m == self.m0 - q:
+            return None
+        m0 = "m0" if q == 0 else f"m0 - {q}"
+        return f"m = {self.m} differs from {m0} = {self.m0 - q}"
+
+    def _check_eqeq(self) -> tuple:
         if self.fam is None:
-            return self._na("eqeq", "matrix families only")
+            return _na("matrix families only")
         note = ("tangent space of the group action vs jacobian plus "
                 "pulled-back log fields, both flavours")
         lhs = [self.tau_special, self.tau_general]
         rhs = [self.tau_kf, self.tau_kv]
         if lhs != rhs:
-            return CheckRecord("eqeq", _jsonable(lhs), _jsonable(rhs),
-                               "FAILS", note)
+            return _verdict(lhs, rhs, note)
         # Dimensions agree; confirm the modules coincide.  For a finite
         # colength d, B in A with dim O^r/A = dim O^r/B = d gives A = B,
         # and B in A is decided by division against the cached standard
@@ -437,143 +453,126 @@ class _Analysis:
                 same = (_leads_divided_by(both, a)
                         and _leads_divided_by(both, b))
             if not same:
-                return CheckRecord("eqeq", _jsonable(lhs), _jsonable(rhs),
-                                   "FAILS", note + "; containment failed")
-        return CheckRecord("eqeq", _jsonable(lhs), _jsonable(rhs), "HOLDS",
-                           note + "; generators mutually contained")
+                return _verdict(lhs, rhs, note + "; containment failed",
+                                holds=False)
+        return _verdict(lhs, rhs, note + "; generators mutually contained")
 
-    def _check_betas(self) -> CheckRecord:
-        note = "tau = mu - b0 + b1"
+    def _check_betas(self) -> tuple:
         if not _finite(self.mu):
-            return self._na("betas", "composed function is not isolated",
-                            self.tau_kf, None)
+            return _na("composed function is not isolated", self.tau_kf)
         b = self.betti
         if len(b) < 2 or not (_finite(b[0]) and _finite(b[1])):
-            return self._na("betas", "b0 or b1 not finite", self.tau_kf, b[:2])
-        rhs = self.mu - b[0] + b[1]
-        return self._verdict("betas", self.tau_kf, rhs, note)
+            return _na("b0 or b1 not finite", self.tau_kf, b[:2])
+        return _verdict(self.tau_kf, self.mu - b[0] + b[1],
+                        "tau = mu - b0 + b1")
 
-    def _check_imax(self) -> CheckRecord:
-        note = "tau = mu - dim O/(pulled jacobian ideal), max parameter count"
-        rhs = (self.mu - self.codim
-               if _finite(self.mu) and _finite(self.codim) else None)
-        if self.m != self.m0:
-            return self._na("imax", f"m = {self.m} differs from m0 = {self.m0}",
-                            self.tau_kf, rhs)
+    def _check_imax(self) -> tuple:
+        rhs = self._rhs(0)
+        if note := self._parameters(0):
+            return _na(note, self.tau_kf, rhs)
         if not self.target_isolated:
-            return self._na(
-                "imax",
-                "target function is not isolated, so its jacobian quotient "
-                "is not Cohen-Macaulay of the expected codimension",
-                self.tau_kf, rhs)
+            return _na("target function is not isolated, so its jacobian "
+                       "quotient is not Cohen-Macaulay of the expected "
+                       "codimension", self.tau_kf, rhs)
         if not _finite(self.mu):
-            return self._na("imax", "composed function is not isolated",
-                            self.tau_kf, rhs)
-        if not _finite(self.codim):
-            return self._na("imax", "pulled jacobian ideal has infinite "
-                            "colength", self.tau_kf, rhs)
-        return self._verdict("imax", self.tau_kf, rhs, note)
+            return _na("composed function is not isolated", self.tau_kf, rhs)
+        if rhs is None:
+            return _na("pulled jacobian ideal has infinite colength",
+                       self.tau_kf, rhs)
+        return _verdict(self.tau_kf, rhs, "tau = mu - dim O/(pulled jacobian "
+                        "ideal), max parameter count")
 
-    def _check_submax(self) -> CheckRecord:
-        note = "tau = mu, one parameter below the maximum"
-        if self.m != self.m0 - 1:
-            return self._na("submax",
-                            f"m = {self.m} differs from m0 - 1 = {self.m0 - 1}",
-                            self.tau_kf, self.mu)
+    def _check_submax(self) -> tuple:
+        rhs = self._rhs(1)
+        if note := self._parameters(1):
+            return _na(note, self.tau_kf, rhs)
         if not self.target_isolated:
-            return self._na("submax", "target function is not isolated",
-                            self.tau_kf, self.mu)
+            return _na("target function is not isolated", self.tau_kf, rhs)
         if not _finite(self.mu):
-            return self._na("submax", "composed function is not isolated",
-                            self.tau_kf, self.mu)
-        return self._verdict("submax", self.tau_kf, self.mu, note)
+            return _na("composed function is not isolated", self.tau_kf, rhs)
+        return _verdict(self.tau_kf, rhs,
+                        "tau = mu, one parameter below the maximum")
 
-    def _check_gorenstein(self) -> CheckRecord:
-        note = "tau = mu + dim O/(pulled jacobian ideal), Gorenstein case"
-        rhs = (self.mu + self.codim
-               if _finite(self.mu) and _finite(self.codim) else None)
+    def _check_gorenstein(self) -> tuple:
+        rhs = self._rhs(2)
         if self.kind == "symmetric":
-            return self._na("gorenstein",
-                            "symmetric determinantal quotients are not "
-                            "Gorenstein", self.tau_kf, rhs)
-        if self.m != self.m0 - 2:
-            return self._na("gorenstein",
-                            f"m = {self.m} differs from m0 - 2 = {self.m0 - 2}",
-                            self.tau_kf, rhs)
+            return _na(_NOT_GORENSTEIN, self.tau_kf, rhs)
+        if note := self._parameters(2):
+            return _na(note, self.tau_kf, rhs)
         if not self.target_isolated:
-            return self._na("gorenstein", "target function is not isolated",
-                            self.tau_kf, rhs)
-        if not _finite(self.mu) or not _finite(self.codim):
-            return self._na("gorenstein", "mu or the jacobian colength is "
-                            "infinite", self.tau_kf, rhs)
-        return self._verdict("gorenstein", self.tau_kf, rhs, note)
+            return _na("target function is not isolated", self.tau_kf, rhs)
+        if rhs is None:
+            return _na("mu or the jacobian colength is infinite", self.tau_kf,
+                       rhs)
+        return _verdict(self.tau_kf, rhs, "tau = mu + dim O/(pulled jacobian "
+                        "ideal), Gorenstein case")
 
-    def _check_ck(self) -> CheckRecord:
+    def _check_ck(self) -> tuple:
         if self.fam is not None:
-            return self._na("ck", "sections of a hypersurface only")
+            return _na("sections of a hypersurface only")
         if not self.target_isolated:
-            return self._na("ck", "target function is not isolated")
-        gap = self.m0 - self.m
-        if gap not in (0, 1, 2):
-            return self._na("ck", f"m = {self.m} is not within 2 of n = {self.m0}")
+            return _na("target function is not isolated")
+        q = self.m0 - self.m
+        if q not in (0, 1, 2):
+            return _na(f"m = {self.m} is not within 2 of n = {self.m0}")
         if not _finite(self.mu):
-            return self._na("ck", "composed function is not isolated")
-        b0 = self.betti[0]
-        if not _finite(b0):
-            return self._na("ck", "b0 is infinite")
-        rhs = {0: self.mu - b0, 1: self.mu, 2: self.mu + b0}[gap]
-        note = {0: "tau = mu - b0", 1: "tau = mu", 2: "tau = mu + b0"}[gap]
-        return self._verdict("ck", self.tau_kf, rhs, note)
+            return _na("composed function is not isolated")
+        rhs = self._rhs(q)
+        if rhs is None:
+            return _na("b0 is infinite")
+        return _verdict(self.tau_kf, rhs,
+                        ("tau = mu - b0", "tau = mu", "tau = mu + b0")[q])
 
-    def _check_gorp(self) -> CheckRecord:
-        note = "betti numbers reflect: b_k = b_(q-k), q = m0 - m"
+    def _check_gorp(self) -> tuple:
         if self.kind == "symmetric":
-            return self._na("gorp", "symmetric determinantal quotients are "
-                            "not Gorenstein")
+            return _na(_NOT_GORENSTEIN)
         if not self.target_isolated:
-            return self._na("gorp", "target function is not isolated")
+            return _na("target function is not isolated")
         q = self.m0 - self.m
         if q < 0:
-            return self._na("gorp", f"m = {self.m} exceeds m0 = {self.m0}")
+            return _na(f"m = {self.m} exceeds m0 = {self.m0}")
         if not _finite(self.mu):
-            return self._na("gorp", "composed function is not isolated")
+            return _na("composed function is not isolated")
         b = self.betti
         window = b[:q + 1]
         if not all(_finite(x) for x in window):
-            return self._na("gorp", "low betti numbers not all finite",
-                            window, list(reversed(window)))
+            return _na("low betti numbers not all finite", window,
+                       list(reversed(window)))
         tail = b[q + 1:]
-        lhs = window + [x for x in tail]
-        rhs = list(reversed(window)) + [0] * len(tail)
-        return self._verdict("gorp", lhs, rhs, note + "; higher ones vanish")
+        return _verdict(window + tail, list(reversed(window)) + [0] * len(tail),
+                        "betti numbers reflect: b_k = b_(q-k), q = m0 - m; "
+                        "higher ones vanish")
 
-    def _check_diag(self) -> CheckRecord:
+    def _check_diag(self) -> tuple:
         if self.fam is None or self.kind != "symmetric" or self.m != 1:
-            return self._na("diag", "one-parameter diagonal symmetric "
-                            "families only")
+            return _na("one-parameter diagonal symmetric families only")
         exps = _diagonal_exponents(self.fam)
         if exps is None:
-            return self._na("diag", "matrix is not diagonal with monomial "
-                            "entries")
-        a = sorted(exps)
+            return _na("matrix is not diagonal with monomial entries")
+        a = sorted(exps)  # not all 0: the germ rule rejects det = 1
         n = self.fam.n
-        if sum(a) == 0:
-            return self._na("diag", "family is a unit, no singularity")
         tau_formula = sum((n - i) * a[i] for i in range(n)) - 1
         mu_formula = sum(a) - 1
         b0_formula = sum(a[:n - 1])
-        lhs = [self.tau_special, self.mu, self.betti[0]]
+        lhs = [self.tau_special, self.mu, self.codim]
         rhs = [tau_formula, mu_formula, b0_formula]
         corank = corank_at_origin(self.fam)
-        extra_ok = (self.tau_special == self.mu + self.betti[0]) \
-            == (corank <= 2)
         note = (f"closed forms for diagonal families; corank {corank}, "
                 "tau = mu + b0 exactly when corank <= 2")
-        if lhs == rhs and extra_ok:
-            return CheckRecord("diag", _jsonable(lhs), _jsonable(rhs),
-                               "HOLDS", note)
-        return CheckRecord("diag", _jsonable(lhs), _jsonable(rhs),
-                           "FAILS", note)
+        return _verdict(lhs, rhs, note,
+                        (self.tau_special == self._rhs(2)) == (corank <= 2))
+
+
+_NOT_GORENSTEIN = "symmetric determinantal quotients are not Gorenstein"
+
+
+def _na(note: str, lhs=None, rhs=None) -> tuple:
+    return "NOT-APPLICABLE", lhs, rhs, note
+
+
+def _verdict(lhs, rhs, note: str = "", holds: bool = True) -> tuple:
+    """HOLDS when the sides agree and holds is true, else FAILS."""
+    return "HOLDS" if holds and lhs == rhs else "FAILS", lhs, rhs, note
 
 
 def _diagonal_exponents(fam: MatrixFamily) -> Optional[list]:
@@ -614,9 +613,7 @@ def verify_identity(subject, identity: str) -> CheckRecord:
 def analyze(subject, name: str = "") -> InvariantReport:
     """Compute every invariant and run every identity check."""
     ctx = _Analysis(subject, name=name)
-    if ctx.g.constant_term() != 0:
-        raise ValueError("det/Pf (or the composed function) does not vanish "
-                         "at the origin; not a singularity germ")
+    ctx._require_germ()
     return InvariantReport(
         name=name,
         kind=ctx.kind,

@@ -16,13 +16,17 @@ The ops are `analyze --json` with and without `--max-steps 40`,
 `verify --theorem eqeq --json` and `resolution --check --json`, on the
 catalog entries, the normal forms up to skew 8, the pencils, the known-slow
 inputs, seeded diag-sym tuples and seeded random families, all taken from
-perfbench/gen.py.  The known-slow inputs run `verify --theorem betas` too,
-and skip the ops that gen.HANGING lists and a plain `analyze`, which would
-run into those.  Each file of MALFORMED, which the parser rejects, runs
-`analyze --json`, so the error text on stderr and the exit code are
-compared too.  --quick keeps about 40 ops: the catalog entries with all
-four ops, the pencils with both `analyze` ops and the first three files of
-MALFORMED.
+perfbench/gen.py.  The catalog entries and the pencils also run `verify
+--theorem <id> --json` for every other identity, so each check runs on
+its own, reading only what it needs.  The known-slow inputs run `verify
+--theorem betas` too, and skip the ops that gen.HANGING lists and a plain
+`analyze`, which would run into those.  Each file of MALFORMED, which the
+parser rejects, runs `analyze --json`, and NON_GERM, a family whose det is
+a unit at 0, runs `analyze --json` and `verify --theorem <id> --json` for
+every identity, so the error text on stderr and the exit code are compared
+too.  --quick keeps about 110 ops: the catalog entries with all four ops,
+the pencils with both `analyze` ops and every `verify` op, the NON_GERM
+ops and the first three files of MALFORMED.
 
 pytest does not collect this file: it is a tool, run by hand and in CI.
 """
@@ -62,6 +66,10 @@ MALFORMED = {
     "unknown-variable": "kind = symmetric\nvars = x\nmatrix = [[w]]",
 }
 
+NON_GERM = "kind = symmetric; vars = x, y; matrix = [[1, x], [x, 1+y]]"
+IDENTITIES = ("eqeq", "betas", "imax", "submax", "gorenstein", "ck", "gorp",
+              "diag")
+
 # Runs one CLI call in the child process: argv[1] is the source tree,
 # argv[2] the CLI arguments as JSON.  Prints one JSON line.
 CHILD = r"""
@@ -99,19 +107,28 @@ def ops(workdir: str, quick: bool) -> list:
         return [["analyze", *target, "--json"],
                 ["analyze", *target, "--json", "--max-steps", BUDGET]]
 
+    def verify(target: list, ids=IDENTITIES) -> list:
+        return [["verify", "--theorem", i, *target, "--json"] for i in ids]
+
     def four(target: list) -> list:
-        return analyze(target) + [
-            ["verify", "--theorem", "eqeq", *target, "--json"],
+        return analyze(target) + verify(target, ["eqeq"]) + [
             ["resolution", "--check", *target, "--json"]]
 
     pencils = [[write(name, text)] for name, text in gen.PENCILS.items()]
     malformed = [["analyze", write(name, text), "--json"]
                  for name, text in MALFORMED.items()]
+    unit = [write("non-germ", NON_GERM)]
+    non_germ = [["analyze", *unit, "--json"]] + verify(unit)
     out = [op for target in gen.CATALOG for op in four(target)]
     if quick:
         return (out + [op for target in pencils for op in analyze(target)]
-                + malformed[:3])
+                + malformed[:3]
+                + [op for target in pencils for op in verify(target)]
+                + non_germ)
     out += [op for target in pencils for op in four(target)] + malformed
+    for target in gen.CATALOG + pencils:
+        out += verify(target, IDENTITIES[1:])
+    out += non_germ
     for target in NORMAL_FORMS:
         if target not in gen.CATALOG:
             out += four(target)

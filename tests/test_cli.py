@@ -115,6 +115,18 @@ def test_odd_skew_family_needs_no_pfaffian_to_be_checked(tmp_path, capsys):
         assert "pfaffian needs an even-size matrix" in err
 
 
+def test_verify_rejects_a_non_germ_as_analyze_does(tmp_path, capsys):
+    # det = 1 + y - x^2 is a unit at 0: every identity exits 1 with the
+    # message of analyze, whatever its own hypotheses would have said.
+    p = tmp_path / "unit.fam"
+    p.write_text("kind = symmetric; vars = x, y; matrix = [[1, x], [x, 1+y]]")
+    code, out, err = run(capsys, "analyze", str(p))
+    assert (code, out) == (1, "") and "not a singularity germ" in err
+    for theorem in cli.IDENTITIES:
+        assert run(capsys, "verify", str(p), "--theorem", theorem) \
+            == (1, "", err), theorem
+
+
 def test_analyze_strict_not_applicable_exit_2(capsys):
     code, out, _ = run(capsys, "analyze", "generic-sym-2", "--strict")
     assert code == 2

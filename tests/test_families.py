@@ -4,6 +4,7 @@ import pytest
 
 from matsing import (
     FamilySpec,
+    MatrixFamily,
     ParseError,
     catalog,
     catalog_names,
@@ -53,6 +54,19 @@ def test_parse_family_minimal_symmetric():
     assert spec.variables == ["x", "y", "z"]
     fam = spec.to_family()
     assert fam.function() == parse_poly("x*z - y^2", ["x", "y", "z"])
+
+
+def test_to_family_returns_the_family_the_parser_checked(monkeypatch):
+    built = []
+    init = MatrixFamily.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(MatrixFamily, "__init__", counted)
+    spec = parse_family("kind=symmetric; vars=x,y; matrix=[[x,y],[y,x^2]]")
+    assert spec.to_family() is spec.to_family() is built[0]
+    assert len(built) == 1
 
 
 def test_parse_family_skew_upper():

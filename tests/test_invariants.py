@@ -379,6 +379,27 @@ def test_codim_alone_stacks_only_d1():
                    for k, st in stacks.items()), name
 
 
+def test_a_check_computes_only_what_its_statement_reads():
+    # submax reads tau and mu alone; the checks that read b0 take codim,
+    # which stacks d_1 only, and never the whole betti profile.  Each check
+    # runs on a fresh analysis of one family and of sections of the isolated
+    # A1 cone at m0 - m = 2 and 1, where ck and gorenstein, or submax, get
+    # past every hypothesis.
+    unread = {"submax": {"codim", "betti", "tangent_special",
+                         "tangent_general", "pulled_V"},
+              "imax": {"betti"}, "gorenstein": {"betti"}, "ck": {"betti"},
+              "diag": {"betti"}}
+    cone = "kind=section; fvars=u,v,w; f=u*w - v^2; "
+    subjects = [parse_family(cone + maps).subject()
+                for maps in ("vars=x; map=[x^2, x^3, x]",
+                             "vars=x,y; map=[x, y, x^2 + y^3]")]
+    for subject in [catalog("diag-sym", a=(1, 2)).to_family()] + subjects:
+        for identity, props in unread.items():
+            ctx = _Analysis(subject)
+            ctx.check(identity)
+            assert not props & set(vars(ctx)), (identity, subject)
+
+
 def test_codim_matches_minors_ideal(rng):
     # analyze takes codim_minors from H_0 of the family's kind complex, O
     # modulo the entries of d_1; the ideal of submaximal minors
