@@ -30,11 +30,15 @@ differential d_k gets one GLOBAL stacked completion of its columns (see
 groebner._Stack), cached on the complex, which serves twice: its relations
 are t generators z_i of ker d_k, and its upper block is a standard basis of
 im d_k.  R is then the modulo relations of z over im d_(k+1), the a with
-sum a_i z_i a boundary; d_0 is the zero map from F_0, so H_0 takes the same
-route.  Localisation at 0 is exact, so global generators generate the local
-modules too, and only the colength of O^t / R is taken under the local
-order.  The z_i and R stay flat (see groebner), never Polys; every degree
-must stay below 2^31, and past it a ValueError is raised.
+sum a_i z_i a boundary.  d_0 is the zero map from F_0, whose cycles are
+the unit vectors, so R for H_0 is im d_1 itself, read off the standard
+basis with no colon stack; in higher degrees the cycles that are already
+boundaries are dropped before the colon stack, which is skipped when none
+is left (see groebner._homology_colength).  Localisation at 0 is exact, so
+global generators generate the local modules too, and only the colength
+of O^t / R is taken under the local order.  The z_i and R stay flat (see
+groebner), never Polys; every degree must stay below 2^31, and past it a
+ValueError is raised.
 """
 
 from __future__ import annotations
@@ -353,8 +357,9 @@ def homology_dimension(c: FreeComplex, k: int):
     stacks of the columns of d_k and d_(k+1), each built once per complex.
     Only the colength of O^t / R is taken under the local order.  d_0 is
     the zero map to 0, so H_0 is the cokernel of d_1, or F_0 itself when
-    the length is 0.  For k = length the kernel itself is the homology,
-    which is either 0 or infinite dimensional.
+    the length is 0; it takes no colon stack, and neither does a degree
+    whose cycles are all boundaries.  For k = length the kernel itself is
+    the homology, which is either 0 or infinite dimensional.
     """
     if not 0 <= k <= c.length:
         raise ValueError(f"degree {k} outside the complex")

@@ -16,6 +16,9 @@ Syzygies, modulo, membership certificates and homology all read one
 global stacked completion (_Stack): localisation is flat, so global
 generators of a syzygy or colon module generate it locally too, and local
 membership of v in M takes its unit from the colon M : v (see member).
+Homology builds a colon stack only where it must: H_0 is the colength of
+the boundaries' Groebner basis itself, and in higher degrees the cycles
+that divide to 0 by that basis are dropped first (_homology_colength).
 
 Vectors in a free module O^r are stored flat as dicts keyed by one int per
 term, which keeps division and s-vector code identical for the ideal case
@@ -36,10 +39,13 @@ in one component exactly when K(c, b) - K(c, a) borrows from no exponent
 field (the top bit of every field stays clear).  Only _Encoding reads or
 writes the fields; exponents are decoded only at the Poly boundary
 (flatten_vector, unflatten_vector) and for the leading terms of basis
-elements.  The fields hold every exponent only while every degree stays
-below 2^31: that is checked when a Poly is packed, at each division step
-and at each s-vector, and past it a ValueError is raised, never a wrong
-answer given.
+elements.  Each encoding memoises the component-0 key of every exponent
+vector it packs, for the life of the process, and adds the component
+field on each call.  The fields hold every exponent only while every
+degree stays below 2^31: that is checked when an exponent vector is first
+packed (a vector past it is never memoised, so it raises on every call),
+at each division step and at each s-vector, and past it a ValueError is
+raised, never a wrong answer given.
 
 Arithmetic inside the module is on ints.  A flat made from Polys holds
 their coefficients as they are: ints, and Fractions only where a Poly
@@ -211,9 +217,12 @@ class _Encoding:
     their fields.  local says whether D(d) = d, shift = nF is the bit
     offset of the degree field and cshift = (n + 1)F that of the
     component, low is the mask of the exponent fields and high that of
-    their top bits.  One instance per (nvars, order), from _encoding."""
+    their top bits.  One instance per (nvars, order), from _encoding.
+    _keys memoises pack: it maps an exponent vector to its key in
+    component 0, stored only once its degree has passed the check."""
 
-    __slots__ = ("nvars", "local", "shift", "cshift", "low", "high", "_struct")
+    __slots__ = ("nvars", "local", "shift", "cshift", "low", "high", "_struct",
+                 "_keys")
 
     def __init__(self, nvars: int, local: bool):
         self.nvars = nvars
@@ -223,13 +232,17 @@ class _Encoding:
         self.low = (1 << self.shift) - 1
         self.high = sum(1 << (i * _FIELD + _FIELD - 1) for i in range(nvars))
         self._struct = Struct(f"<{nvars}I")
+        self._keys: dict = {}
 
     def pack(self, exp: ExpVec, comp: int = 0) -> int:
-        d = sum(exp)
-        _check_degree(d)
-        return (int.from_bytes(self._struct.pack(*exp), "little")
-                + ((d if self.local else _DEGREE_BOUND - d) << self.shift)
-                + (comp << self.cshift))
+        key = self._keys.get(exp)
+        if key is None:
+            d = sum(exp)
+            _check_degree(d)
+            key = self._keys[exp] = (
+                int.from_bytes(self._struct.pack(*exp), "little")
+                + ((d if self.local else _DEGREE_BOUND - d) << self.shift))
+        return key + (comp << self.cshift)
 
     def unpack(self, key: int) -> ExpVec:
         return self._struct.unpack(
@@ -859,14 +872,17 @@ class _Stack:
         return [{k - base: c for k, c in g.flat.items()}
                 for g in self.gens if g.comp >= self.rank]
 
+    def seed(self) -> list:
+        """The upper blocks of the lead-interreduced upper(), as flats: a
+        Groebner basis of M."""
+        base = self.enc.base(self.rank)
+        return [{k: c for k, c in g.flat.items() if k < base}
+                for g in _lead_interreduce(self.upper(), self.enc)]
+
     def modulo(self, flats: list, enc: _Encoding) -> list:
         """Generators of {a : sum a_i z_i in M}, z_i the flats (packed by
-        enc) of O^rank: the relations of their stack seeded by the upper
-        blocks of upper(), lead-interreduced."""
-        base = enc.base(self.rank)
-        seed = [{k: c for k, c in g.flat.items() if k < base}
-                for g in _lead_interreduce(self.upper(), enc)]
-        return _Stack(flats, self.rank, enc, seed).relations()
+        enc) of O^rank: the relations of their stack seeded by seed()."""
+        return _Stack(flats, self.rank, enc, self.seed()).relations()
 
 
 def _stacked(basis: ModuleBasis) -> _Stack:
@@ -948,20 +964,38 @@ def _homology_colength(cycles: _Stack, boundaries: Optional[_Stack]):
     cycles is the stack of the columns of a matrix m, and boundaries that
     of a matrix whose image B lies in ker(m), or None for B = 0, where the
     answer is 0 or INFINITE.  The relations z_1..z_t of cycles generate
-    ker(m), locally too, and the answer is the colength of O^t / R,
-    R = boundaries.modulo(z).  z and R stay flat: R is re-keyed for the
-    local order (_Encoding.localized rewrites the degree fields alone) and
-    completed there, counting its own steps against the step limit.
+    ker(m), locally too, and the answer is the colength of O^t / R, R the
+    a with sum a_i z_i in B.  The seed of boundaries, a Groebner basis of
+    B, is built once.  A stack of rank 0 (of d_0) has the unit vectors as
+    its z, so R is B itself, spanned by the seed.  Otherwise each z_i is
+    divided by the seed first: one that reduces to 0 lies in B (globally,
+    so locally too) and is dropped, which leaves the quotient unchanged;
+    if none is left the answer is 0, else R is boundaries.modulo of the
+    rest, from the same seed.  R stays flat: it is re-keyed for the local
+    order (_Encoding.localized rewrites the degree fields alone) and
+    completed there.  The divisions, the colon stack and the local
+    completion each count their own steps against the step limit.
     """
     z = cycles.relations()
     if not z:
         return 0
     if boundaries is None:
         return INFINITE
+    glob = cycles.enc
+    seed = boundaries.seed()
+    if cycles.rank == 0:
+        relations = seed
+    else:
+        counter = _Counter()
+        gens = [_normalized(flat, glob) for flat in seed]
+        z = [flat for flat in z
+             if _normal_form(dict(flat), gens, glob, counter)[0]]
+        if not z:
+            return 0
+        relations = _Stack(z, boundaries.rank, glob, seed).relations()
     t = len(z)
-    relations = boundaries.modulo(z, cycles.enc)
-    enc = _encoding(cycles.enc.nvars, LOCAL)
-    local = [cycles.enc.localized(flat) for flat in relations]
+    enc = _encoding(glob.nvars, LOCAL)
+    local = [glob.localized(flat) for flat in relations]
     return _colength(_complete(local, enc, t, _Counter()).standard()[0], t,
                      enc.nvars)
 

@@ -412,10 +412,12 @@ class _Analysis:
 
     def _rhs(self, q: int):
         """mu + (q - 1)*b0, b0 = codim: tau at m = m0 - q.  At q = 1 it is
-        mu and reads no codim; else None when mu or b0 is infinite."""
+        mu and reads no codim; else None when mu is infinite.  A finite mu
+        bounds b0: the partials of g lie in the ideal of the pulled-back
+        partials of f (chain rule), so b0 <= mu."""
         if q == 1:
             return self.mu
-        if _finite(self.mu) and _finite(self.codim):
+        if _finite(self.mu):
             return self.mu + (q - 1) * self.codim
         return None
 
@@ -476,9 +478,6 @@ class _Analysis:
                        "codimension", self.tau_kf, rhs)
         if not _finite(self.mu):
             return _na("composed function is not isolated", self.tau_kf, rhs)
-        if rhs is None:
-            return _na("pulled jacobian ideal has infinite colength",
-                       self.tau_kf, rhs)
         return _verdict(self.tau_kf, rhs, "tau = mu - dim O/(pulled jacobian "
                         "ideal), max parameter count")
 
@@ -517,10 +516,7 @@ class _Analysis:
             return _na(f"m = {self.m} is not within 2 of n = {self.m0}")
         if not _finite(self.mu):
             return _na("composed function is not isolated")
-        rhs = self._rhs(q)
-        if rhs is None:
-            return _na("b0 is infinite")
-        return _verdict(self.tau_kf, rhs,
+        return _verdict(self.tau_kf, self._rhs(q),
                         ("tau = mu - b0", "tau = mu", "tau = mu + b0")[q])
 
     def _check_gorp(self) -> tuple:

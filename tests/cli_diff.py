@@ -24,9 +24,11 @@ its own, reading only what it needs.  The known-slow inputs run `verify
 parser rejects, runs `analyze --json`, and NON_GERM, a family whose det is
 a unit at 0, runs `analyze --json` and `verify --theorem <id> --json` for
 every identity, so the error text on stderr and the exit code are compared
-too.  --quick keeps about 110 ops: the catalog entries with all four ops,
-the pencils with both `analyze` ops and every `verify` op, the NON_GERM
-ops and the first three files of MALFORMED.
+too.  So do the two A1_CONE sections, the only inputs on which `verify
+--theorem ck` gets past its hypotheses.  --quick keeps about 130 ops: the
+catalog entries with all four ops, the pencils with both `analyze` ops and
+every `verify` op, the NON_GERM and A1_CONE ops and the first three files
+of MALFORMED.
 
 pytest does not collect this file: it is a tool, run by hand and in CI.
 """
@@ -67,6 +69,15 @@ MALFORMED = {
 }
 
 NON_GERM = "kind = symmetric; vars = x, y; matrix = [[1, x], [x, 1+y]]"
+# Two sections of the isolated A1 cone u*w - v^2, at m0 - m = 2 and 1: the
+# catalog sections have a non-isolated target, so only these reach ck's
+# tau = mu + b0 and tau = mu from the command line.
+A1_CONE = {
+    "a1-cone-curve": "kind = section; fvars = u, v, w; f = u*w - v^2; "
+                     "vars = x; map = [x^2, x^3, x]",
+    "a1-cone-surface": "kind = section; fvars = u, v, w; f = u*w - v^2; "
+                       "vars = x, y; map = [x, y, x^2 + y^3]",
+}
 IDENTITIES = ("eqeq", "betas", "imax", "submax", "gorenstein", "ck", "gorp",
               "diag")
 
@@ -119,16 +130,20 @@ def ops(workdir: str, quick: bool) -> list:
                  for name, text in MALFORMED.items()]
     unit = [write("non-germ", NON_GERM)]
     non_germ = [["analyze", *unit, "--json"]] + verify(unit)
+    cones = []
+    for name, text in A1_CONE.items():
+        target = [write(name, text)]
+        cones += [["analyze", *target, "--json"]] + verify(target)
     out = [op for target in gen.CATALOG for op in four(target)]
     if quick:
         return (out + [op for target in pencils for op in analyze(target)]
                 + malformed[:3]
                 + [op for target in pencils for op in verify(target)]
-                + non_germ)
+                + non_germ + cones)
     out += [op for target in pencils for op in four(target)] + malformed
     for target in gen.CATALOG + pencils:
         out += verify(target, IDENTITIES[1:])
-    out += non_germ
+    out += non_germ + cones
     for target in NORMAL_FORMS:
         if target not in gen.CATALOG:
             out += four(target)

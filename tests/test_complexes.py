@@ -452,6 +452,36 @@ def test_h0_by_the_stacks_matches_the_local_colength_of_d1():
         assert homology_dimension(c, 0) == _h0_by_local_colength(c) == want
 
 
+@pytest.mark.parametrize("family, profile", [
+    (lambda: catalog("generic-skew-4").to_family(), [1, 0, 0, 0, 0, 0, 0]),
+    (lambda: parse_family(_PENCILS[6]).to_family(), [1, 2, 1, 0, 0, 0, 0]),
+], ids=["generic-skew-4", "pencil-skew-a"])
+def test_colon_stacks_only_where_a_cycle_is_no_boundary(monkeypatch, family,
+                                                        profile):
+    # H_0 reads the boundaries' seed alone, and a degree whose cycles all
+    # divide to 0 by it answers 0: a seeded stack (the colon stack of
+    # _Stack.modulo) is built only for the nonzero H_k below the top
+    # degree, besides one column stack per differential.
+    from matsing.groebner import _Stack
+    built = []
+    init = _Stack.__init__
+
+    def spy(self, flats, rank, enc, standard=None):
+        built.append(standard is not None)
+        init(self, flats, rank, enc, standard)
+
+    monkeypatch.setattr(_Stack, "__init__", spy)
+    c = kind_complex(family())
+    seeded = []
+    for k in range(c.length + 1):
+        built.clear()
+        assert homology_dimension(c, k) == profile[k], k
+        seeded.append(built.count(True))
+    assert seeded == [1 if h and 0 < k < c.length else 0
+                      for k, h in enumerate(profile)]
+    assert sorted(c._column_stacks) == list(range(c.length + 1))
+
+
 def _assert_same_homology(c, label):
     # H_0, the cokernel of d_1, is computed the same way on both routes.
     for k in range(1, c.length + 1):

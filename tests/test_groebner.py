@@ -862,6 +862,36 @@ def test_packed_keys_encode_the_order(pair, order, ca, cb):
             enc.pack(s, ca)
 
 
+@settings(max_examples=200, deadline=None)
+@given(_exponents(), st.sampled_from((GLOBAL, LOCAL)), st.integers(0, 3))
+def test_packed_keys_follow_the_layout_on_a_miss_and_on_a_hit(exp, order, c):
+    # K(c, e) = c 2^((n+1)F) + D(|e|) 2^(nF) + sum_i e_i 2^(iF), F = 32,
+    # D(d) = 2^31 - d globally and d locally, whether pack computes the key
+    # (a fresh encoding) or finds it memoised (the second call).
+    from matsing.groebner import _Encoding, _encoding
+    n, d = len(exp), sum(exp)
+    want = ((c << (n + 1) * 32)
+            + ((d if order == LOCAL else _BOUND - d) << n * 32)
+            + sum(e << i * 32 for i, e in enumerate(exp)))
+    fresh = _Encoding(n, order == LOCAL)
+    for enc in (fresh, fresh, _encoding(n, order), _encoding(n, order)):
+        assert enc.pack(exp, c) == want
+        assert enc.pack(exp) == want - (c << (n + 1) * 32)
+
+
+@pytest.mark.parametrize("order", [GLOBAL, LOCAL])
+def test_a_degree_past_the_bound_raises_on_every_call(order):
+    from matsing.groebner import _Encoding
+    enc = _Encoding(2, order == LOCAL)
+    for exp in ((_BOUND, 0), (_BOUND // 2, _BOUND // 2), (_BOUND - 1, 0)):
+        for comp in (0, 1, 0):
+            if sum(exp) < _BOUND:
+                assert enc.component(enc.pack(exp, comp)) == comp
+            else:
+                with pytest.raises(ValueError, match="2\\^31"):
+                    enc.pack(exp, comp)
+
+
 def test_stack_blocks_split_at_the_rank(monkeypatch):
     # A rank-2 stack whose flats all have terms in component 1, so each
     # element (f_j, e_j) has terms on both sides of the block boundary.

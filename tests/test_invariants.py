@@ -364,6 +364,32 @@ def test_codim_is_h0_of_the_complex_behind_betti(rng):
             == _pulled_partials_colength(subject), subject
 
 
+def test_codim_is_at_most_mu_when_mu_is_finite():
+    # The partials of g lie in the ideal of the pulled-back partials of f
+    # (chain rule), so b0 = codim <= mu: where mu is finite, the checks
+    # that read mu + (q - 1)*b0 never meet an infinite b0.
+    subjects = [catalog(name).subject() for name in (
+        "generic-sym-2", "generic-gen-2", "generic-skew-4",
+        "remark-4-8-iii", "cross-ratio-example")]
+    subjects += [catalog(name, n=3).subject()
+                 for name in ("normal-form-sym", "normal-form-gen")]
+    subjects += [parse_family(text).to_family() for text in _PENCILS]
+    for seed in range(4):
+        rng = random.Random(seed)
+        for kind, n, m, linear in (("symmetric", 2, 1, False),
+                                   ("general", 2, 2, False),
+                                   ("symmetric", 3, 2, True),
+                                   ("skew", 4, 2, True)):
+            subjects.append(random_family(rng, kind, n, m, linear))
+    finite = 0
+    for subject in subjects:
+        ctx = _Analysis(subject)
+        if ctx.mu is not INFINITE:
+            finite += 1
+            assert ctx.codim <= ctx.mu, subject
+    assert finite >= len(subjects) // 2
+
+
 def test_codim_alone_stacks_only_d1():
     # H_0 needs the stacks of d_0 and d_1 only; betti then adds the others
     # to the same complex and takes H_0 from codim.
