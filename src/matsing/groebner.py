@@ -39,13 +39,15 @@ in one component exactly when K(c, b) - K(c, a) borrows from no exponent
 field (the top bit of every field stays clear).  Only _Encoding reads or
 writes the fields; exponents are decoded only at the Poly boundary
 (flatten_vector, unflatten_vector) and for the leading terms of basis
-elements.  Each encoding memoises the component-0 key of every exponent
-vector it packs, for the life of the process, and adds the component
-field on each call.  The fields hold every exponent only while every
-degree stays below 2^31: that is checked when an exponent vector is first
-packed (a vector past it is never memoised, so it raises on every call),
-at each division step and at each s-vector, and past it a ValueError is
-raised, never a wrong answer given.
+elements.  Each encoding memoises the component-0 key of the exponent
+vectors it packs, up to _KEYS_HELD of them, and adds the component field
+on each call: within one computation most vectors are packed again (the
+same monomials recur across the Polys flattened and the s-pair lcms).
+The fields hold every exponent only while every degree stays below 2^31:
+that is checked when an exponent vector is first packed (a vector past
+it is never memoised, so it raises on every call), at each division step
+and at each s-vector, and past it a ValueError is raised, never a wrong
+answer given.
 
 Arithmetic inside the module is on ints.  A flat made from Polys holds
 their coefficients as they are: ints, and Fractions only where a Poly
@@ -203,6 +205,11 @@ LOCAL = MonomialOrder("negdegrevlex-local")
 _FIELD = 32  # bits per exponent field and of the degree field
 _DEGREE_BOUND = 1 << (_FIELD - 1)  # every degree must stay below this
 _DEGREE_MASK = (1 << _FIELD) - 1
+# The most keys an encoding memoises before it starts over.  No op of
+# tests/cli_diff.py packs more than about 800 distinct exponent vectors,
+# and an entry takes about 330 bytes, so a long session holds at most
+# about 1.3 MB per encoding.
+_KEYS_HELD = 1 << 12
 
 
 def _check_degree(d: int) -> None:
@@ -219,7 +226,8 @@ class _Encoding:
     component, low is the mask of the exponent fields and high that of
     their top bits.  One instance per (nvars, order), from _encoding.
     _keys memoises pack: it maps an exponent vector to its key in
-    component 0, stored only once its degree has passed the check."""
+    component 0, stored only once its degree has passed the check, and is
+    emptied when it holds _KEYS_HELD keys."""
 
     __slots__ = ("nvars", "local", "shift", "cshift", "low", "high", "_struct",
                  "_keys")
@@ -235,11 +243,14 @@ class _Encoding:
         self._keys: dict = {}
 
     def pack(self, exp: ExpVec, comp: int = 0) -> int:
-        key = self._keys.get(exp)
+        keys = self._keys
+        key = keys.get(exp)
         if key is None:
             d = sum(exp)
             _check_degree(d)
-            key = self._keys[exp] = (
+            if len(keys) >= _KEYS_HELD:
+                keys.clear()
+            key = keys[exp] = (
                 int.from_bytes(self._struct.pack(*exp), "little")
                 + ((d if self.local else _DEGREE_BOUND - d) << self.shift))
         return key + (comp << self.cshift)
@@ -553,13 +564,14 @@ class _Completion:
             heappush(self.pairs,
                      (d + max(gi.ecart, g.ecart), comp, lcm, i, k))
 
-    def add_standard(self, flats: list) -> None:
-        """Add elements that form a standard basis of their own module, before
-        any other.  The s-vector of two of them has a standard representation
-        over them alone, so their mutual pairs count as treated and are never
-        formed; the chain criterion may still use them."""
-        self.gens = [_normalized(flat, self.enc) for flat in flats]
-        self.treated.update(combinations(range(len(flats)), 2))
+    def add_standard(self, gens: list) -> None:
+        """Add normalized elements (_Gens, not copied) that form a standard
+        basis of their own module, before any other.  The s-vector of two
+        of them has a standard representation over them alone, so their
+        mutual pairs count as treated and are never formed; the chain
+        criterion may still use them."""
+        self.gens = list(gens)
+        self.treated.update(combinations(range(len(gens)), 2))
 
     def standard(self) -> tuple:
         """(gens, steps) after run(): the lead-interreduced elements, sorted
@@ -818,11 +830,12 @@ class _Stack:
     Introduction to Commutative Algebra, 2.5) their lower blocks,
     relations(), generate all a with (0, a) in the module, locally too.
 
-    standard: a Groebner basis of a submodule N of O^rank, as flats, which
-    enters first as the (g, 0), its mutual pairs treated; the relations
-    are then those of the f_j modulo N (Greuel-Pfister 2.8).  In a seeded
-    stack each (f_j, e_j) enters divided by the elements before it, which
-    leaves the module unchanged and often its upper block zero.
+    standard: a Groebner basis of a submodule N of O^rank, as normalized
+    _Gens, which enters first as the (g, 0), its mutual pairs treated;
+    the relations are then those of the f_j modulo N (Greuel-Pfister
+    2.8).  In a seeded stack each (f_j, e_j) enters divided by the
+    elements before it, which leaves the module unchanged and often its
+    upper block zero.
     """
 
     def __init__(self, flats: list, rank: int, enc: _Encoding,
@@ -851,6 +864,7 @@ class _Stack:
         for vec in late:
             completion.add(vec)
         self.gens = completion.gens
+        self._seed: Optional[list] = None
         # The completion is deterministic, so this is the least budget
         # under which it can be built.
         self.steps = completion.counter.steps
@@ -873,11 +887,16 @@ class _Stack:
                 for g in self.gens if g.comp >= self.rank]
 
     def seed(self) -> list:
-        """The upper blocks of the lead-interreduced upper(), as flats: a
-        Groebner basis of M."""
-        base = self.enc.base(self.rank)
-        return [{k: c for k, c in g.flat.items() if k < base}
-                for g in _lead_interreduce(self.upper(), self.enc)]
+        """A Groebner basis of M: the upper blocks of the lead-interreduced
+        upper(), as normalized _Gens, built on the first call and kept."""
+        if self._seed is None:
+            enc = self.enc
+            base = enc.base(self.rank)
+            self._seed = [
+                _normalized({k: c for k, c in g.flat.items() if k < base},
+                            enc)
+                for g in _lead_interreduce(self.upper(), enc)]
+        return self._seed
 
     def modulo(self, flats: list, enc: _Encoding) -> list:
         """Generators of {a : sum a_i z_i in M}, z_i the flats (packed by
@@ -965,16 +984,16 @@ def _homology_colength(cycles: _Stack, boundaries: Optional[_Stack]):
     of a matrix whose image B lies in ker(m), or None for B = 0, where the
     answer is 0 or INFINITE.  The relations z_1..z_t of cycles generate
     ker(m), locally too, and the answer is the colength of O^t / R, R the
-    a with sum a_i z_i in B.  The seed of boundaries, a Groebner basis of
-    B, is built once.  A stack of rank 0 (of d_0) has the unit vectors as
-    its z, so R is B itself, spanned by the seed.  Otherwise each z_i is
-    divided by the seed first: one that reduces to 0 lies in B (globally,
-    so locally too) and is dropped, which leaves the quotient unchanged;
-    if none is left the answer is 0, else R is boundaries.modulo of the
-    rest, from the same seed.  R stays flat: it is re-keyed for the local
-    order (_Encoding.localized rewrites the degree fields alone) and
-    completed there.  The divisions, the colon stack and the local
-    completion each count their own steps against the step limit.
+    a with sum a_i z_i in B.  The seed of boundaries, a Groebner basis of B,
+    is built once and kept on that stack.  A stack of rank 0 (of d_0) has the
+    unit vectors as its z, so R is B itself, spanned by the seed.  Otherwise
+    each z_i is divided by the seed first: one that reduces to 0 lies in B
+    (globally, so locally too) and is dropped, which leaves the quotient
+    unchanged; if none is left the answer is 0, else R is boundaries.modulo
+    of the rest, from the same seed.  R stays flat: it is re-keyed for the
+    local order (_Encoding.localized rewrites the degree fields alone) and
+    completed there.  The divisions, the colon stack and the local completion
+    each count their own steps against the step limit.
     """
     z = cycles.relations()
     if not z:
@@ -984,15 +1003,14 @@ def _homology_colength(cycles: _Stack, boundaries: Optional[_Stack]):
     glob = cycles.enc
     seed = boundaries.seed()
     if cycles.rank == 0:
-        relations = seed
+        relations = [g.flat for g in seed]
     else:
         counter = _Counter()
-        gens = [_normalized(flat, glob) for flat in seed]
         z = [flat for flat in z
-             if _normal_form(dict(flat), gens, glob, counter)[0]]
+             if _normal_form(dict(flat), seed, glob, counter)[0]]
         if not z:
             return 0
-        relations = _Stack(z, boundaries.rank, glob, seed).relations()
+        relations = boundaries.modulo(z, glob)
     t = len(z)
     enc = _encoding(glob.nvars, LOCAL)
     local = [glob.localized(flat) for flat in relations]

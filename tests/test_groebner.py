@@ -879,6 +879,20 @@ def test_packed_keys_follow_the_layout_on_a_miss_and_on_a_hit(exp, order, c):
         assert enc.pack(exp) == want - (c << (n + 1) * 32)
 
 
+def test_the_key_memo_starts_over_when_full(monkeypatch):
+    # Past _KEYS_HELD distinct vectors the memo is emptied, and keys packed
+    # after that, fresh or memoised again, are unchanged.
+    from matsing import groebner
+    monkeypatch.setattr(groebner, "_KEYS_HELD", 4)
+    enc, plain = groebner._Encoding(2, False), groebner._Encoding(2, False)
+    exps = [(i, j) for i in range(4) for j in range(3)]
+    want = [plain.pack(e, 1) for e in exps]
+    for _ in range(2):
+        for e, key in zip(exps, want):
+            assert enc.pack(e, 1) == key
+            assert 0 < len(enc._keys) <= 4
+
+
 @pytest.mark.parametrize("order", [GLOBAL, LOCAL])
 def test_a_degree_past_the_bound_raises_on_every_call(order):
     from matsing.groebner import _Encoding
@@ -917,7 +931,8 @@ def test_stack_blocks_split_at_the_rank(monkeypatch):
             for g in st_.gens if g.comp >= r]
     assert all(_combination(a, gens, 2) == (P("0"),) * r
                for a in (unflatten_vector(z, t, enc) for z in relations))
-    # The modulo seed is the upper block of the lead-interreduced upper().
+    # The modulo seed is the upper block of the lead-interreduced upper(),
+    # as normalized _Gens (here each block already has content 1).
     seeds = []
     init = _Stack.__init__
 
@@ -930,7 +945,7 @@ def test_stack_blocks_split_at_the_rank(monkeypatch):
     monkeypatch.setattr(_Stack, "__init__", spy)
     rel = st_.modulo(z, enc)
     monkeypatch.undo()
-    assert [unflatten_vector(s, r, enc) for s in seeds[0]] \
+    assert [unflatten_vector(s.flat, r, enc) for s in seeds[0]] \
         == [unflatten_vector(g.flat, r + t, enc)[:r]
             for g in _lead_interreduce(upper, enc)]
     basis = ModuleBasis(r, gens, GLOBAL)
