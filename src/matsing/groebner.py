@@ -61,6 +61,11 @@ division, with each intermediate result scaled by a known nonzero integer,
 which a certificate divides out once at the end (_scalar gives an int
 where that division is exact).
 
+Each generator entering a completion is first divided by the elements
+entered before it, and one that divides to 0 adds no element and forms no
+pair: once they are a standard basis, so does every element of their
+module under a global order, and under a local one every combination of
+them whose top degree does not cancel (its homogenisation is divided).
 Each ModuleBasis completes its standard basis once, in flat form, and
 caches it (_standard): colengths count the staircase of its leading terms
 straight from there, groebner_basis unflattens it (after tail reduction
@@ -515,7 +520,9 @@ def _spair(gi: _Gen, gj: _Gen, lcm: int) -> Flat:
 class _Completion:
     """Buchberger completion: after run() returns, gens is a standard basis
     (not interreduced) of everything added before it, and more elements
-    may be added and run again (see _extended).
+    may be added and run again (see _extended).  run divides each input by
+    the elements entered before it and keeps only a nonzero remainder, so
+    an input that divides to 0 adds no element and forms no pair.
 
     A pair is keyed by its sugar, |lcm| + the larger ecart, under either
     order (under position-over-term |lcm| alone can understate the degree
@@ -581,12 +588,23 @@ class _Completion:
         return gens, self.counter.steps
 
     def run(self, flats: Sequence[Flat] = ()) -> None:
-        """Add the nonzero flats, denominators cleared, then complete."""
+        """Enter the nonzero flats in the given order, then complete.  Each
+        flat, denominators cleared, is divided by the elements entered
+        before it, as an s-vector is: under a local order homogenised to
+        its top degree, at which the remainder is added.  A remainder is
+        a nonzero multiple of its flat minus a combination of the elements
+        before it, so the module is unchanged; a remainder 0 is dropped
+        and forms no pair.  The entry divisions count against the
+        completion's steps."""
+        gens, enc = self.gens, self.enc
         for flat in flats:
             if flat:
-                self.add(_integral(flat)[0])
-        gens, pairs, treated = self.gens, self.pairs, self.treated
-        enc = self.enc
+                flat = _integral(flat)[0]
+                top = enc.maxdeg(flat) if enc.local else None
+                h, _ = _normal_form(flat, gens, enc, self.counter, deg=top)
+                if h:
+                    self.add(h, top)  # normalised there: the scale is moot
+        pairs, treated = self.pairs, self.treated
         local, high = enc.local, enc.high
         while pairs:
             self.counter.tick()

@@ -289,8 +289,8 @@ class _Analysis:
     @cached_property
     def f(self) -> Poly:
         """The target function of a family: the generic det/Pf of its
-        (kind, n).  Built only when needed, since odd-size skew families
-        have none but still answer the checks that do not use it."""
+        (kind, n).  Built only when needed: odd-size skew families have
+        none, and reading it raises."""
         return _generic_function(self.kind, self.n)
 
     @cached_property
@@ -404,9 +404,9 @@ class _Analysis:
 
     def _require_germ(self) -> None:
         """Raise ValueError unless g vanishes at 0.  An odd-size skew family
-        has no Pf, hence no g: it passes here, and whatever reads g raises."""
-        odd_skew = self.kind == "skew" and self.n % 2
-        if not odd_skew and self.g.constant_term() != 0:
+        has no Pf, hence no g: reading g raises, for analyze and every
+        identity alike."""
+        if self.g.constant_term() != 0:
             raise ValueError("det/Pf (or the composed function) does not "
                              "vanish at the origin; not a singularity germ")
 

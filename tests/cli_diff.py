@@ -25,10 +25,12 @@ parser rejects, runs `analyze --json`, and NON_GERM, a family whose det is
 a unit at 0, runs `analyze --json` and `verify --theorem <id> --json` for
 every identity, so the error text on stderr and the exit code are compared
 too.  So do the two A1_CONE sections, the only inputs on which `verify
---theorem ck` gets past its hypotheses.  --quick keeps about 130 ops: the
-catalog entries with all four ops, the pencils with both `analyze` ops and
-every `verify` op, the NON_GERM and A1_CONE ops and the first three files
-of MALFORMED.
+--theorem ck` gets past its hypotheses.  The two ODD_SKEW families, which
+have no Pf, run `analyze --json` and `verify --theorem ck|diag --json`, so
+that verify's rejection is compared with analyze's.  --quick keeps about
+135 ops: the catalog entries with all four ops, the pencils with both
+`analyze` ops and every `verify` op, the NON_GERM, A1_CONE and ODD_SKEW ops
+and the first three files of MALFORMED.
 
 pytest does not collect this file: it is a tool, run by hand and in CI.
 """
@@ -77,6 +79,11 @@ A1_CONE = {
                      "vars = x; map = [x^2, x^3, x]",
     "a1-cone-surface": "kind = section; fvars = u, v, w; f = u*w - v^2; "
                        "vars = x, y; map = [x, y, x^2 + y^3]",
+}
+# Odd-size skew families have no Pf, so analyze and verify both reject them.
+ODD_SKEW = {
+    "odd-skew-3": "kind = skew; vars = x, y, z; upper = [[x, y], [z]]",
+    "odd-skew-1": "kind = skew; vars = x; matrix = [[0]]",
 }
 IDENTITIES = ("eqeq", "betas", "imax", "submax", "gorenstein", "ck", "gorp",
               "diag")
@@ -134,16 +141,21 @@ def ops(workdir: str, quick: bool) -> list:
     for name, text in A1_CONE.items():
         target = [write(name, text)]
         cones += [["analyze", *target, "--json"]] + verify(target)
+    odd = []
+    for name, text in ODD_SKEW.items():
+        target = [write(name, text)]
+        odd += [["analyze", *target, "--json"]] + verify(target,
+                                                          ["ck", "diag"])
     out = [op for target in gen.CATALOG for op in four(target)]
     if quick:
         return (out + [op for target in pencils for op in analyze(target)]
                 + malformed[:3]
                 + [op for target in pencils for op in verify(target)]
-                + non_germ + cones)
+                + non_germ + cones + odd)
     out += [op for target in pencils for op in four(target)] + malformed
     for target in gen.CATALOG + pencils:
         out += verify(target, IDENTITIES[1:])
-    out += non_germ + cones
+    out += non_germ + cones + odd
     for target in NORMAL_FORMS:
         if target not in gen.CATALOG:
             out += four(target)

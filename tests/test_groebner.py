@@ -21,7 +21,8 @@ from matsing import (
     quotient_dimension,
     syzygies_of_basis,
 )
-from matsing.groebner import _contained, modulo, step_limit, syzygies
+from matsing.groebner import (_contained, flatten_vector, modulo, step_limit,
+                              syzygies)
 from matsing.poly import exp_divides
 
 from conftest import budget
@@ -470,6 +471,57 @@ def test_extended_basis_keeps_the_step_budget():
     assert small._completion.pairs == []
     assert quotient_dimension(_extended(small, more)) == quotient_dimension(
         ideal([P("x^4 + y^3")] + [v for v, in more]))
+
+
+@pytest.mark.parametrize("order", [GLOBAL, LOCAL])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_an_input_in_the_module_of_earlier_inputs_adds_nothing(order, rank):
+    # The first inputs are homogeneous with coprime leading terms, or
+    # leading terms in different components, so they are a standard basis
+    # as they stand (their completion adds nothing), and an O-combination
+    # of them with no cancelling top degree divides to 0 on entry: it adds
+    # no element and forms no pair, and the completion ends as that of the
+    # first inputs alone, one entry division later.
+    from matsing.groebner import _Completion, _Counter, _encoding
+    if rank == 1:
+        first = [(P("x^2 + x*y"),), (P("y^3"),)]
+    else:
+        first = [(P("x^2 + x*y"), P("y^2")), (P("0"), P("y^3 + x*y^2"))]
+    combo = tuple(a * P("x + y^2") - b * P("y - 1") for a, b in zip(*first))
+    enc = _encoding(2, order)
+    runs = []
+    for inputs in (first, first + [combo]):
+        completion = _Completion(enc, rank, _Counter())
+        completion.run([flatten_vector(v, enc) for v in inputs])
+        runs.append(completion)
+    alone, more = runs
+    assert len(alone.gens) == len(first)
+    assert [g.flat for g in more.gens] == [g.flat for g in alone.gens]
+    assert more.treated == alone.treated
+    assert more.counter.steps > alone.counter.steps
+
+
+@pytest.mark.parametrize("order", [GLOBAL, LOCAL])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_extended_by_vectors_already_in_the_module_adds_nothing(order, rank):
+    # Monomial multiples of generators lie in the module, under a local
+    # order at their own top degree too, so the resumed run divides each to
+    # 0 by the completed basis on entry and keeps the basis as it was.
+    import random
+    from matsing.groebner import _extended, _standard
+    for seed in range(5):
+        rng = random.Random(2000 * rank + seed)
+        gens = random_finite_colength_module(rng, 2, rank)
+        with budget(3000):
+            basis = ModuleBasis(rank, gens, order)
+            _standard(basis)
+            done = basis._completion
+            vectors = [tuple(p * P("x") for p in gens[0]),
+                       tuple(p * P("y^2") for p in gens[-1])]
+            ext = _extended(basis, vectors)
+        assert ext._completion.gens == done.gens, seed
+        assert ext._completion.treated == done.treated, seed
+        assert quotient_dimension(ext) == quotient_dimension(basis)
 
 
 def test_contained_needs_containment_not_just_equal_colength():
