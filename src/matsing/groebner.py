@@ -851,9 +851,10 @@ class _Stack:
     standard: a Groebner basis of a submodule N of O^rank, as normalized
     _Gens, which enters first as the (g, 0), its mutual pairs treated;
     the relations are then those of the f_j modulo N (Greuel-Pfister
-    2.8).  In a seeded stack each (f_j, e_j) enters divided by the
-    elements before it, which leaves the module unchanged and often its
-    upper block zero.
+    2.8).  A seeded stack enters each (f_j, e_j) through run(), divided
+    by the elements before it, which often leaves its upper block zero,
+    and then it is never paired.  An unseeded one adds them undivided:
+    there the division was measured to save no time and to cost steps.
     """
 
     def __init__(self, flats: list, rank: int, enc: _Encoding,
@@ -861,24 +862,25 @@ class _Stack:
         self.rank, self.enc = rank, enc
         completion = _Completion(enc, rank + len(flats), _Counter(),
                                  paired_rank=rank)
-        if standard is not None:
-            completion.add_standard(standard)
-        late = []
+        vecs, late = [], []
         for j, flat in enumerate(flats):
             vec, den = _integral(flat)
             vec = dict(vec)
             vec[enc.unit(rank + j)] = den
-            if standard is not None:
-                vec, _ = _normal_form(vec, completion.gens, enc,
-                                      completion.counter)
-            elif not flat:
-                # (0, e_j) is never paired and reduces nothing, so it can
-                # wait for the end of the run: relations() then lists the
-                # syzygies the run finds before the unit vectors.
+            if standard is None and not flat:
+                # Unseeded, (0, e_j) is never paired and reduces nothing, so
+                # it can wait for the end of the run: relations() then lists
+                # the syzygies the run finds before the unit vectors.
                 late.append(vec)
-                continue
-            completion.add(vec)
-        completion.run()
+            else:
+                vecs.append(vec)
+        if standard is None:
+            for vec in vecs:
+                completion.add(vec)
+            completion.run()
+        else:
+            completion.add_standard(standard)
+            completion.run(vecs)
         for vec in late:
             completion.add(vec)
         self.gens = completion.gens

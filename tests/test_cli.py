@@ -97,7 +97,7 @@ def test_analyze_params_on_file_exit_1(tmp_path, capsys):
     assert code == 1
 
 
-def test_odd_skew_family_needs_no_pfaffian_to_be_checked(tmp_path, capsys):
+def test_verify_rejects_an_odd_skew_family_as_analyze_does(tmp_path, capsys):
     # Odd-size skew matrices have no Pf, so the family has no target
     # function g and no germ rule to pass: verify rejects them as analyze
     # does, with the same message, whatever the identity would have read.
