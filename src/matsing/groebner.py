@@ -61,11 +61,12 @@ division, with each intermediate result scaled by a known nonzero integer,
 which a certificate divides out once at the end (_scalar gives an int
 where that division is exact).
 
-Each generator entering a completion is first divided by the elements
-entered before it, and one that divides to 0 adds no element and forms no
-pair: once they are a standard basis, so does every element of their
-module under a global order, and under a local one every combination of
-them whose top degree does not cancel (its homogenisation is divided).
+Every generator enters a completion one way, through _Completion.run,
+stacks included: it is first divided by the elements entered before it,
+and one that divides to 0 adds no element and forms no pair: once they
+are a standard basis, so does every element of their module under a
+global order, and under a local one every combination of them whose top
+degree does not cancel (its homogenisation is divided).
 Each ModuleBasis completes its standard basis once, in flat form, and
 caches it (_standard): colengths count the staircase of its leading terms
 straight from there, groebner_basis unflattens it (after tail reduction
@@ -76,11 +77,14 @@ no term of any element is divisible by the leading term of another.
 
 A step counter guards all completion and division loops: badly posed
 inputs can be astronomically slow, so it raises StepLimitExceeded instead
-of hanging.  set_step_limit is the one way to set the budget, and it
-bounds each computation separately: every completion (with the divisions
-inside it), every division of a member() query, every _contained test and
-each staircase count counts its own steps against the limit, so one
-analysis can take many times the limit in total.
+of hanging.  A step is one reduction of a division, one pair popped or
+one staircase monomial visited; a division ends, at no cost, at the first
+leading term that no element divides.  set_step_limit is the one way to
+set the budget, and it bounds each computation separately: every
+completion (with the divisions inside it), every division of a member()
+query, every _contained test and each staircase count counts its own
+steps against the limit, so one analysis can take many times the limit
+in total.
 """
 
 from __future__ import annotations
@@ -463,6 +467,9 @@ def _normal_form(f: Flat, gens: list, enc: _Encoding,
     the identity holds modulo m^below O^r, and the ecart stop is skipped.
     Every leading term then lies among the finitely many terms of degree
     < below and falls at each step, so the loop ends under either order.
+
+    Each reduction counts one step on counter; a leading term that no
+    element divides ends the division and costs none.
     """
     h, scale = f, 1
     local = enc.local and below is None
@@ -481,9 +488,9 @@ def _normal_form(f: Flat, gens: list, enc: _Encoding,
                 continue
             if g is None or cand.ecart < ecart:
                 g, ecart = cand, cand.ecart
-        counter.tick()
         if g is None:
             break
+        counter.tick()
         degree = enc.degree(lt)
         if local and ecart > deg - degree:
             break
@@ -588,14 +595,15 @@ class _Completion:
         return gens, self.counter.steps
 
     def run(self, flats: Sequence[Flat] = ()) -> None:
-        """Enter the nonzero flats in the given order, then complete.  Each
-        flat, denominators cleared, is divided by the elements entered
-        before it, as an s-vector is: under a local order homogenised to
-        its top degree, at which the remainder is added.  A remainder is
-        a nonzero multiple of its flat minus a combination of the elements
-        before it, so the module is unchanged; a remainder 0 is dropped
-        and forms no pair.  The entry divisions count against the
-        completion's steps."""
+        """Enter the nonzero flats in the given order, then complete: the
+        one way a generator enters a completion.  Each flat, denominators
+        cleared, is divided by the elements entered before it, as an
+        s-vector is: under a local order homogenised to its top degree, at
+        which the remainder is added.  A remainder is a nonzero multiple of
+        its flat minus a combination of the elements before it, so the
+        module is unchanged; a remainder 0 is dropped and forms no pair.
+        Each reduction of an entry division counts a step against the
+        completion's budget, as does each pair popped."""
         gens, enc = self.gens, self.enc
         for flat in flats:
             if flat:
@@ -842,47 +850,28 @@ class _Stack:
     leading term are paired.  So upper() is a Groebner basis of the module
     M of the f_j (and of the seed), each element carrying in its lower block
     its expression in the f_j; dividing (v, 0) by it until the upper block
-    dies gives a membership certificate for v.  The elements with a
-    vanishing upper block, never paired, are the reduced s-vectors of upper
-    pairs, and by Schreyer's theorem (Greuel-Pfister, A Singular
-    Introduction to Commutative Algebra, 2.5) their lower blocks,
-    relations(), generate all a with (0, a) in the module, locally too.
+    dies gives a membership certificate for v.  Each (f_j, e_j) enters
+    through run(), divided by the elements before it; the elements with a
+    vanishing upper block, never paired, are those entry remainders and
+    the reduced s-vectors of upper pairs, and by Schreyer's theorem
+    (Greuel-Pfister, A Singular Introduction to Commutative Algebra, 2.5)
+    their lower blocks, relations(), generate all a with (0, a) in the
+    module, locally too.
 
     standard: a Groebner basis of a submodule N of O^rank, as normalized
     _Gens, which enters first as the (g, 0), its mutual pairs treated;
     the relations are then those of the f_j modulo N (Greuel-Pfister
-    2.8).  A seeded stack enters each (f_j, e_j) through run(), divided
-    by the elements before it, which often leaves its upper block zero,
-    and then it is never paired.  An unseeded one adds them undivided:
-    there the division was measured to save no time and to cost steps.
+    2.8).  With no seed, N = 0.
     """
 
     def __init__(self, flats: list, rank: int, enc: _Encoding,
-                 standard: Optional[list] = None):
+                 standard: Sequence[_Gen] = ()):
         self.rank, self.enc = rank, enc
         completion = _Completion(enc, rank + len(flats), _Counter(),
                                  paired_rank=rank)
-        vecs, late = [], []
-        for j, flat in enumerate(flats):
-            vec, den = _integral(flat)
-            vec = dict(vec)
-            vec[enc.unit(rank + j)] = den
-            if standard is None and not flat:
-                # Unseeded, (0, e_j) is never paired and reduces nothing, so
-                # it can wait for the end of the run: relations() then lists
-                # the syzygies the run finds before the unit vectors.
-                late.append(vec)
-            else:
-                vecs.append(vec)
-        if standard is None:
-            for vec in vecs:
-                completion.add(vec)
-            completion.run()
-        else:
-            completion.add_standard(standard)
-            completion.run(vecs)
-        for vec in late:
-            completion.add(vec)
+        completion.add_standard(standard)
+        completion.run([{**vec, enc.unit(rank + j): den}
+                        for j, (vec, den) in enumerate(map(_integral, flats))])
         self.gens = completion.gens
         self._seed: Optional[list] = None
         # The completion is deterministic, so this is the least budget
@@ -1010,10 +999,12 @@ def _homology_colength(cycles: _Stack, boundaries: Optional[_Stack]):
     each z_i is divided by the seed first: one that reduces to 0 lies in B
     (globally, so locally too) and is dropped, which leaves the quotient
     unchanged; if none is left the answer is 0, else R is boundaries.modulo
-    of the rest, from the same seed.  R stays flat: it is re-keyed for the
-    local order (_Encoding.localized rewrites the degree fields alone) and
-    completed there.  The divisions, the colon stack and the local completion
-    each count their own steps against the step limit.
+    of the remainders h_i, from the same seed, so no z_i is divided by it
+    twice: h_i is a nonzero multiple of z_i minus an element of B, so the
+    quotient is the same.  R stays flat: it is re-keyed for the local order
+    (_Encoding.localized rewrites the degree fields alone) and completed
+    there.  The divisions, the colon stack and the local completion each
+    count their own steps against the step limit.
     """
     z = cycles.relations()
     if not z:
@@ -1026,8 +1017,8 @@ def _homology_colength(cycles: _Stack, boundaries: Optional[_Stack]):
         relations = [g.flat for g in seed]
     else:
         counter = _Counter()
-        z = [flat for flat in z
-             if _normal_form(dict(flat), seed, glob, counter)[0]]
+        z = [h for flat in z
+             if (h := _normal_form(flat, seed, glob, counter)[0])]
         if not z:
             return 0
         relations = boundaries.modulo(z, glob)

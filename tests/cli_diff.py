@@ -7,10 +7,15 @@ process: the first tree's processes get PYTHONHASHSEED=1, the second's
 PYTHONHASHSEED=2, so `cli_diff.py src src` checks that the outputs do not
 depend on hash order.  The child process counts the calls of
 `groebner._Counter.tick` by wrapping the method from outside; the library
-is not changed.  The script prints every op whose stdout, stderr, exit code
-or step count differs, and every op that passes TIMEOUT seconds on either
-tree, then the op count, the timeout count and the step totals of both
-trees, and exits 1 on any difference or timeout.  Two ops run at a time.
+is not changed.  It also records the largest count any single counter
+reaches in the op, its peak: each computation counts its own steps, so the
+peak is the least `--max-steps` under which the op passes (an op that runs
+out of its budget reads the budget plus one).  The script prints every op
+whose stdout, stderr, exit code, step count or peak differs, with the step
+count and the peak side by side, and every op that passes TIMEOUT seconds
+on either tree, then the op count, the timeout count and the step totals
+of both trees, and exits 1 on any difference or timeout.  Two ops run at a
+time.
 
 The ops are `analyze --json` with and without `--max-steps 40`,
 `verify --theorem eqeq --json` and `resolution --check --json`, on the
@@ -95,12 +100,15 @@ import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
 from matsing import groebner
 from matsing.cli import main
-steps = 0
+steps = peak = 0
 tick = groebner._Counter.tick
 def counted(self):
-    global steps
+    global steps, peak
     steps += 1
-    tick(self)
+    try:
+        tick(self)
+    finally:
+        peak = max(peak, self.steps)
 groebner._Counter.tick = counted
 out, err = io.StringIO(), io.StringIO()
 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -109,7 +117,7 @@ with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
     except SystemExit as exc:
         code = exc.code
 print(json.dumps({"stdout": out.getvalue(), "stderr": err.getvalue(),
-                  "code": code, "steps": steps}))
+                  "code": code, "steps": steps, "peak": peak}))
 """
 
 
@@ -184,13 +192,14 @@ def run(src: str, argv: list, seed: int) -> dict:
             [sys.executable, "-c", CHILD, src, json.dumps(argv)], env=env,
             capture_output=True, text=True, timeout=TIMEOUT, cwd=ROOT)
     except subprocess.TimeoutExpired:
-        return {"stdout": "", "stderr": "", "code": "timeout", "steps": None}
+        return {"stdout": "", "stderr": "", "code": "timeout", "steps": None,
+                "peak": None}
     try:
         return json.loads(proc.stdout)
     except ValueError:  # the child died: keep what it left
         return {"stdout": proc.stdout,
                 "stderr": proc.stderr.replace(src, "SRC"),
-                "code": proc.returncode, "steps": None}
+                "code": proc.returncode, "steps": None, "peak": None}
 
 
 def main() -> int:
@@ -219,13 +228,15 @@ def main() -> int:
             timeouts += 1
             print(f"TIMEOUT {shown}: code {a['code']!r} -> {b['code']!r}")
             continue
-        fields = [f for f in ("stdout", "stderr", "code", "steps")
-                  if a[f] != b[f]]
-        if fields:
+        parts = [f"{f} differs" for f in ("stdout", "stderr") if a[f] != b[f]]
+        if a["code"] != b["code"]:
+            parts.append(f"code {a['code']!r} -> {b['code']!r}")
+        if (a["steps"], a["peak"]) != (b["steps"], b["peak"]):
+            parts.append(f"steps {a['steps']!r} -> {b['steps']!r}, "
+                         f"peak {a['peak']!r} -> {b['peak']!r}")
+        if parts:
             differ += 1
-            print(f"DIFF {shown}: " + "; ".join(
-                f"{f} {a[f]!r} -> {b[f]!r}" if f in ("code", "steps")
-                else f"{f} differs" for f in fields))
+            print(f"DIFF {shown}: " + "; ".join(parts))
     print(f"{len(todo)} ops, {differ} differ, {timeouts} timed out; "
           f"steps {totals[0]} -> {totals[1]}")
     return 1 if differ or timeouts else 0

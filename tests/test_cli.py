@@ -278,12 +278,12 @@ def test_batch_not_a_directory_exit_1(tmp_path, capsys):
     # stacked completion behind the Schreyer syzygies of the partials of
     # the generic determinant or Pfaffian (der_log_f; 16 components for
     # the generic Pf_6), or a stack of the columns of a differential.
-    ("analyze normal-form-sym n=3", "38", 0),
-    ("analyze normal-form-sym n=3", "37", 3),
-    ("analyze normal-form-skew n=6", "365", 0),
-    ("analyze normal-form-skew n=6", "364", 3),
-    ("resolution --check normal-form-gen n=4", "59", 0),
-    ("resolution --check normal-form-gen n=4", "58", 3),
+    ("analyze normal-form-sym n=3", "30", 0),
+    ("analyze normal-form-sym n=3", "29", 3),
+    ("analyze normal-form-skew n=6", "325", 0),
+    ("analyze normal-form-skew n=6", "324", 3),
+    ("resolution --check normal-form-gen n=4", "38", 0),
+    ("resolution --check normal-form-gen n=4", "37", 3),
 ])
 def test_max_steps_boundary_of_module_paths(capsys, args, budget, code):
     # Each boundary pins the step counts of completion and division.

@@ -466,9 +466,9 @@ def test_colon_stacks_only_where_a_cycle_is_no_boundary(monkeypatch, family,
     built = []
     init = _Stack.__init__
 
-    def spy(self, flats, rank, enc, standard=None):
-        built.append(standard is not None)
-        init(self, flats, rank, enc, standard)
+    def spy(self, flats, rank, enc, *seed):
+        built.append(bool(seed))
+        init(self, flats, rank, enc, *seed)
 
     monkeypatch.setattr(_Stack, "__init__", spy)
     c = kind_complex(family())

@@ -481,9 +481,10 @@ def test_an_input_in_the_module_of_earlier_inputs_adds_nothing(order, rank):
     # as they stand (their completion adds nothing), and an O-combination
     # of them with no cancelling top degree divides to 0 on entry: it adds
     # no element and forms no pair, and the completion ends as that of the
-    # first inputs alone, one entry division later.  Entry divisions count
-    # against the completion's steps, pinned here: one each for the first
-    # inputs, which nothing before them reduces, and 4 for the combination.
+    # first inputs alone, one entry division later.  Each reduction of an
+    # entry division counts against the completion's steps, pinned here:
+    # none for the first inputs, which nothing before them reduces, and 4
+    # for the combination.
     from matsing.groebner import _Completion, _Counter, _encoding
     if rank == 1:
         first = [(P("x^2 + x*y"),), (P("y^3"),)]
@@ -500,7 +501,40 @@ def test_an_input_in_the_module_of_earlier_inputs_adds_nothing(order, rank):
     assert len(alone.gens) == len(first)
     assert [g.flat for g in more.gens] == [g.flat for g in alone.gens]
     assert more.treated == alone.treated
-    assert (alone.counter.steps, more.counter.steps) == (2, 6)
+    assert (alone.counter.steps, more.counter.steps) == (0, 4)
+
+
+@pytest.mark.parametrize("order", [GLOBAL, LOCAL])
+def test_an_entry_division_that_finds_no_reducer_takes_no_step(order):
+    # Homogeneous inputs with leading terms x^3, x^2*y, x*y^2 under either
+    # order: no earlier leading term divides a later one, so each enters as
+    # it is.  With paired_rank 0 no pair forms, and the counter sees the
+    # entry divisions alone, which take no step.
+    from matsing.groebner import _Completion, _Counter, _encoding
+    inputs = [P("x^3 + x*y^2"), P("x^2*y + y^3"), P("x*y^2 - 2*y^3")]
+    enc = _encoding(2, order)
+    completion = _Completion(enc, 1, _Counter(), paired_rank=0)
+    completion.run([flatten_vector((p,), enc) for p in inputs])
+    assert [g.flat for g in completion.gens] \
+        == [flatten_vector((p,), enc) for p in inputs]
+    assert [g.exp for g in completion.gens] == [(3, 0), (2, 1), (1, 2)]
+    assert completion.counter.steps == 0
+
+
+def test_a_stack_finds_a_relation_on_entry():
+    # The columns f and x*f: (x*f, e_1) divides by (f, e_0) in one
+    # reduction to (0, e_1 - x*e_0), whose leading term x*e_0 nothing
+    # divides, so the relation (x, -1) is found on entry.  (f, e_0) is the
+    # only element with an upper leading term, so no pair forms: 1 step.
+    from matsing.groebner import _encoding, _Stack, unflatten_vector
+    f = P("x^2 + y^3")
+    enc = _encoding(2, GLOBAL)
+    stack = _Stack([flatten_vector((f,), enc),
+                    flatten_vector((P("x") * f,), enc)], 1, enc)
+    assert len(stack.upper()) == 1
+    assert [unflatten_vector(a, 2, enc) for a in stack.relations()] \
+        == [(P("x"), P("-1"))]
+    assert stack.steps == 1
 
 
 @pytest.mark.parametrize("order", [GLOBAL, LOCAL])
@@ -990,7 +1024,7 @@ def test_stack_blocks_split_at_the_rank(monkeypatch):
     seeds = []
     init = _Stack.__init__
 
-    def spy(self, flats, rank, enc, standard=None):
+    def spy(self, flats, rank, enc, standard=()):
         seeds.append(standard)
         init(self, flats, rank, enc, standard)
 

@@ -474,12 +474,12 @@ def test_step_limit_bounds_each_computation_of_an_analysis():
     # The library counterpart of the CLI pin on normal-form-sym n=3: the
     # largest single computation of the analysis, the stacked completion
     # behind the Schreyer syzygies of the partials of the generic symmetric
-    # 3x3 determinant (der_log_f), takes 38 steps.
+    # 3x3 determinant (der_log_f), takes 30 steps.
     from matsing import StepLimitExceeded
     subject = catalog("normal-form-sym", n=3).subject()
-    with budget(38):
+    with budget(30):
         analyze(subject)
-    with budget(37), pytest.raises(StepLimitExceeded):
+    with budget(29), pytest.raises(StepLimitExceeded):
         analyze(subject)
 
 
