@@ -1,29 +1,29 @@
-"""Command-line interface.
+"""matsing <command>: Milnor and Tjurina numbers, resolutions and identity
+checks of matrix singularities.
 
-Subcommands:
+    analyze    <file-or-catalog> [key=value ...]  all invariants + checks
+    verify     <file-or-catalog> [key=value ...] --theorem <id>  one identity
+    resolution <file-or-catalog> [key=value ...] [--check]  ranks, d^2 = 0
+    batch      <directory>                        analyze every file
 
-    analyze    <file-or-catalog> [key=value ...]   all invariants + checks
-    verify     <file-or-catalog> --theorem <id>    one identity, with verdict
-    resolution <file-or-catalog> [--check]         complex ranks, d^2, homology
-    batch      <directory>                         analyze every file
+Options go before or after the positionals, a value after a space or "=".
+<id> is one of eqeq, betas, imax, submax, gorenstein, ck, gorp, diag;
+--check adds the homology dimensions.  Every command takes --json
+(deterministic machine output), --strict (exit 2 when any check is
+NOT-APPLICABLE), --max-steps N (each completion, normal form and member()
+query gets its own budget of N reduction steps) and -h/--help (this text).
 
-Common flags: --json (machine output, deterministic), --strict (exit 2 when
-any check is NOT-APPLICABLE), --max-steps N (reduction step guard: each
-completion, normal form and member() query gets its own budget of N steps,
-so one invocation can take many times N in total).
-
-Exit codes: 0 success, 1 input or parse error, 2 inapplicable hypothesis
-under --strict, 3 step guard exceeded, 4 a verified identity FAILS.
+Exit codes: 0 success, 1 bad input or command line, 2 NOT-APPLICABLE under
+--strict, 3 step guard exceeded, 4 a verified identity FAILS.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import os
 import re
 import sys
+from types import SimpleNamespace
 from typing import List, Optional
 
 from .complexes import homology_profile, kind_complex, verify_complex
@@ -160,14 +160,14 @@ def _cmd_resolution(args) -> int:
 
 
 def _cmd_batch(args) -> int:
-    if not os.path.isdir(args.directory):
-        raise ValueError(f"not a directory: {args.directory!r}")
-    names = sorted(f for f in os.listdir(args.directory)
-                   if os.path.isfile(os.path.join(args.directory, f)))
+    if not os.path.isdir(args.target):
+        raise ValueError(f"not a directory: {args.target!r}")
+    names = sorted(f for f in os.listdir(args.target)
+                   if os.path.isfile(os.path.join(args.target, f)))
     entries = []
     counts = {"HOLDS": 0, "FAILS": 0, "NOT-APPLICABLE": 0, "errors": 0}
     for fname in names:
-        path = os.path.join(args.directory, fname)
+        path = os.path.join(args.target, fname)
         try:
             with open(path, encoding="utf-8") as fh:
                 spec = parse_family(fh.read())
@@ -197,67 +197,67 @@ def _cmd_batch(args) -> int:
                 print(f"{e['file']}: mu = {r['mu']}, checks: {brief}")
         print("summary: " + ", ".join(f"{k} = {v}"
                                       for k, v in sorted(counts.items())))
+    if args.strict and counts["NOT-APPLICABLE"]:
+        return EXIT_STRICT
     return EXIT_OK
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parse_args returns a
-    fresh namespace on every call, so reusing it is safe."""
-    parser = argparse.ArgumentParser(
-        prog="matsing",
-        description="Invariants of matrix singularities: Milnor and Tjurina "
-                    "numbers, resolutions, and identity checks.")
-    sub = parser.add_subparsers(dest="command", required=True)
+# command -> handler, own flags (None: takes a value, False: a switch)
+COMMANDS = {"analyze": (_cmd_analyze, {}),
+            "verify": (_cmd_verify, {"--theorem": None}),
+            "resolution": (_cmd_resolution, {"--check": False}),
+            "batch": (_cmd_batch, {})}
 
-    def common(p, params=True):
-        if params:
-            p.add_argument("target",
-                           help="input file path or catalog name")
-            p.add_argument("params", nargs="*",
-                           help="catalog parameters as key=value")
-        p.add_argument("--json", action="store_true",
-                       help="machine-readable output")
-        p.add_argument("--strict", action="store_true",
-                       help="exit 2 when a hypothesis is not met")
-        p.add_argument("--max-steps", type=int, default=None,
-                       help="cap on the reduction steps of each "
-                            "standard-basis computation")
 
-    p = sub.add_parser("analyze", help="all invariants and identity checks")
-    common(p)
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("verify", help="check one identity")
-    common(p)
-    p.add_argument("--theorem", required=True,
-                   help="identity id: " + ", ".join(IDENTITIES))
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("resolution",
-                       help="build the kind-appropriate complex")
-    common(p)
-    p.add_argument("--check", action="store_true",
-                   help="also compute homology dimensions")
-    p.set_defaults(func=_cmd_resolution)
-
-    p = sub.add_parser("batch", help="analyze every file in a directory")
-    p.add_argument("directory")
-    common(p, params=False)
-    p.set_defaults(func=_cmd_batch)
-
-    return parser
+def _parse_argv(argv: List[str]) -> SimpleNamespace:
+    """argv as a namespace: func, target, params and one attribute per
+    flag; ValueError on a malformed command line."""
+    if not argv or argv[0] not in COMMANDS:
+        raise ValueError(f"expected a command ({', '.join(COMMANDS)}), got "
+                         f"{argv[:1]}")
+    command, rest = argv[0], iter(argv[1:])
+    func, flags = COMMANDS[command]
+    defaults = {"--max-steps": None, "--json": False, "--strict": False,
+                **flags}
+    opts, positionals = dict(defaults), []
+    for tok in rest:
+        name, eq, value = tok.partition("=")
+        if not tok.startswith("-"):
+            positionals.append(tok)
+        elif name not in opts or (eq and defaults[name] is False):
+            raise ValueError(f"{command} takes no option {tok!r}")
+        elif defaults[name] is False:
+            opts[name] = True
+        else:
+            opts[name] = value if eq else next(rest, None)
+            if opts[name] is None:
+                raise ValueError(f"{name} needs a value")
+    args = SimpleNamespace(func=func, **{k[2:].replace("-", "_"): v
+                                         for k, v in opts.items()})
+    if args.max_steps is not None:
+        if not (args.max_steps.isdecimal() and int(args.max_steps) > 0):
+            raise ValueError("--max-steps needs a positive integer, got "
+                             f"{args.max_steps!r}")
+        args.max_steps = int(args.max_steps)
+    what = "one directory" if command == "batch" else "a file or catalog name"
+    if not positionals or command == "batch" and len(positionals) > 1:
+        raise ValueError(f"{command} takes {what}, got {positionals}")
+    args.target, args.params = positionals[0], positionals[1:]
+    if command == "verify" and args.theorem is None:
+        raise ValueError("verify needs --theorem <id>")
+    return args
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(__doc__ or "")
+        return EXIT_OK
     previous_limit = None
-    if args.max_steps is not None:
-        if args.max_steps <= 0:
-            print("error: --max-steps must be positive", file=sys.stderr)
-            return EXIT_INPUT
-        previous_limit = set_step_limit(args.max_steps)
     try:
+        args = _parse_argv(argv)
+        if args.max_steps is not None:
+            previous_limit = set_step_limit(args.max_steps)
         return args.func(args)
     except StepLimitExceeded as exc:
         print(f"error: step guard exceeded ({exc})", file=sys.stderr)

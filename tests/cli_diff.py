@@ -32,10 +32,12 @@ every identity, so the error text on stderr and the exit code are compared
 too.  So do the two A1_CONE sections, the only inputs on which `verify
 --theorem ck` gets past its hypotheses.  The two ODD_SKEW families, which
 have no Pf, run `analyze --json` and `verify --theorem ck|diag --json`, so
-that verify's rejection is compared with analyze's.  --quick keeps about
-135 ops: the catalog entries with all four ops, the pencils with both
-`analyze` ops and every `verify` op, the NON_GERM, A1_CONE and ODD_SKEW ops
-and the first three files of MALFORMED.
+that verify's rejection is compared with analyze's.  The USAGE command
+lines, `--help` and three that the command line parser rejects, compare
+the help text and the usage errors.  --quick keeps about 140 ops: the
+catalog entries with all four ops, the pencils with both `analyze` ops and
+every `verify` op, the NON_GERM, A1_CONE, ODD_SKEW and USAGE ops and the
+first three files of MALFORMED.
 
 pytest does not collect this file: it is a tool, run by hand and in CI.
 """
@@ -90,6 +92,11 @@ ODD_SKEW = {
     "odd-skew-3": "kind = skew; vars = x, y, z; upper = [[x, y], [z]]",
     "odd-skew-1": "kind = skew; vars = x; matrix = [[0]]",
 }
+# --help, an unknown flag, verify without --theorem and a --max-steps that
+# is no integer.
+USAGE = [["--help"], ["analyze", "generic-sym-2", "--bogus"],
+         ["verify", "generic-sym-2", "--json"],
+         ["analyze", "generic-sym-2", "--max-steps", "x"]]
 IDENTITIES = ("eqeq", "betas", "imax", "submax", "gorenstein", "ck", "gorp",
               "diag")
 
@@ -159,11 +166,11 @@ def ops(workdir: str, quick: bool) -> list:
         return (out + [op for target in pencils for op in analyze(target)]
                 + malformed[:3]
                 + [op for target in pencils for op in verify(target)]
-                + non_germ + cones + odd)
+                + non_germ + cones + odd + USAGE)
     out += [op for target in pencils for op in four(target)] + malformed
     for target in gen.CATALOG + pencils:
         out += verify(target, IDENTITIES[1:])
-    out += non_germ + cones + odd
+    out += non_germ + cones + odd + USAGE
     for target in NORMAL_FORMS:
         if target not in gen.CATALOG:
             out += four(target)

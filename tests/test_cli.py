@@ -268,6 +268,20 @@ def test_batch_isolates_each_file(tmp_path, capsys, monkeypatch):
     assert data["summary"]["errors"] == 1
 
 
+def test_batch_strict_exits_2_on_a_not_applicable_check(tmp_path, capsys):
+    # generic-sym-2 has NOT-APPLICABLE checks (submax, ...); a file that
+    # does not parse is an error, which changes no exit code.
+    (tmp_path / "a.fam").write_text(
+        "kind=symmetric; vars=x,y,z; matrix=[[x,y],[y,z]]")
+    (tmp_path / "b.fam").write_text("kind=nonsense")
+    code, out, _ = run(capsys, "batch", str(tmp_path))
+    assert code == 0 and "NOT-APPLICABLE = 0" not in out
+    assert run(capsys, "batch", "--strict", str(tmp_path)) == (2, out, "")
+    (tmp_path / "a.fam").unlink()
+    code, out, _ = run(capsys, "batch", "--strict", str(tmp_path))
+    assert code == 0 and "errors = 1" in out
+
+
 def test_batch_not_a_directory_exit_1(tmp_path, capsys):
     code, out, err = run(capsys, "batch", str(tmp_path / "missing"))
     assert code == 1
@@ -368,12 +382,62 @@ def test_slow_gen_verifies_under_a_budget(tmp_path, capsys, theorem, dims):
     assert data["betti"] == [2, 2, 0, 0, 0]
 
 
-def test_parser_is_built_once_and_namespaces_are_fresh():
-    assert cli._build_parser() is cli._build_parser()
-    first = cli._build_parser().parse_args(["analyze", "diag-sym", "a=(1,2)"])
-    second = cli._build_parser().parse_args(["analyze", "generic-sym-2"])
-    assert first is not second
+@pytest.mark.parametrize("a, b", [
+    (["verify", "generic-sym-2", "--theorem", "ck", "--max-steps", "9"],
+     ["verify", "generic-sym-2", "--theorem=ck", "--max-steps=9"]),
+    (["analyze", "diag-sym", "a=(1,2)", "--json", "--strict"],
+     ["analyze", "--strict", "--json", "diag-sym", "a=(1,2)"]),
+    (["resolution", "--check", "generic-sym-2", "--json"],
+     ["resolution", "generic-sym-2", "--json", "--check"]),
+    (["batch", "--json", "dir"], ["batch", "dir", "--json"]),
+])
+def test_flag_forms_and_order_parse_alike(a, b):
+    # A value after a space or "=", options before or after the
+    # positionals: each pair gives the same namespace.
+    assert vars(cli._parse_argv(a)) == vars(cli._parse_argv(b))
+
+
+def test_parses_share_no_state():
+    first = cli._parse_argv(["analyze", "diag-sym", "a=(1,2)", "--json"])
+    second = cli._parse_argv(["analyze", "generic-sym-2"])
     assert first.params == ["a=(1,2)"] and second.params == []
+    assert (first.json, second.json) == (True, False)
+    assert (first.max_steps, first.strict, first.func) \
+        == (None, False, cli._cmd_analyze)
+    assert cli._parse_argv(["verify", "x", "--theorem", "ck",
+                            "--max-steps", "7"]).max_steps == 7
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_the_docstring(capsys, flag):
+    for argv in ([flag], ["analyze", flag], ["verify", "x", flag]):
+        assert run(capsys, *argv) == (0, cli.__doc__, "")
+    # The help names every command, flag and identity.
+    for word in [*cli.COMMANDS, *cli.IDENTITIES, "--theorem <id>", "--check",
+                 "--json", "--strict", "--max-steps N", "-h/--help"]:
+        assert word in cli.__doc__, word
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "expected a command"),
+    (["frobnicate", "generic-sym-2"], "expected a command"),
+    (["analyze", "generic-sym-2", "--bogus"], "no option '--bogus'"),
+    (["analyze", "generic-sym-2", "--json=yes"], "no option '--json=yes'"),
+    (["analyze", "generic-sym-2", "--max"], "no option '--max'"),
+    (["analyze", "generic-sym-2", "--max-steps"], "--max-steps needs a value"),
+    (["verify", "generic-sym-2", "--theorem"], "--theorem needs a value"),
+    (["analyze", "generic-sym-2", "--max-steps", "x"], "positive integer"),
+    (["analyze", "generic-sym-2", "--max-steps=0"], "positive integer"),
+    (["verify", "generic-sym-2"], "verify needs --theorem"),
+    (["analyze", "generic-sym-2", "--check"], "no option '--check'"),
+    (["analyze", "--json"], "analyze takes a file or catalog name"),
+    (["batch"], "batch takes one directory"),
+    (["batch", "a", "b"], "batch takes one directory"),
+])
+def test_usage_errors_exit_1(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and message in err, err
 
 
 def test_import_loads_no_dataclasses():
@@ -389,3 +453,5 @@ def test_import_loads_no_dataclasses():
     added = set(out.stdout.split())
     assert "matsing.cli" in added
     assert not added & {"dataclasses", "inspect", "ast", "dis"}
+    # The command line is parsed by hand: argparse brings in gettext.
+    assert not added & {"argparse", "gettext"}
